@@ -26,7 +26,6 @@ from .fitness import (
     SimulationMetrics,
     compute_fitness,
     derive_fitness_weights,
-    with_fitness,
 )
 from .scenario import (
     BUILTIN_SCENARIOS,
@@ -56,6 +55,5 @@ __all__ = [
     "SensorReading",
     "SimulationMetrics",
     "TickTrace",
-    "with_fitness",
     "__version__",
 ]

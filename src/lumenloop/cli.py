@@ -11,25 +11,17 @@ outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .controllers import ResolvedController, resolve_controller
 from .engine import run_simulation
-from .errors import (
-    DegenerateSystem,
-    LengthMismatch,
-    LexError,
-    LumenloopError,
-    ParseError,
-    SchemaError,
-    UnknownBaseline,
-    ValidationError,
-)
+from .errors import LumenloopError, SchemaError
 from .fitness import (
     DEFAULT_WEIGHTS,
     FitnessWeights,
@@ -50,7 +42,7 @@ from .loop import (
 )
 from .loop.providers import DEFAULT_MODEL
 from .neuro import EvolutionConfig, NetworkSpec, run_evolution, save_genome
-from .scenario import BUILTIN_SCENARIOS, ScenarioSpec, builtin_scenario, load_scenario
+from .scenario import BUILTIN_SCENARIOS, load_scenario
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,24 +52,6 @@ EXIT_BUDGET_EXHAUSTED = 4
 
 CSV_HEADER = "scenario,solution,energy,people,trip,fitness"
 
-_USAGE_ERRORS = (
-    SchemaError,
-    ValidationError,
-    LexError,
-    ParseError,
-    UnknownBaseline,
-    LengthMismatch,
-    DegenerateSystem,
-    OSError,
-)
-
-
-def _resolve_scenario(ref: str) -> ScenarioSpec:
-    if ref in BUILTIN_SCENARIOS and not ref.startswith("."):
-        return builtin_scenario(ref)
-    return load_scenario(Path(ref))
-
-
 def _parse_weights(text: str) -> FitnessWeights:
     parts = text.split(",")
     if len(parts) != 3:
@@ -86,11 +60,14 @@ def _parse_weights(text: str) -> FitnessWeights:
         p, e, t = (float(x) for x in parts)
     except ValueError as exc:
         raise SchemaError(f"--weights: {exc}") from exc
+    _require(all(map(math.isfinite, (p, e, t))), "--weights", "finite", text)
     return FitnessWeights(w_people=p, w_energy=e, w_trip=t)
 
 
-def _weights_obj(w: FitnessWeights) -> dict:
-    return {"w_people": w.w_people, "w_energy": w.w_energy, "w_trip": w.w_trip}
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject an out-of-range command line value (exit 2, no traceback)."""
+    if not ok:
+        raise SchemaError(f"{flag} must be {rule}, got {value}")
 
 
 def _write_manifest(path: str, command: str, config: dict, outputs: list[str]) -> None:
@@ -160,9 +137,7 @@ def _write_trace(path: str, traces) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    scenario = _resolve_scenario(args.scenario)
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, rng_seed=args.seed)
+    scenario = load_scenario(args.scenario)
     resolved = resolve_controller(args.controller)
     outputs = [args.trace] if args.trace else []
     _write_manifest(
@@ -171,8 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         {
             "scenario": args.scenario,
             "controller": args.controller,
-            "seed": scenario.rng_seed,
-            "weights": _weights_obj(weights),
+            "weights": asdict(weights),
             "trace": args.trace,
         },
         outputs,
@@ -194,7 +168,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    scenario = _resolve_scenario(args.scenario)
+    for flag, value in (("--population", args.population),
+                        ("--generations", args.generations),
+                        ("--tournament", args.tournament)):
+        _require(value >= 1, flag, ">= 1", value)
+    _require(args.hidden >= 0, "--hidden", ">= 0", args.hidden)
+    _require(0 <= args.elitism <= args.population, "--elitism",
+             "between 0 and --population", args.elitism)
+    for flag, value in (("--crossover-rate", args.crossover_rate),
+                        ("--mutation-rate", args.mutation_rate)):
+        _require(0.0 <= value <= 1.0, flag, "in [0, 1]", value)
+    _require(0.0 <= args.mutation_sigma < math.inf, "--mutation-sigma",
+             "finite and >= 0", args.mutation_sigma)
+    scenario = load_scenario(args.scenario)
     config = EvolutionConfig(
         population_size=args.population,
         generations=args.generations,
@@ -210,18 +196,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         args.manifest,
         "evolve",
         {
+            **asdict(config),
             "scenario": args.scenario,
-            "seed": config.seed,
-            "population_size": config.population_size,
-            "generations": config.generations,
-            "tournament_size": config.tournament_size,
-            "crossover_rate": config.crossover_rate,
-            "mutation_rate": config.mutation_rate,
-            "mutation_sigma": config.mutation_sigma,
-            "elitism": config.elitism,
             "n_hidden": spec.n_hidden,
             "workers": args.workers,
-            "weights": _weights_obj(weights),
+            "weights": asdict(weights),
         },
         [args.out, args.log],
     )
@@ -264,7 +243,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_gpt_loop(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    scenario = _resolve_scenario(args.scenario)
+    _require(math.isfinite(args.threshold), "--threshold", "finite", args.threshold)
+    scenario = load_scenario(args.scenario)
     if args.replay is None and not os.environ.get(ENV_API_KEY):
         print(
             f"error: no provider: set {ENV_API_KEY} (and optionally "
@@ -287,7 +267,7 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
         args.manifest,
         "gpt-loop",
         {
-            **config.snapshot(),
+            **asdict(config),
             "replay": args.replay,
             "stub_metrics": args.stub_metrics,
         },
@@ -350,11 +330,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         {
             "scenarios": scenario_refs,
             "controllers": controller_refs,
-            "weights": _weights_obj(weights),
+            "weights": asdict(weights),
         },
         [],
     )
-    scenarios = [_resolve_scenario(ref) for ref in scenario_refs]
+    scenarios = [load_scenario(ref) for ref in scenario_refs]
     controllers: list[ResolvedController] = [
         resolve_controller(ref) for ref in controller_refs
     ]
@@ -408,11 +388,12 @@ def _load_check_table(path: str | None) -> list[tuple[str, float, float, float, 
 
 
 def cmd_fitness_check(args: argparse.Namespace) -> int:
+    _require(math.isfinite(args.tolerance), "--tolerance", "finite", args.tolerance)
     _write_manifest(
         args.manifest,
         "fitness-check",
         {"table": args.table, "tolerance": args.tolerance,
-         "weights": _weights_obj(DEFAULT_WEIGHTS)},
+         "weights": asdict(DEFAULT_WEIGHTS)},
         [],
     )
     rows = _load_check_table(args.table)
@@ -477,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="builtin name or scenario JSON path")
     p.add_argument("--controller", default="always_on",
                    help="builtin name, rule file, or genome JSON")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario rng seed")
     p.add_argument("--trace", default=None, help="write per-tick JSONL here")
     add_common(p, "simulate-manifest.json")
     p.set_defaults(func=cmd_simulate)
@@ -546,10 +525,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LumenloopError as exc:
+    except (LumenloopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,7 @@ from .dsl.parser import parse_source
 from .dsl.validator import validate_strict
 from .engine import ActuatorCommand, ControllerFactory, SensorReading
 from .errors import UnknownBaseline
-from .neuro.network import Genome, NetworkController, NetworkSpec, load_genome
+from .neuro.network import NetworkController, NetworkSpec, load_genome
 
 
 class DslController:
@@ -47,10 +47,7 @@ def network_factory(genes, spec: NetworkSpec) -> ControllerFactory:
 @dataclass(frozen=True)
 class ResolvedController:
     label: str
-    kind: str  # builtin | program | network
     factory: ControllerFactory
-    program: Program | None = None
-    genome: Genome | None = None
 
 
 def _looks_like_path(text: str) -> bool:
@@ -69,10 +66,8 @@ def resolve_controller(source: str) -> ResolvedController:
     ValidationError, or OSError depending on what goes wrong.
     """
     if source in BUILTIN_PROGRAM_SOURCES and not _looks_like_path(source):
-        program = builtin_program(source)
         return ResolvedController(
-            label=source, kind="builtin", factory=program_factory(program),
-            program=program,
+            label=source, factory=program_factory(builtin_program(source))
         )
     path = Path(source)
     try:
@@ -88,13 +83,7 @@ def resolve_controller(source: str) -> ResolvedController:
     if text.lstrip().startswith("{"):
         spec, genome = load_genome(path)
         return ResolvedController(
-            label=path.stem,
-            kind="network",
-            factory=network_factory(genome.genes, spec),
-            genome=genome,
+            label=path.stem, factory=network_factory(genome.genes, spec)
         )
     program = validate_strict(parse_source(text))
-    return ResolvedController(
-        label=path.stem, kind="program", factory=program_factory(program),
-        program=program,
-    )
+    return ResolvedController(label=path.stem, factory=program_factory(program))

@@ -124,7 +124,6 @@ def run_simulation(
     commands = {pole.id: ActuatorCommand() for pole in scenario.poles}
     # saturated start: no motion has been observed yet
     since_motion = {pole.id: TICKS_SINCE_MOTION_CAP for pole in scenario.poles}
-    neighbors = scenario.neighbor_map()
     people = [_Person(p, scenario) for p in scenario.people]
 
     light_sum = 0.0

@@ -52,11 +52,6 @@ def compute_fitness(m: SimulationMetrics, weights: FitnessWeights = DEFAULT_WEIG
     )
 
 
-def with_fitness(m: SimulationMetrics, weights: FitnessWeights = DEFAULT_WEIGHTS) -> SimulationMetrics:
-    """Return a copy of ``m`` with the fitness field filled in."""
-    return SimulationMetrics(m.energy_pct, m.people_pct, m.trip_pct, compute_fitness(m, weights))
-
-
 def derive_fitness_weights(rows) -> tuple[FitnessWeights, float]:
     """Recover fitness weights from benchmark rows by least squares.
 

@@ -7,7 +7,7 @@ carry metrics), simulates it, and stops once the fitness threshold is met
 (inclusive). Each exchange is fresh: the model sees the problem statement
 plus at most the latest program and metrics, never the whole history.
 
-Transcripts are JSONL: a header line with the LoopConfig snapshot, one
+Transcripts are JSONL: a header line with the LoopConfig fields, one
 line per iteration record, and a status trailer, written incrementally so
 a crash loses at most the in-flight iteration. They contain no timestamps,
 so a replayed run writes byte-identical output.
@@ -16,7 +16,7 @@ so a replayed run writes byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -67,23 +67,6 @@ class LoopConfig:
     timeout: float = 60.0
     scenario: str = "scenario1"
     weights: FitnessWeights = DEFAULT_WEIGHTS
-
-    def snapshot(self) -> dict:
-        return {
-            "fitness_threshold": self.fitness_threshold,
-            "max_iterations": self.max_iterations,
-            "max_repair_attempts": self.max_repair_attempts,
-            "provider": self.provider,
-            "model": self.model,
-            "temperature": self.temperature,
-            "timeout": self.timeout,
-            "scenario": self.scenario,
-            "weights": {
-                "w_people": self.weights.w_people,
-                "w_energy": self.weights.w_energy,
-                "w_trip": self.weights.w_trip,
-            },
-        }
 
 
 @dataclass
@@ -222,7 +205,7 @@ def run_loop(
             {
                 "kind": "loop-transcript",
                 "version": 1,
-                "config": config.snapshot(),
+                "config": asdict(config),
                 # Each exchange resends the problem statement plus only the
                 # latest program/metrics; no conversation history.
                 "context_mode": "problem-plus-latest-feedback",

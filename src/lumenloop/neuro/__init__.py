@@ -16,7 +16,6 @@ from .network import (
     Genome,
     NetworkController,
     NetworkSpec,
-    forward,
     load_genome,
     reading_to_inputs,
     save_genome,
@@ -28,7 +27,6 @@ __all__ = [
     "EvolutionResult",
     "evaluate_population",
     "evolve",
-    "forward",
     "GenerationStat",
     "Genome",
     "init_population",

@@ -65,13 +65,6 @@ def split_genome(spec: NetworkSpec, genes: np.ndarray) -> tuple[np.ndarray, np.n
     return w_hidden, w_output
 
 
-def forward(spec: NetworkSpec, genes: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    w_hidden, w_output = split_genome(spec, genes)
-    x = np.append(np.asarray(inputs, dtype=float), 1.0)
-    hidden = sigmoid(w_hidden @ x)
-    return sigmoid(w_output @ np.append(hidden, 1.0))
-
-
 def reading_to_inputs(reading: SensorReading) -> np.ndarray:
     """Sensor vector fed to the network, all components in [0, 1].
 

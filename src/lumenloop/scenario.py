@@ -3,7 +3,9 @@
 A scenario document is UTF-8 JSON with exactly the top-level keys
 ``name, max_ticks, movement_threshold, rng_seed, ambient_schedule, poles,
 people``. Unknown keys are rejected (SchemaError); semantic violations
-raise ValidationError with the offending field path.
+raise ValidationError with the offending field path. ``rng_seed`` is a
+reserved integer key: it is required and type-checked, but the dynamics are
+deterministic and ignore it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class ScenarioSpec:
     name: str
     max_ticks: int
     movement_threshold: float
-    rng_seed: int  # reserved for stochastic extensions; current dynamics are deterministic
     ambient_schedule: tuple[AmbientEntry, ...]
     poles: tuple[PoleSpec, ...]
     people: tuple[PersonSpec, ...]
@@ -100,7 +101,7 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         raise SchemaError("name: expected a nonempty string")
     max_ticks = _as_int(doc["max_ticks"], "max_ticks")
     threshold = _as_number(doc["movement_threshold"], "movement_threshold")
-    rng_seed = _as_int(doc["rng_seed"], "rng_seed")
+    _as_int(doc["rng_seed"], "rng_seed")
 
     if not isinstance(doc["ambient_schedule"], list):
         raise SchemaError("ambient_schedule: expected an array")
@@ -143,7 +144,6 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         name=name,
         max_ticks=max_ticks,
         movement_threshold=threshold,
-        rng_seed=rng_seed,
         ambient_schedule=tuple(schedule),
         poles=tuple(poles),
         people=tuple(people),

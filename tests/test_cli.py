@@ -80,7 +80,7 @@ def test_simulate_unknown_scenario_file(capsys):
 
 def test_simulate_trace_and_determinism(capsys, tmp_path):
     argv = ["simulate", "--controller", "iteration1",
-            "--trace", str(tmp_path / "trace.jsonl"), "--seed", "7"]
+            "--trace", str(tmp_path / "trace.jsonl")]
     assert main(argv) == EXIT_OK
     first_out = capsys.readouterr().out
     first_trace = (tmp_path / "trace.jsonl").read_bytes()
@@ -94,12 +94,42 @@ def test_simulate_trace_and_determinism(capsys, tmp_path):
     record = json.loads(lines[0])
     assert record["tick"] == 0
     assert set(record["poles"]["0"]) == {"reading", "command"}
-    assert read_manifest("simulate-manifest.json")["config"]["seed"] == 7
 
 
 def test_simulate_bad_weights(capsys):
     assert main(["simulate", "--weights", "1,2"]) == EXIT_USAGE
     assert "three comma-separated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--weights", "nan,0.4,0.6"],
+    ["simulate", "--weights", "1,inf,0"],
+    *(
+        # a one-generation, two-genome run would finish if the value passed
+        ["evolve", "--generations", "1", "--population", "2", flag, value]
+        for flag, value in [
+            ("--population", "0"),
+            ("--generations", "0"),
+            ("--tournament", "0"),
+            ("--hidden", "-1"),
+            ("--elitism", "-1"),
+            ("--elitism", "3"),
+            ("--crossover-rate", "-0.5"),
+            ("--mutation-rate", "7"),
+            ("--mutation-sigma", "-0.1"),
+            ("--mutation-sigma", "nan"),
+            ("--mutation-sigma", "inf"),
+        ]
+    ),
+    ["gpt-loop", "--replay", str(Path(__file__).parent / "fixtures" / "three_iter.jsonl"),
+     "--threshold", "nan"],
+    ["fitness-check", "--tolerance", "nan"],
+])
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert argv[-2] in err[0]
 
 
 # -- evolve ------------------------------------------------------------------

@@ -9,7 +9,12 @@ from lumenloop.controllers import DslController, resolve_controller
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import SensorReading
 from lumenloop.errors import ParseError, UnknownBaseline, ValidationError
-from lumenloop.neuro.network import DEFAULT_NETWORK, Genome, save_genome
+from lumenloop.neuro.network import (
+    DEFAULT_NETWORK,
+    Genome,
+    NetworkController,
+    save_genome,
+)
 
 
 def reading(**kw):
@@ -24,10 +29,10 @@ def reading(**kw):
 def test_builtin_names_resolve():
     for name in ("always_on", "always_off", "iteration1", "iteration2", "iteration3"):
         resolved = resolve_controller(name)
-        assert resolved.kind == "builtin"
         assert resolved.label == name
-        assert resolved.program is not None
-        resolved.factory().act(reading())
+        controller = resolved.factory()
+        assert isinstance(controller, DslController)
+        controller.act(reading())
 
 
 def test_unknown_name_lists_builtins():
@@ -41,7 +46,7 @@ def test_program_file_resolves(tmp_path):
     path = tmp_path / "dimmer.rules"
     path.write_text("if motion then light = 1 else light = 0.1 end")
     resolved = resolve_controller(str(path))
-    assert resolved.kind == "program"
+    assert isinstance(resolved.factory(), DslController)
     assert resolved.label == "dimmer"
     assert resolved.factory().act(reading(motion=True)).light == 1.0
 
@@ -65,10 +70,10 @@ def test_genome_file_resolves(tmp_path):
     genes = np.zeros(DEFAULT_NETWORK.genome_length)
     save_genome(path, Genome(genes=genes, fitness=12.5), DEFAULT_NETWORK)
     resolved = resolve_controller(str(path))
-    assert resolved.kind == "network"
     assert resolved.label == "net"
-    assert resolved.genome is not None and resolved.genome.fitness == 12.5
-    cmd = resolved.factory().act(reading())
+    controller = resolved.factory()
+    assert isinstance(controller, NetworkController)
+    cmd = controller.act(reading())
     assert cmd.light == 0.5  # all-zero weights sigmoid to exactly one half
 
 
@@ -82,8 +87,9 @@ def test_file_named_like_builtin_wins_with_path(tmp_path):
     path = tmp_path / "always_on"
     path.write_text("light = 0.25")
     resolved = resolve_controller(str(path))
-    assert resolved.kind == "program"
-    assert resolved.factory().act(reading()).light == 0.25
+    controller = resolved.factory()
+    assert isinstance(controller, DslController)
+    assert controller.act(reading()).light == 0.25
 
 
 def test_genome_file_bad_json(tmp_path):

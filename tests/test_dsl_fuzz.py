@@ -7,6 +7,7 @@ with them exactly, actuator for actuator.
 
 import math
 import random
+import zlib
 
 from genprog import rand_program, rand_reading
 from oracles import ORACLES
@@ -25,7 +26,7 @@ def test_interpreter_matches_oracles_exactly():
         program = builtin_program(name)
         ctx = EvalContext()
         oracle = oracle_cls()
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
         for step in range(N_ORACLE_STEPS):
             rd = rand_reading(rng, tick=step)
             got = evaluate(program, rd, ctx)

@@ -13,7 +13,6 @@ from lumenloop.fitness import (
     compute_fitness,
     derive_fitness_weights,
     reference_rows,
-    with_fitness,
 )
 
 
@@ -38,14 +37,6 @@ def test_compute_fitness_zero_metrics():
 def test_custom_weights_applied():
     w = FitnessWeights(w_people=2.0, w_energy=1.0, w_trip=0.0)
     assert compute_fitness(SimulationMetrics(10.0, 50.0, 99.0), w) == 90.0
-
-
-def test_with_fitness_fills_field():
-    m = SimulationMetrics(10.0, 100.0, 20.0)
-    assert m.fitness is None
-    filled = with_fitness(m)
-    assert filled.fitness == pytest.approx(100.0 - 4.0 - 12.0)
-    assert (filled.energy_pct, filled.people_pct, filled.trip_pct) == (10.0, 100.0, 20.0)
 
 
 def test_all_reference_rows_reproduce():

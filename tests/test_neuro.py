@@ -24,7 +24,6 @@ from lumenloop.neuro.network import (
     Genome,
     NetworkController,
     NetworkSpec,
-    forward,
     load_genome,
     reading_to_inputs,
     save_genome,
@@ -80,12 +79,12 @@ def test_sigmoid_properties():
 def test_forward_bounds_and_determinism():
     rng = np.random.default_rng(0)
     genes = rng.normal(0, 1, DEFAULT_NETWORK.genome_length)
-    x = np.array([0.5, 1.0, 0.25, 0.75])
-    out1 = forward(DEFAULT_NETWORK, genes, x)
-    out2 = forward(DEFAULT_NETWORK, genes, x)
-    assert out1.shape == (3,)
-    assert np.all((out1 >= 0.0) & (out1 <= 1.0))
-    assert np.array_equal(out1, out2)
+    rd = reading(ambient=0.5, motion=True, signal=0.25, current_light=0.75)
+    out1 = NetworkController(genes, DEFAULT_NETWORK).act(rd)
+    out2 = NetworkController(genes, DEFAULT_NETWORK).act(rd)
+    assert 0.0 <= out1.light <= 1.0
+    assert 0.0 <= out1.broadcast <= 1.0
+    assert out1 == out2
 
 
 def test_reading_to_inputs():

@@ -72,6 +72,17 @@ def test_bool_is_not_an_int():
         parse_scenario(doc)
 
 
+def test_rng_seed_is_required_and_an_integer():
+    # reserved key: the dynamics ignore it, but the schema still checks it
+    doc = doc1()
+    doc["rng_seed"] = 7.5
+    with pytest.raises(SchemaError, match="rng_seed"):
+        parse_scenario(doc)
+    del doc["rng_seed"]
+    with pytest.raises(SchemaError, match="missing keys"):
+        parse_scenario(doc)
+
+
 def test_empty_name_rejected():
     doc = doc1()
     doc["name"] = ""
