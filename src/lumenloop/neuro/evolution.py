@@ -4,6 +4,10 @@ Tournament selection, one-point crossover, per-gene Gaussian mutation,
 elitism. Deterministic for a given master seed: every generation draws from
 its own SeedSequence-derived stream, so results do not depend on worker
 count or Python hash order.
+
+An objective scores a (k, genome_length) array of genomes at once and
+returns k fitness values; ``simulation_objective`` runs all k through one
+``engine.run_batch`` call.
 """
 
 from __future__ import annotations
@@ -14,12 +18,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..engine import run_simulation
+from ..engine import run_batch
+from ..engine import run_simulation  # noqa: F401  (benchmarks/tracing.py wraps this name)
 from ..fitness import DEFAULT_WEIGHTS, FitnessWeights
 from ..scenario import ScenarioSpec
-from .network import DEFAULT_NETWORK, Genome, NetworkController, NetworkSpec
+from .network import DEFAULT_NETWORK, Genome, NetworkSpec, network_batch_step
 
-Objective = Callable[[np.ndarray], float]
+# (k, genome_length) genomes -> k fitness values. A genome's value must not
+# depend on the other rows, so that splitting the rows across workers
+# changes nothing.
+Objective = Callable[[np.ndarray], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -95,17 +103,23 @@ def mutate(
 def evaluate_population(
     population: Sequence[Genome], objective: Objective, workers: int = 1
 ) -> None:
-    """Fill in missing fitness values in place."""
+    """Fill in missing fitness values in place, with one objective call.
+
+    With ``workers`` > 1 the pending genomes are cut into that many
+    contiguous chunks, each scored by one objective call on its own thread.
+    """
     pending = [g for g in population if g.fitness is None]
     if not pending:
         return
+    genes = np.stack([g.genes for g in pending])
     if workers <= 1:
-        for genome in pending:
-            genome.fitness = float(objective(genome.genes))
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for genome, value in zip(pending, pool.map(lambda g: objective(g.genes), pending)):
-            genome.fitness = float(value)
+        values = objective(genes)
+    else:
+        chunks = np.array_split(genes, min(workers, len(pending)))
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            values = [v for chunk in pool.map(objective, chunks) for v in chunk]
+    for genome, value in zip(pending, values, strict=True):
+        genome.fitness = float(value)
 
 
 def _breed(
@@ -172,11 +186,9 @@ def simulation_objective(
     spec: NetworkSpec = DEFAULT_NETWORK,
     weights: FitnessWeights = DEFAULT_WEIGHTS,
 ) -> Objective:
-    def objective(genes: np.ndarray) -> float:
-        metrics = run_simulation(
-            scenario, lambda: NetworkController(genes, spec), weights=weights
-        )
-        return metrics.fitness
+    def objective(genes: np.ndarray) -> list[float]:
+        step = network_batch_step(genes, spec)
+        return [m.fitness for m in run_batch(scenario, step, len(genes), weights)]
 
     return objective
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import SchemaError, ValidationError
@@ -48,6 +49,17 @@ class ScenarioSpec:
     ambient_schedule: tuple[AmbientEntry, ...]
     poles: tuple[PoleSpec, ...]
     people: tuple[PersonSpec, ...]
+
+    @cached_property
+    def compiled(self):
+        """Routes, neighbour matrix and ambient per tick for the tick loops.
+
+        Built by ``engine.compile_scenario`` on first use, then kept with
+        this instance; the fields it derives from are frozen.
+        """
+        from .engine import compile_scenario  # the engine imports this module
+
+        return compile_scenario(self)
 
     def neighbor_map(self) -> dict[int, tuple[int, ...]]:
         return {p.id: p.neighbors for p in self.poles}

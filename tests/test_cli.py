@@ -167,6 +167,43 @@ def test_evolve_small_run(capsys, tmp_path):
     assert (tmp_path / "genome.json").read_bytes() == first
 
 
+def test_evolve_outputs_do_not_depend_on_workers(capsys, tmp_path):
+    argv = [
+        "evolve", "--generations", "3", "--population", "9", "--seed", "4",
+        "--out", "genome.json", "--log", "log.csv",
+    ]
+    runs = []
+    for workers in ("1", "4"):
+        assert main([*argv, "--workers", workers]) == EXIT_OK
+        runs.append({
+            name: Path(name).read_bytes()
+            for name in ("genome.json", "log.csv", "evolve-manifest.json")
+        })
+    capsys.readouterr()
+    one, four = runs
+    assert one["genome.json"] == four["genome.json"]
+    assert one["log.csv"] == four["log.csv"]
+    # the manifest records the flag itself and nothing else that differs
+    assert one["evolve-manifest.json"] == four["evolve-manifest.json"].replace(
+        b'"workers": 4', b'"workers": 1'
+    )
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_genes_are_usage_errors(capsys, tmp_path, bad):
+    genes = ["0.5"] * 51
+    genes[7] = bad
+    path = tmp_path / "bad.json"
+    path.write_text('{"genes": [' + ", ".join(genes) + "]}")
+    argv = ["simulate", "--scenario", "scenario1", "--controller", str(path)]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "finite" in err[0]
+
+
 def test_evolved_genome_feeds_simulate(capsys, tmp_path):
     genome_path = tmp_path / "champ.json"
     assert main([

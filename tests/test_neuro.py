@@ -87,6 +87,14 @@ def test_forward_bounds_and_determinism():
     assert out1 == out2
 
 
+def test_network_with_other_input_width_fails_to_act():
+    # the engine feeds four inputs; a 3-input genome must not run silently
+    spec = NetworkSpec(n_inputs=3)
+    controller = NetworkController(np.zeros(spec.genome_length), spec)
+    with pytest.raises(ValueError, match="takes 3 inputs, got 4"):
+        controller.act(reading())
+
+
 def test_reading_to_inputs():
     rd = reading(ambient=0.25, motion=True, signal=0.5, current_light=0.75)
     assert reading_to_inputs(rd).tolist() == [0.25, 1.0, 0.5, 0.75]
@@ -198,12 +206,13 @@ def test_evaluate_population_fills_only_missing():
 
     def objective(genes):
         calls.append(genes.copy())
-        return 1.0
+        return [1.0] * len(genes)
 
     evaluate_population(population, objective)
     assert population[0].fitness == 1.0
     assert population[1].fitness == 7.0  # pre-scored elite untouched
     assert len(calls) == 1
+    assert calls[0].tolist() == [[0.0, 0.0, 0.0]]  # one batch of the pending genomes
 
 
 def test_parallel_evaluation_matches_sequential():
@@ -219,7 +228,7 @@ def test_parallel_evaluation_matches_sequential():
 # --- evolution loop ---
 
 def sphere(genes):
-    return -float(np.sum(genes * genes))
+    return [-float(np.sum(g * g)) for g in genes]
 
 
 def test_best_fitness_monotone_under_elitism():
