@@ -19,8 +19,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .controllers import ResolvedController, resolve_controller
-from .engine import run_simulation
+from .controllers import resolve_controller
+from .engine import controller_step, run_batch, run_simulation, write_trace
 from .errors import LumenloopError, SchemaError
 from .fitness import (
     DEFAULT_WEIGHTS,
@@ -98,40 +98,6 @@ def _comparison_row(
     return f"{scenario_name},{label},{energy},{people},{trip},{fitness:.12g}"
 
 
-def _write_trace(path: str, traces) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for tick in traces:
-            obj = {
-                "tick": tick.tick,
-                "poles": {
-                    str(pid): {
-                        "reading": {
-                            "ambient": reading.ambient,
-                            "motion": reading.motion,
-                            "signal": reading.signal,
-                            "light": reading.current_light,
-                            "ticks_since_motion": reading.ticks_since_motion,
-                        },
-                        "command": {
-                            "light": tick.commands[pid].light,
-                            "listen": tick.commands[pid].listen,
-                            "broadcast": tick.commands[pid].broadcast,
-                        },
-                    }
-                    for pid, reading in tick.readings.items()
-                },
-                "people": {
-                    str(pid): {
-                        "position": person.position,
-                        "moved": person.moved,
-                        "finished": person.finished,
-                    }
-                    for pid, person in tick.people.items()
-                },
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
 # -- simulate ---------------------------------------------------------------
 
 
@@ -155,7 +121,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         metrics, traces = run_simulation(
             scenario, resolved.factory, trace=True, weights=weights
         )
-        _write_trace(args.trace, traces)
+        write_trace(args.trace, traces)
     else:
         metrics = run_simulation(scenario, resolved.factory, weights=weights)
     print(CSV_HEADER)
@@ -170,7 +136,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     for flag, value in (("--population", args.population),
                         ("--generations", args.generations),
-                        ("--tournament", args.tournament)):
+                        ("--tournament", args.tournament),
+                        ("--workers", args.workers)):
         _require(value >= 1, flag, ">= 1", value)
     _require(args.hidden >= 0, "--hidden", ">= 0", args.hidden)
     _require(0 <= args.elitism <= args.population, "--elitism",
@@ -244,6 +211,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_gpt_loop(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     _require(math.isfinite(args.threshold), "--threshold", "finite", args.threshold)
+    _require(args.max_iterations >= 1, "--max-iterations", ">= 1", args.max_iterations)
+    _require(args.max_repair_attempts >= 0, "--max-repair-attempts", ">= 0",
+             args.max_repair_attempts)
+    _require(0.0 < args.timeout < math.inf, "--timeout", "finite and > 0", args.timeout)
+    _require(0.0 <= args.temperature < math.inf, "--temperature", "finite and >= 0",
+             args.temperature)
     scenario = load_scenario(args.scenario)
     if args.replay is None and not os.environ.get(ENV_API_KEY):
         print(
@@ -324,6 +297,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     scenario_refs = args.scenario or list(BUILTIN_SCENARIOS)
     controller_refs = args.controller or list(DEFAULT_COMPARE_CONTROLLERS)
+    scenarios = [load_scenario(ref) for ref in scenario_refs]
+    controllers = [resolve_controller(ref) for ref in controller_refs]
     _write_manifest(
         args.manifest,
         "compare",
@@ -334,14 +309,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         },
         [],
     )
-    scenarios = [load_scenario(ref) for ref in scenario_refs]
-    controllers: list[ResolvedController] = [
-        resolve_controller(ref) for ref in controller_refs
-    ]
     print(CSV_HEADER)
+    factories = [resolved.factory for resolved in controllers]
     for scenario in scenarios:
-        for resolved in controllers:
-            metrics = run_simulation(scenario, resolved.factory, weights=weights)
+        rows = run_batch(scenario, controller_step(scenario, factories), len(factories), weights)
+        for resolved, metrics in zip(controllers, rows):
             print(_comparison_row(scenario.name, resolved.label, metrics, weights))
     return EXIT_OK
 

@@ -14,26 +14,29 @@ every tick from the start tick through the arrival tick (inclusive) counts
 toward trip time. The listen decision made at tick t governs whether the
 pole hears its neighbors' broadcasts at tick t+1.
 
-Two tick loops implement these rules. ``run_simulation`` runs one
-controller instance per pole and can trace every tick. ``run_batch`` runs
-many independent copies of a scenario at once (one lane per copy) over
-(lanes, poles) arrays, for a controller given as one batch step; the GA
-scores a whole generation with it. Both read the routes, neighbour lists
-and ambient levels from ``scenario.compiled``, built once per scenario.
+One tick loop implements these rules. ``run_batch`` runs many independent
+copies of a scenario at once (one lane per copy) over (lanes, poles)
+arrays, stepping every pole of every lane with one batch step per tick:
+``network_batch_step`` for networks, ``controller_step`` for one
+controller object per pole. ``run_simulation`` is one lane of it and can
+trace every tick. Routes, neighbours and ambient levels come from
+``scenario.compiled``.
 
-Parity contract: lane i of ``run_batch`` returns metrics equal (``==``,
-not approximately) to ``run_simulation`` with a controller that computes
-lane i's outputs, whatever the other lanes hold. That holds when the step
-computes each lane and pole with the same floating-point operations in the
-same order as the scalar controller, as ``neuro.network.forward`` does for
-networks. Signal is Python's ``max`` over the neighbours in document order,
-the light clamp and threshold are the same comparisons, and the energy sum
+Parity contract: a lane's metrics do not depend on the other lanes and are
+equal (``==``) to those of the per-pole scalar loop kept as the tests'
+oracle in ``tests/scalar_engine.py``, given a step that computes each pole
+with the scalar controller's floating-point operations in the same order
+(``controller_step`` calls it; ``neuro.network.forward`` fixes the order).
+Signal is Python's ``max`` over the neighbours in document order, the
+light clamp and threshold are the same comparisons, and the energy sum
 adds the poles of a tick left to right, then the ticks in order.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
@@ -90,6 +93,41 @@ class TickTrace:
     people: dict[int, PersonTrace]
 
 
+def write_trace(path: str | Path, traces: list[TickTrace]) -> None:
+    """Write one JSON object per tick (JSONL), keys sorted."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for tick in traces:
+            obj = {
+                "tick": tick.tick,
+                "poles": {
+                    str(pid): {
+                        "reading": {
+                            "ambient": reading.ambient,
+                            "motion": reading.motion,
+                            "signal": reading.signal,
+                            "light": reading.current_light,
+                            "ticks_since_motion": reading.ticks_since_motion,
+                        },
+                        "command": {
+                            "light": tick.commands[pid].light,
+                            "listen": tick.commands[pid].listen,
+                            "broadcast": tick.commands[pid].broadcast,
+                        },
+                    }
+                    for pid, reading in tick.readings.items()
+                },
+                "people": {
+                    str(pid): {
+                        "position": person.position,
+                        "moved": person.moved,
+                        "finished": person.finished,
+                    }
+                    for pid, person in tick.people.items()
+                },
+            }
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
 @dataclass(frozen=True)
 class RawTotals:
     """Accumulated counters from a completed run."""
@@ -117,14 +155,13 @@ def compute_metrics(raw: RawTotals, scenario: ScenarioSpec) -> SimulationMetrics
 
 @dataclass(frozen=True, eq=False)
 class CompiledScenario:
-    """What both tick loops read from a scenario; see ``compile_scenario``.
+    """What the tick loop reads from a scenario; see ``compile_scenario``.
 
     Array columns follow ``scenario.poles`` order, rows of the per-person
     arrays follow ``scenario.people``.
     """
 
     ambient: tuple[float, ...]  # ambient level per tick
-    routes: tuple[dict[int, int], ...]  # per person: pole id -> next pole id on the route
     neighbor_index: np.ndarray  # (poles, max degree) columns, see compile_scenario
     next_hop: np.ndarray  # (people, poles) next column on the person's route, -1 off it
     origin: np.ndarray  # (people,) columns
@@ -139,7 +176,7 @@ def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
     ``neighbor_index`` shorter than the widest is padded with its first
     neighbour, which leaves a max over the row unchanged; a pole without
     neighbours points at column ``len(poles)``, which ``run_batch`` holds at
-    a zero broadcast (the default of the scalar loop's ``max``).
+    a zero broadcast (what ``max`` over no neighbours defaults to).
     """
     column = {pole.id: j for j, pole in enumerate(scenario.poles)}
     n_poles = len(scenario.poles)
@@ -150,13 +187,10 @@ def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
             row = [column[n] for n in pole.neighbors]
             neighbor_index[j] = row + row[:1] * (width - len(row))
 
-    routes = []
     next_hop = np.full((len(scenario.people), n_poles), -1, dtype=np.intp)
     for m, person in enumerate(scenario.people):
         path = shortest_path(scenario, person.origin, person.destination)
-        route = {path[i]: path[i + 1] for i in range(len(path) - 1)}
-        routes.append(route)
-        for here, there in route.items():
+        for here, there in zip(path, path[1:]):
             next_hop[m, column[here]] = column[there]
 
     def columns(field: str) -> np.ndarray:
@@ -164,115 +198,12 @@ def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
 
     return CompiledScenario(
         ambient=tuple(scenario.ambient_at(tick) for tick in range(scenario.max_ticks)),
-        routes=tuple(routes),
         neighbor_index=neighbor_index,
         next_hop=next_hop,
         origin=columns("origin"),
         destination=columns("destination"),
         start_tick=np.array([p.start_tick for p in scenario.people], dtype=np.int64),
     )
-
-
-def _score(raw: RawTotals, scenario: ScenarioSpec, weights: FitnessWeights) -> SimulationMetrics:
-    metrics = compute_metrics(raw, scenario)
-    return replace(metrics, fitness=compute_fitness(metrics, weights))
-
-
-class _Person:
-    __slots__ = ("spec", "position", "path_next", "finished")
-
-    def __init__(self, spec, path_next):
-        self.spec = spec
-        self.position = spec.origin
-        self.finished = False
-        self.path_next = path_next
-
-
-def run_simulation(
-    scenario: ScenarioSpec,
-    controller_factory: ControllerFactory,
-    trace: bool = False,
-    weights: FitnessWeights = DEFAULT_WEIGHTS,
-):
-    """Run the scenario to completion and score it.
-
-    Returns SimulationMetrics, or (SimulationMetrics, list[TickTrace]) when
-    ``trace`` is true. Identical inputs produce bit-identical outputs.
-    """
-    controllers = {pole.id: controller_factory() for pole in scenario.poles}
-    commands = {pole.id: ActuatorCommand() for pole in scenario.poles}
-    # saturated start: no motion has been observed yet
-    since_motion = {pole.id: TICKS_SINCE_MOTION_CAP for pole in scenario.poles}
-    plan = scenario.compiled
-    people = [_Person(p, route) for p, route in zip(scenario.people, plan.routes)]
-
-    light_sum = 0.0
-    trip_ticks = 0
-    traces: list[TickTrace] = []
-
-    for tick, ambient in enumerate(plan.ambient):
-        occupied = {p.position for p in people if p.spec.start_tick <= tick and not p.finished}
-
-        readings: dict[int, SensorReading] = {}
-        for pole in scenario.poles:
-            motion = pole.id in occupied
-            if motion:
-                since_motion[pole.id] = 0
-            else:
-                since_motion[pole.id] = min(since_motion[pole.id] + 1, TICKS_SINCE_MOTION_CAP)
-            if commands[pole.id].listen:
-                signal = max((commands[n].broadcast for n in pole.neighbors), default=0.0)
-            else:
-                signal = 0.0
-            readings[pole.id] = SensorReading(
-                ambient=ambient,
-                motion=motion,
-                signal=signal,
-                current_light=commands[pole.id].light,
-                ticks_since_motion=since_motion[pole.id],
-                tick=tick,
-            )
-
-        new_commands: dict[int, ActuatorCommand] = {}
-        for pole in scenario.poles:
-            try:
-                new_commands[pole.id] = controllers[pole.id].act(readings[pole.id])
-            except Exception as exc:
-                raise ControllerError(str(exc), tick=tick, pole_id=pole.id) from exc
-        commands = new_commands
-
-        person_traces: dict[int, PersonTrace] = {}
-        for person in people:
-            moved = False
-            if person.spec.start_tick <= tick and not person.finished:
-                if person.position == person.spec.destination:
-                    # degenerate zero-length route: finish without a trip tick
-                    person.finished = True
-                else:
-                    trip_ticks += 1
-                    lit = min(max(ambient + commands[person.position].light, 0.0), 1.0)
-                    if lit >= scenario.movement_threshold:
-                        person.position = person.path_next[person.position]
-                        moved = True
-                        if person.position == person.spec.destination:
-                            person.finished = True
-            if trace:
-                person_traces[person.spec.id] = PersonTrace(
-                    person.position, moved, person.finished
-                )
-
-        # a plain left-to-right sum, as in run_batch: the built-in sum() of
-        # floats compensates rounding from Python 3.12 on
-        tick_light = 0.0
-        for cmd in commands.values():
-            tick_light += cmd.light
-        light_sum += tick_light
-        if trace:
-            traces.append(TickTrace(tick, readings, dict(commands), person_traces))
-
-    raw = RawTotals(light_sum, sum(1 for p in people if p.finished), trip_ticks)
-    metrics = _score(raw, scenario, weights)
-    return (metrics, traces) if trace else metrics
 
 
 BatchStep = Callable[
@@ -283,28 +214,74 @@ BatchStep = Callable[
 Arguments after ``ambient`` are (lanes, poles) arrays: motion as 0.0/1.0,
 the heard signal, and each pole's light from the previous tick. Returns
 the new light and broadcast levels and the boolean listen flags, each
-(lanes, poles) or broadcastable to it.
+(lanes, poles) or broadcastable to it. The loop calls it once per tick,
+in tick order.
 """
 
 
-def run_batch(
+class _ControllerStep:
+    """``controller_step``; after each call, ``readings[i]`` and ``commands[i]``
+    hold lane i's readings and commands of that tick in pole order."""
+
+    def __init__(self, scenario: ScenarioSpec, factories: list[ControllerFactory]):
+        self.pole_ids = [pole.id for pole in scenario.poles]
+        self.controllers = [[factory() for _ in scenario.poles] for factory in factories]
+        # saturated start: no motion has been observed yet
+        self.since_motion = [[TICKS_SINCE_MOTION_CAP] * len(scenario.poles) for _ in factories]
+        self.tick = 0
+
+    def __call__(self, ambient, motion, signal, light):
+        tick = self.tick
+        self.tick += 1
+        self.readings, self.commands = [], []
+        for controllers, since, motion_row, signal_row, light_row in zip(
+            self.controllers, self.since_motion, motion.tolist(), signal.tolist(), light.tolist()
+        ):
+            readings, commands = [], []
+            for j, controller in enumerate(controllers):
+                moving = motion_row[j] == 1.0
+                since[j] = 0 if moving else min(since[j] + 1, TICKS_SINCE_MOTION_CAP)
+                reading = SensorReading(ambient, moving, signal_row[j], light_row[j], since[j], tick)
+                try:
+                    commands.append(controller.act(reading))
+                except Exception as exc:
+                    raise ControllerError(str(exc), tick=tick, pole_id=self.pole_ids[j]) from exc
+                readings.append(reading)
+            self.readings.append(readings)
+            self.commands.append(commands)
+        return (
+            np.array([[c.light for c in row] for row in self.commands], dtype=float),
+            np.array([[c.listen for c in row] for row in self.commands], dtype=bool),
+            np.array([[c.broadcast for c in row] for row in self.commands], dtype=float),
+        )
+
+
+def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) -> BatchStep:
+    """``run_batch`` step in which every pole of lane i runs its own ``factories[i]()``.
+
+    An exception from ``act`` becomes a ControllerError naming the tick and
+    the pole. The step keeps per-pole state, so it serves one ``run_batch``.
+    """
+    return _ControllerStep(scenario, factories)
+
+
+def _run_lanes(
     scenario: ScenarioSpec,
     step: BatchStep,
     lanes: int,
-    weights: FitnessWeights = DEFAULT_WEIGHTS,
+    weights: FitnessWeights,
+    on_tick: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> list[SimulationMetrics]:
-    """Run ``lanes`` independent copies of the scenario and score each.
-
-    Same phases, movement rule, clamp and listen/broadcast semantics as
-    ``run_simulation``, with every pole of every lane stepped by one call
-    of ``step`` per tick; see the module docstring for the parity contract.
-    """
+    """The tick loop. After each tick it calls ``on_tick(tick, position, moved,
+    finished)``, if given, with (lanes, people) arrays of pole columns and flags."""
     plan = scenario.compiled
     n_poles = len(scenario.poles)
     shape = (lanes, n_poles)
     light = np.zeros(shape)
     listen = np.ones(shape, dtype=bool)
-    broadcast = np.zeros(shape)
+    # the last broadcasts, and a zero column for poles without neighbours
+    heard = np.zeros((lanes, n_poles + 1))
+    rows = np.arange(lanes)[:, None]
     person = np.arange(len(scenario.people))
     position = np.tile(plan.origin, (lanes, 1))
     finished = np.zeros(position.shape, dtype=bool)
@@ -319,7 +296,6 @@ def run_batch(
 
         # Python's max over the neighbours: the first value, replaced by
         # each later one only when strictly greater.
-        heard = np.concatenate([broadcast, np.zeros((lanes, 1))], axis=1)
         signal = heard[:, plan.neighbor_index[:, 0]]
         for k in range(1, plan.neighbor_index.shape[1]):
             other = heard[:, plan.neighbor_index[:, k]]
@@ -329,25 +305,65 @@ def run_batch(
         light, listen, broadcast = (
             np.broadcast_to(out, shape) for out in step(ambient, motion, signal, light)
         )
+        heard[:, :n_poles] = broadcast
 
         # degenerate zero-length route: finish without a trip tick
         walking = active & (position != plan.destination)
         finished |= active & ~walking
         trip_ticks += walking.sum(axis=1)
-        lit = ambient + np.take_along_axis(light, position, axis=1)
-        lit = np.minimum(np.maximum(lit, 0.0), 1.0)
+        lit = np.minimum(np.maximum(ambient + light[rows, position], 0.0), 1.0)
         moves = walking & (lit >= scenario.movement_threshold)
         position = np.where(moves, plan.next_hop[person, position], position)
         finished |= moves & (position == plan.destination)
 
-        # accumulate adds left to right, like the scalar loop
+        # accumulate adds left to right; the built-in sum() of floats
+        # compensates rounding from Python 3.12 on
         light_sum += np.add.accumulate(light, axis=1)[:, -1]
+        if on_tick is not None:
+            on_tick(tick, position, moves, finished)
 
-    return [
-        _score(
-            RawTotals(float(light_sum[i]), int(finished[i].sum()), int(trip_ticks[i])),
-            scenario,
-            weights,
-        )
-        for i in range(lanes)
-    ]
+    totals = zip(light_sum.tolist(), finished.sum(axis=1).tolist(), trip_ticks.tolist())
+    metrics = [compute_metrics(RawTotals(*raw), scenario) for raw in totals]
+    return [replace(m, fitness=compute_fitness(m, weights)) for m in metrics]
+
+
+def run_batch(
+    scenario: ScenarioSpec,
+    step: BatchStep,
+    lanes: int,
+    weights: FitnessWeights = DEFAULT_WEIGHTS,
+) -> list[SimulationMetrics]:
+    """Run ``lanes`` independent copies of the scenario and score each.
+
+    Every pole of every lane is stepped by one call of ``step`` per tick;
+    see the module docstring for the parity contract.
+    """
+    return _run_lanes(scenario, step, lanes, weights)
+
+
+def run_simulation(
+    scenario: ScenarioSpec,
+    controller_factory: ControllerFactory,
+    trace: bool = False,
+    weights: FitnessWeights = DEFAULT_WEIGHTS,
+):
+    """Run the scenario with one ``controller_factory()`` per pole and score it.
+
+    Returns SimulationMetrics, or (SimulationMetrics, list[TickTrace]) when
+    ``trace`` is true. Identical inputs produce bit-identical outputs.
+    """
+    step = controller_step(scenario, [controller_factory])
+    pole_ids, traces = step.pole_ids, []
+
+    def record(tick, position, moved, finished):
+        people = zip(scenario.people, position[0].tolist(), moved[0].tolist(),
+                     finished[0].tolist())
+        traces.append(TickTrace(
+            tick,
+            dict(zip(pole_ids, step.readings[0])),
+            dict(zip(pole_ids, step.commands[0])),
+            {p.id: PersonTrace(pole_ids[c], m, f) for p, c, m, f in people},
+        ))
+
+    (metrics,) = _run_lanes(scenario, step, 1, weights, record if trace else None)
+    return (metrics, traces) if trace else metrics

@@ -133,8 +133,8 @@ def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -
     """``engine.run_batch`` step in which lane i runs NetworkController(genes[i]).
 
     ``genes`` is a (lanes, genome_length) stack. Inputs are laid out as in
-    reading_to_inputs, so every pole of lane i gets the same outputs as the
-    scalar controller, bit for bit.
+    reading_to_inputs, so every pole of lane i gets the same outputs as
+    ``NetworkController(genes[i]).act``, bit for bit.
     """
     w_hidden, w_output = split_genome(spec, genes)
     # a pole axis between the lane axis and the weight rows
@@ -189,6 +189,9 @@ def parse_genome_document(doc: dict) -> tuple[NetworkSpec, Genome]:
         genes = np.asarray([float(g) for g in doc["genes"]], dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed genome document: {exc}") from exc
+    if (spec.n_inputs, spec.n_outputs) != (4, 3):  # the engine's sensors and actuators
+        raise SchemaError("genome network must take 4 inputs and give 3 outputs, got "
+                          f"{spec.n_inputs}-{spec.n_hidden}-{spec.n_outputs}")
     if not np.isfinite(genes).all():
         raise SchemaError("genome genes must be finite numbers, not NaN or Infinity")
     if genes.size != spec.genome_length:

@@ -52,7 +52,7 @@ class ScenarioSpec:
 
     @cached_property
     def compiled(self):
-        """Routes, neighbour matrix and ambient per tick for the tick loops.
+        """Routes, neighbour matrix and ambient per tick for the tick loop.
 
         Built by ``engine.compile_scenario`` on first use, then kept with
         this instance; the fields it derives from are frozen.

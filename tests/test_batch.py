@@ -1,12 +1,15 @@
-"""The population-batched engine against the scalar engine, bit for bit.
+"""The batched engine against the scalar oracle, bit for bit.
 
-``run_simulation`` with one ``NetworkController`` per pole is the oracle:
-``run_batch`` with ``network_batch_step`` must give every lane exactly the
-metrics the oracle gives that lane's genome (``==``, no tolerance), on the
-built-in scenarios and on small generated ones, whatever the other lanes
-hold.
+``scalar_engine.run_simulation``, one controller object per pole, is the
+oracle: ``run_batch`` must give every lane exactly the metrics the oracle
+gives that lane's controller (``==``, no tolerance), on the built-in
+scenarios and on small generated ones, whatever the other lanes hold; and
+``run_simulation``, one lane of ``run_batch``, must also give the oracle's
+traces. Lanes run networks through ``network_batch_step`` and rule programs
+through ``controller_step``.
 """
 
+import random
 import sys
 
 import numpy as np
@@ -15,7 +18,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lumenloop.engine import ActuatorCommand, SensorReading, run_batch, run_simulation
+import scalar_engine
+from genprog import rand_program
+from lumenloop.controllers import program_factory
+from lumenloop.engine import (
+    ActuatorCommand,
+    SensorReading,
+    controller_step,
+    run_batch,
+    run_simulation,
+)
+from lumenloop.errors import ControllerError
 from lumenloop.fitness import DEFAULT_WEIGHTS, FitnessWeights
 from lumenloop.neuro.evolution import evaluate_population, simulation_objective
 from lumenloop.neuro.network import (
@@ -40,7 +53,9 @@ SCENARIO2 = builtin_scenario("scenario2")
 
 def oracle(scenario, genes, spec=DEFAULT_NETWORK, weights=DEFAULT_WEIGHTS):
     return [
-        run_simulation(scenario, lambda g=g: NetworkController(g, spec), weights=weights)
+        scalar_engine.run_simulation(
+            scenario, lambda g=g: NetworkController(g, spec), weights=weights
+        )
         for g in genes
     ]
 
@@ -172,6 +187,35 @@ def test_edge_case_scenarios(people, expected_people_pct):
     assert [m.people_pct for m in got] == [expected_people_pct] * 4
 
 
+@fixed(40)
+@given(scenario=small_scenarios(), seed=st.integers(0, 2**32 - 1))
+@example(scenario=SCENARIO1, seed=0)
+def test_rule_programs_equal_the_scalar_engine(scenario, seed):
+    rng = random.Random(seed)
+    factories = [program_factory(rand_program(rng)) for _ in range(3)]
+    want = [scalar_engine.run_simulation(scenario, f, trace=True) for f in factories]
+    assert run_simulation(scenario, factories[0], trace=True) == want[0]
+    lanes = run_batch(scenario, controller_step(scenario, factories), len(factories))
+    assert lanes == [metrics for metrics, _ in want]
+
+
+def test_controller_errors_name_the_tick_and_pole():
+    class FailsAtTick3:
+        def act(self, reading):
+            if reading.tick == 3:
+                raise ValueError("bad weights")
+            return ActuatorCommand()
+
+    # lane 1's fifth controller is the first to fail
+    made = iter(range(len(SCENARIO1.poles)))
+    factories = [
+        lambda: ConstantLight(1.0),
+        lambda: FailsAtTick3() if next(made) == 4 else ConstantLight(0.0),
+    ]
+    with pytest.raises(ControllerError, match=r"^tick 3, pole 4: bad weights$"):
+        run_batch(SCENARIO1, controller_step(SCENARIO1, factories), 2)
+
+
 class ConstantLight:
     def __init__(self, level):
         self.level = level
@@ -186,7 +230,7 @@ def test_light_is_clamped_before_the_threshold_for_any_step(level):
     # clamped to 0, and a level above 1 is clamped to 1
     for threshold in (0.0, 1.0):
         scenario = scenario_from([(0, 8, 0), (2, 6, 3)], threshold=threshold)
-        want = run_simulation(scenario, lambda: ConstantLight(level))
+        want = scalar_engine.run_simulation(scenario, lambda: ConstantLight(level))
 
         def step(ambient, motion, signal, light):
             return np.full(light.shape, level), True, 0.0

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv), including exit codes."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from lumenloop.cli import (
     main,
 )
 from lumenloop.fitness import DEFAULT_WEIGHTS
+from lumenloop.neuro.network import NetworkSpec
 
 
 @pytest.fixture(autouse=True)
@@ -119,10 +121,27 @@ def test_simulate_bad_weights(capsys):
             ("--mutation-sigma", "-0.1"),
             ("--mutation-sigma", "nan"),
             ("--mutation-sigma", "inf"),
+            ("--workers", "0"),
+            ("--workers", "-4"),
         ]
     ),
-    ["gpt-loop", "--replay", str(Path(__file__).parent / "fixtures" / "three_iter.jsonl"),
-     "--threshold", "nan"],
+    *(
+        # the replayed session would run to its end if the value passed
+        ["gpt-loop", "--replay", str(Path(__file__).parent / "fixtures" / "three_iter.jsonl"),
+         flag, value]
+        for flag, value in [
+            ("--threshold", "nan"),
+            ("--max-iterations", "0"),
+            ("--max-repair-attempts", "-3"),
+            ("--timeout", "-1"),
+            ("--timeout", "0"),
+            ("--timeout", "nan"),
+            ("--timeout", "inf"),
+            ("--temperature", "nan"),
+            ("--temperature", "inf"),
+            ("--temperature", "-0.5"),
+        ]
+    ),
     ["fitness-check", "--tolerance", "nan"],
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
@@ -202,6 +221,24 @@ def test_non_finite_genes_are_usage_errors(capsys, tmp_path, bad):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "finite" in err[0]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("n_inputs, n_outputs", [(4, 4), (4, 2), (5, 3)])
+def test_genomes_of_another_shape_are_usage_errors(capsys, command, n_inputs, n_outputs):
+    # the engine feeds 4 inputs and reads 3 outputs: a 4-6-4 network used
+    # to run with its fourth output dropped, the others to fail mid-run
+    spec = NetworkSpec(n_inputs=n_inputs, n_outputs=n_outputs)
+    Path("odd.json").write_text(json.dumps(
+        {"network": asdict(spec), "genes": [0.5] * spec.genome_length}
+    ))
+    assert main([command, "--controller", "odd.json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"got {n_inputs}-6-{n_outputs}" in err[0]
+    assert not Path(f"{command}-manifest.json").exists()
 
 
 def test_evolved_genome_feeds_simulate(capsys, tmp_path):

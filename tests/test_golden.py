@@ -1,4 +1,4 @@
-"""Golden outputs: manifest configs, the compare CSV and the replayed transcript.
+"""Golden outputs: manifest configs, the compare CSV, traces and the replayed transcript.
 
 Every literal below was captured from a run of the CLI and must not drift:
 a manifest is the recipe for a byte-identical rerun, and the transcript of a
@@ -89,6 +89,15 @@ scenario2,iteration2,32.80,100.00,6.67,82.878
 scenario2,iteration3,5.39,100.00,6.67,93.842
 """
 
+# sha256 of the ``simulate --trace`` JSONL; genome.json is a fixed 4-6-3
+# network under which some people get home and some stay in the dark
+TRACE_SHA256 = {
+    ("scenario1", "iteration3"):
+        "d6e53d361855164dee49f50028bfef63b9fa4d5affb33d0bcf70c6a67b48256c",
+    ("scenario2", "genome.json"):
+        "60f03c69ba2e539c8707d2eb1382dee0d311323fd30fe2b83226a0a8d88d8040",
+}
+
 TRANSCRIPT_HEADER = {
     "config": {
         "fitness_threshold": 62.0,
@@ -113,7 +122,7 @@ def in_tmp(tmp_path, monkeypatch, fixture_dir):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("LUMENLOOP_API_KEY", raising=False)
     # relative paths keep the recorded configs independent of the checkout
-    for name in ("three_iter.jsonl", "calibration_stub.json"):
+    for name in ("three_iter.jsonl", "calibration_stub.json", "genome.json"):
         shutil.copy(fixture_dir / name, tmp_path / name)
 
 
@@ -130,6 +139,16 @@ def test_manifest_config(capsys, command):
 def test_compare_csv(capsys):
     assert main(["compare"]) == 0
     assert capsys.readouterr().out == COMPARE_CSV
+
+
+@pytest.mark.parametrize("scenario, controller", sorted(TRACE_SHA256))
+def test_simulate_trace(capsys, scenario, controller):
+    argv = ["simulate", "--scenario", scenario, "--controller", controller,
+            "--trace", "trace.jsonl"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(Path("trace.jsonl").read_bytes()).hexdigest()
+    assert digest == TRACE_SHA256[scenario, controller]
 
 
 def test_replayed_transcript(capsys):
