@@ -360,7 +360,8 @@ def _load_check_table(path: str | None) -> list[tuple[str, float, float, float, 
 
 
 def cmd_fitness_check(args: argparse.Namespace) -> int:
-    _require(math.isfinite(args.tolerance), "--tolerance", "finite", args.tolerance)
+    _require(0.0 <= args.tolerance < math.inf, "--tolerance", "finite and >= 0",
+             args.tolerance)
     _write_manifest(
         args.manifest,
         "fitness-check",

@@ -107,6 +107,21 @@ class _Parser:
     def _exit(self) -> None:
         self.depth -= 1
 
+    def _mem_name(self, ident: Token) -> str | None:
+        """The name in ``mem.<name>`` after the identifier ``ident`` was
+        consumed, or None when no '.' follows it."""
+        nxt = self.peek()
+        if nxt is None or nxt.kind != "punct" or nxt.lexeme != ".":
+            return None
+        if ident.lexeme != "mem":
+            raise self.fail("'.' may only follow 'mem'")
+        self.advance()
+        name = self.peek()
+        if name is None or name.kind != "identifier":
+            raise self.fail("expected a memory variable name after 'mem.'")
+        self.advance()
+        return name.lexeme
+
     # -- grammar -----------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -128,17 +143,8 @@ class _Parser:
     def parse_assignment(self) -> Assignment:
         tok = self.advance()
         pos = Pos(tok.line, tok.column)
-        target = tok.lexeme
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "punct" and nxt.lexeme == ".":
-            if target != "mem":
-                raise self.fail("'.' may only follow 'mem'")
-            self.advance()
-            name = self.peek()
-            if name is None or name.kind != "identifier":
-                raise self.fail("expected a memory variable name after 'mem.'")
-            self.advance()
-            target = f"mem.{name.lexeme}"
+        name = self._mem_name(tok)
+        target = tok.lexeme if name is None else f"mem.{name}"
         self.expect("operator", "=")
         value = self.parse_expr()
         return Assignment(target, value, pos=pos)
@@ -304,16 +310,9 @@ class _Parser:
                 self._exit()
         if tok.kind == "identifier":
             self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "punct" and nxt.lexeme == ".":
-                if tok.lexeme != "mem":
-                    raise self.fail("'.' may only follow 'mem'")
-                self.advance()
-                name = self.peek()
-                if name is None or name.kind != "identifier":
-                    raise self.fail("expected a memory variable name after 'mem.'")
-                self.advance()
-                return MemRef(name.lexeme, pos=pos)
+            name = self._mem_name(tok)
+            if name is not None:
+                return MemRef(name, pos=pos)
             return Ref(tok.lexeme, pos=pos)
         raise self.fail("expected an expression")
 

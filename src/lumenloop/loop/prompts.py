@@ -49,15 +49,11 @@ def build_problem_statement(
     )
 
 
-def build_initial_prompt(
-    problem_statement: str, dsl_reference: str = LANGUAGE_REFERENCE
-) -> str:
+def build_initial_prompt(problem_statement: str) -> str:
     """First-iteration prompt: problem, then language, then output format."""
     if not problem_statement:
         raise ValueError("problem statement must be nonempty")
-    if not dsl_reference:
-        raise ValueError("dsl reference must be nonempty")
-    return f"{problem_statement}\n\n{dsl_reference}\n{OUTPUT_FORMAT_INSTRUCTION}"
+    return f"{problem_statement}\n\n{LANGUAGE_REFERENCE}\n{OUTPUT_FORMAT_INSTRUCTION}"
 
 
 def build_feedback_prompt(previous: "IterationRecord", threshold: float) -> str:

@@ -37,6 +37,8 @@ class Provider(Protocol):
 
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+_MAX_ATTEMPTS = 3
+_BACKOFF_S = 1.0  # sleep before retry k (from 1) is _BACKOFF_S * 2 ** (k - 1)
 
 
 class HttpProvider:
@@ -47,8 +49,6 @@ class HttpProvider:
         model: str = DEFAULT_MODEL,
         temperature: float = 0.0,
         timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff: float = 1.0,
         session: requests.Session | None = None,
     ):
         if not api_key:
@@ -57,8 +57,6 @@ class HttpProvider:
         self.model = model
         self.temperature = temperature
         self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
         self._session = session or requests.Session()
         self._session.headers["Authorization"] = f"Bearer {api_key}"
 
@@ -78,9 +76,9 @@ class HttpProvider:
         }
         url = f"{self.base_url}/chat/completions"
         last_error: ProviderError | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(_BACKOFF_S * 2 ** (attempt - 1))
             try:
                 resp = self._session.post(url, json=payload, timeout=self.timeout)
             except requests.Timeout:
@@ -101,7 +99,7 @@ class HttpProvider:
             return _extract_content(resp)
         assert last_error is not None
         raise ProviderError(
-            f"giving up after {self.max_attempts} attempts: {last_error}"
+            f"giving up after {_MAX_ATTEMPTS} attempts: {last_error}"
         )
 
 

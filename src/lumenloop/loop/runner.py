@@ -81,27 +81,6 @@ class IterationRecord:
     outcome: str  # accepted | below-threshold | parse-failed
     diagnostics: list[str] = field(default_factory=list)
 
-    def to_json_obj(self) -> dict:
-        metrics = None
-        if self.metrics is not None:
-            metrics = {
-                "energy_pct": self.metrics.energy_pct,
-                "people_pct": self.metrics.people_pct,
-                "trip_pct": self.metrics.trip_pct,
-                "fitness": self.metrics.fitness,
-            }
-        return {
-            "index": self.index,
-            "prompt": self.prompt,
-            "response": self.response,
-            "rationale": self.rationale,
-            "program": self.program,
-            "metrics": metrics,
-            "repair_attempts": self.repair_attempts,
-            "outcome": self.outcome,
-            "diagnostics": list(self.diagnostics),
-        }
-
 
 @dataclass
 class Transcript:
@@ -149,9 +128,7 @@ class _TranscriptWriter:
 def _try_extract(response: str) -> tuple[Extraction | None, list[str]]:
     try:
         return extract_program(response), []
-    except NoCodeBlock as exc:
-        return None, [str(exc)]
-    except (LexError, ParseError) as exc:
+    except (NoCodeBlock, LexError, ParseError) as exc:
         return None, [str(exc)]
     except ValidationError as exc:
         return None, list(getattr(exc, "diagnostics", None) or [str(exc)])
@@ -252,7 +229,7 @@ def run_loop(
                     diagnostics=diagnostics,
                 )
                 transcript.records.append(record)
-                writer.write(record.to_json_obj())
+                writer.write(asdict(record))
                 # Nothing was scored; the next iteration falls back to the
                 # last scored record, or starts over from the top.
                 continue
@@ -269,7 +246,7 @@ def run_loop(
                 outcome=OUTCOME_ACCEPTED if accepted else OUTCOME_BELOW_THRESHOLD,
             )
             transcript.records.append(record)
-            writer.write(record.to_json_obj())
+            writer.write(asdict(record))
             if accepted:
                 transcript.status = STATUS_THRESHOLD_MET
                 return transcript

@@ -19,15 +19,18 @@ from ..engine import ActuatorCommand, BatchStep, SensorReading
 from ..errors import LengthMismatch, SchemaError
 
 
+# the engine's four sensors (see reading_to_inputs) and three actuators
+N_INPUTS = 4
+N_OUTPUTS = 3
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
-    n_inputs: int = 4
     n_hidden: int = 6
-    n_outputs: int = 3
 
     @property
     def genome_length(self) -> int:
-        return (self.n_inputs + 1) * self.n_hidden + (self.n_hidden + 1) * self.n_outputs
+        return (N_INPUTS + 1) * self.n_hidden + (self.n_hidden + 1) * N_OUTPUTS
 
 
 DEFAULT_NETWORK = NetworkSpec()
@@ -61,21 +64,17 @@ def split_genome(spec: NetworkSpec, genes: np.ndarray) -> tuple[np.ndarray, np.n
     if genes.ndim not in (1, 2) or genes.shape[-1] != spec.genome_length:
         raise LengthMismatch(
             f"genome has {genes.shape[-1] if genes.ndim else 1} genes, "
-            f"expected {spec.genome_length} for {spec.n_inputs}-"
-            f"{spec.n_hidden}-{spec.n_outputs}"
+            f"expected {spec.genome_length} for {N_INPUTS}-"
+            f"{spec.n_hidden}-{N_OUTPUTS}"
         )
     lead = genes.shape[:-1]
-    cut = (spec.n_inputs + 1) * spec.n_hidden
-    w_hidden = genes[..., :cut].reshape(*lead, spec.n_hidden, spec.n_inputs + 1)
-    w_output = genes[..., cut:].reshape(*lead, spec.n_outputs, spec.n_hidden + 1)
+    cut = (N_INPUTS + 1) * spec.n_hidden
+    w_hidden = genes[..., :cut].reshape(*lead, spec.n_hidden, N_INPUTS + 1)
+    w_output = genes[..., cut:].reshape(*lead, N_OUTPUTS, spec.n_hidden + 1)
     return w_hidden, w_output
 
 
 def _layer(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if w.shape[-1] != x.shape[-1] + 1:
-        raise ValueError(
-            f"layer takes {w.shape[-1] - 1} inputs, got {x.shape[-1]}"
-        )
     # bias, then + w[i] * x[i] for each input in order: the products are
     # elementwise and each sum is one numpy operation, so no summation
     # order is left to a BLAS kernel
@@ -141,7 +140,7 @@ def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -
     w_hidden, w_output = w_hidden[:, None], w_output[:, None]
 
     def step(ambient, motion, signal, light):
-        x = np.empty(light.shape + (4,))
+        x = np.empty(light.shape + (N_INPUTS,))
         x[..., 0] = ambient
         x[..., 1] = motion
         x[..., 2] = signal
@@ -157,9 +156,9 @@ def genome_document(
 ) -> dict:
     return {
         "network": {
-            "n_inputs": spec.n_inputs,
+            "n_inputs": N_INPUTS,
             "n_hidden": spec.n_hidden,
-            "n_outputs": spec.n_outputs,
+            "n_outputs": N_OUTPUTS,
         },
         "genes": [float(g) for g in np.asarray(genome.genes, dtype=float)],
         "fitness": genome.fitness,
@@ -181,17 +180,16 @@ def parse_genome_document(doc: dict) -> tuple[NetworkSpec, Genome]:
     if not isinstance(net, dict):
         raise SchemaError("'network' must be an object")
     try:
-        spec = NetworkSpec(
-            n_inputs=int(net.get("n_inputs", DEFAULT_NETWORK.n_inputs)),
-            n_hidden=int(net.get("n_hidden", DEFAULT_NETWORK.n_hidden)),
-            n_outputs=int(net.get("n_outputs", DEFAULT_NETWORK.n_outputs)),
-        )
+        n_inputs = int(net.get("n_inputs", N_INPUTS))
+        n_hidden = int(net.get("n_hidden", DEFAULT_NETWORK.n_hidden))
+        n_outputs = int(net.get("n_outputs", N_OUTPUTS))
         genes = np.asarray([float(g) for g in doc["genes"]], dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"malformed genome document: {exc}") from exc
-    if (spec.n_inputs, spec.n_outputs) != (4, 3):  # the engine's sensors and actuators
-        raise SchemaError("genome network must take 4 inputs and give 3 outputs, got "
-                          f"{spec.n_inputs}-{spec.n_hidden}-{spec.n_outputs}")
+    if (n_inputs, n_outputs) != (N_INPUTS, N_OUTPUTS):
+        raise SchemaError(f"genome network must take {N_INPUTS} inputs and give "
+                          f"{N_OUTPUTS} outputs, got {n_inputs}-{n_hidden}-{n_outputs}")
+    spec = NetworkSpec(n_hidden)
     if not np.isfinite(genes).all():
         raise SchemaError("genome genes must be finite numbers, not NaN or Infinity")
     if genes.size != spec.genome_length:

@@ -268,11 +268,12 @@ def shortest_path(spec: ScenarioSpec, origin: int, destination: int) -> list[int
     return path
 
 
-def load_scenario(source) -> ScenarioSpec:
-    """Load a scenario from a parsed dict, a built-in name, or a JSON file path."""
-    if isinstance(source, dict):
-        return parse_scenario(source)
-    if isinstance(source, str) and source in BUILTIN_SCENARIOS:
+def load_scenario(source: str | Path) -> ScenarioSpec:
+    """Load a scenario from a built-in name or a JSON file path.
+
+    A document already parsed from JSON goes to parse_scenario.
+    """
+    if source in BUILTIN_SCENARIOS:
         return builtin_scenario(source)
     text = Path(source).read_text(encoding="utf-8")
     try:

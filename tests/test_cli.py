@@ -1,7 +1,6 @@
 """End-to-end CLI behavior through main(argv), including exit codes."""
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,6 @@ from lumenloop.cli import (
     main,
 )
 from lumenloop.fitness import DEFAULT_WEIGHTS
-from lumenloop.neuro.network import NetworkSpec
 
 
 @pytest.fixture(autouse=True)
@@ -143,6 +141,7 @@ def test_simulate_bad_weights(capsys):
         ]
     ),
     ["fitness-check", "--tolerance", "nan"],
+    ["fitness-check", "--tolerance", "-1"],
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert main(argv) == EXIT_USAGE
@@ -228,10 +227,9 @@ def test_non_finite_genes_are_usage_errors(capsys, tmp_path, bad):
 def test_genomes_of_another_shape_are_usage_errors(capsys, command, n_inputs, n_outputs):
     # the engine feeds 4 inputs and reads 3 outputs: a 4-6-4 network used
     # to run with its fourth output dropped, the others to fail mid-run
-    spec = NetworkSpec(n_inputs=n_inputs, n_outputs=n_outputs)
-    Path("odd.json").write_text(json.dumps(
-        {"network": asdict(spec), "genes": [0.5] * spec.genome_length}
-    ))
+    network = {"n_inputs": n_inputs, "n_hidden": 6, "n_outputs": n_outputs}
+    genes = [0.5] * ((n_inputs + 1) * 6 + 7 * n_outputs)
+    Path("odd.json").write_text(json.dumps({"network": network, "genes": genes}))
     assert main([command, "--controller", "odd.json"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

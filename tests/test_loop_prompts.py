@@ -64,11 +64,8 @@ def test_initial_prompt_is_byte_stable():
 
 
 def test_initial_prompt_rejects_empty_sections():
-    sc = builtin_scenario("scenario1")
     with pytest.raises(ValueError):
-        build_initial_prompt("", "reference")
-    with pytest.raises(ValueError):
-        build_initial_prompt(build_problem_statement(sc), "")
+        build_initial_prompt("")
 
 
 def test_feedback_prompt_embeds_program_and_metrics():

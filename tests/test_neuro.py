@@ -45,21 +45,22 @@ def reading(**kw):
 # --- network encoding ---
 
 def test_default_genome_length():
-    assert DEFAULT_NETWORK == NetworkSpec(4, 6, 3)
+    assert DEFAULT_NETWORK == NetworkSpec(n_hidden=6)
     # (4 inputs + bias) * 6 hidden + (6 hidden + bias) * 3 outputs
     assert DEFAULT_NETWORK.genome_length == 51
 
 
 def test_split_genome_layout():
-    spec = NetworkSpec(2, 2, 1)
+    spec = NetworkSpec(n_hidden=1)
     genes = np.arange(spec.genome_length, dtype=float)
     w_hidden, w_output = split_genome(spec, genes)
-    assert w_hidden.shape == (2, 3)
-    assert w_output.shape == (1, 3)
+    assert w_hidden.shape == (1, 5)
+    assert w_output.shape == (3, 2)
     # row-major: unit weights then bias, hidden layer first
-    assert w_hidden[0].tolist() == [0.0, 1.0, 2.0]
-    assert w_hidden[1].tolist() == [3.0, 4.0, 5.0]
-    assert w_output[0].tolist() == [6.0, 7.0, 8.0]
+    assert w_hidden[0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert w_output[0].tolist() == [5.0, 6.0]
+    assert w_output[1].tolist() == [7.0, 8.0]
+    assert w_output[2].tolist() == [9.0, 10.0]
 
 
 def test_split_genome_length_mismatch():
@@ -85,14 +86,6 @@ def test_forward_bounds_and_determinism():
     assert 0.0 <= out1.light <= 1.0
     assert 0.0 <= out1.broadcast <= 1.0
     assert out1 == out2
-
-
-def test_network_with_other_input_width_fails_to_act():
-    # the engine feeds four inputs; a 3-input genome must not run silently
-    spec = NetworkSpec(n_inputs=3)
-    controller = NetworkController(np.zeros(spec.genome_length), spec)
-    with pytest.raises(ValueError, match="takes 3 inputs, got 4"):
-        controller.act(reading())
 
 
 def test_reading_to_inputs():

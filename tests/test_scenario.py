@@ -219,8 +219,8 @@ def test_shortest_path_unreachable():
 
 
 def test_load_scenario_sources(tmp_path):
-    # dict form
-    assert load_scenario(doc1()).name == "scenario1"
+    # an already parsed document goes to parse_scenario
+    assert parse_scenario(doc1()).name == "scenario1"
     # built-in name form
     assert load_scenario("scenario2").name == "scenario2"
     # file form
