@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .controllers import resolve_controller
+from .documents import as_number, read_text
 from .engine import controller_step, run_batch, run_simulation, write_trace
 from .errors import LumenloopError, SchemaError
 from .fitness import (
@@ -57,10 +58,9 @@ def _parse_weights(text: str) -> FitnessWeights:
     if len(parts) != 3:
         raise SchemaError("--weights wants three comma-separated numbers P,E,T")
     try:
-        p, e, t = (float(x) for x in parts)
+        p, e, t = (as_number(float(x), "--weights") for x in parts)
     except ValueError as exc:
         raise SchemaError(f"--weights: {exc}") from exc
-    _require(all(map(math.isfinite, (p, e, t))), "--weights", "finite", text)
     return FitnessWeights(w_people=p, w_energy=e, w_trip=t)
 
 
@@ -328,32 +328,20 @@ def _load_check_table(path: str | None) -> list[tuple[str, float, float, float, 
             for scenario, label, energy, people, trip, fitness in REFERENCE_RESULTS
         ]
     rows: list[tuple[str, float, float, float, float]] = []
-    lines = [
-        line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    lines = [line.strip() for line in read_text(path).splitlines() if line.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty table")
     header = "label,energy,people,trip,expected_fitness"
     if lines[0] != header:
         raise SchemaError(f"{path}: first line must be exactly '{header}'")
     for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+        parts, where = line.split(","), f"{path}:{lineno}"
         if len(parts) != 5:
-            raise SchemaError(f"{path}:{lineno}: expected 5 comma-separated fields")
+            raise SchemaError(f"{where}: expected 5 comma-separated fields")
         try:
-            rows.append(
-                (
-                    parts[0],
-                    float(parts[1]),
-                    float(parts[2]),
-                    float(parts[3]),
-                    float(parts[4]),
-                )
-            )
+            rows.append((parts[0], *(as_number(float(x), where) for x in parts[1:])))
         except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            raise SchemaError(f"{where}: {exc}") from exc
     if not rows:
         raise SchemaError(f"{path}: table has a header but no rows")
     return rows
@@ -370,16 +358,12 @@ def cmd_fitness_check(args: argparse.Namespace) -> int:
         [],
     )
     rows = _load_check_table(args.table)
-    worst_label = None
-    max_residual = -1.0
-    for label, energy, people, trip, expected in rows:
-        recomputed = compute_fitness(
-            SimulationMetrics(energy_pct=energy, people_pct=people, trip_pct=trip)
-        )
-        residual = abs(recomputed - expected)
-        if residual > max_residual:
-            max_residual = residual
-            worst_label = label
+    # the first row with the largest residual
+    max_residual, worst_label = max(
+        ((abs(compute_fitness(SimulationMetrics(energy, people, trip)) - expected), label)
+         for label, energy, people, trip, expected in rows),
+        key=lambda pair: pair[0],
+    )
     passed = max_residual <= args.tolerance
     print(
         json.dumps(

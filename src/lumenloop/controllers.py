@@ -20,9 +20,10 @@ from .dsl.interpreter import EvalContext, evaluate
 from .dsl.nodes import Program
 from .dsl.parser import parse_source
 from .dsl.validator import validate_strict
+from .documents import parse_json, read_text
 from .engine import ActuatorCommand, ControllerFactory, SensorReading
 from .errors import UnknownBaseline
-from .neuro.network import NetworkController, NetworkSpec, load_genome
+from .neuro.network import NetworkController, NetworkSpec, parse_genome_document
 
 
 class DslController:
@@ -71,7 +72,7 @@ def resolve_controller(source: str) -> ResolvedController:
         )
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except FileNotFoundError:
         if _looks_like_path(source):
             raise
@@ -81,7 +82,7 @@ def resolve_controller(source: str) -> ResolvedController:
             "and no such file"
         ) from None
     if text.lstrip().startswith("{"):
-        spec, genome = load_genome(path)
+        spec, genome = parse_genome_document(parse_json(text, path))
         return ResolvedController(
             label=path.stem, factory=network_factory(genome.genes, spec)
         )

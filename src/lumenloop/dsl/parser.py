@@ -290,8 +290,11 @@ class _Parser:
             raise self.fail("expected an expression")
         pos = Pos(tok.line, tok.column)
         if tok.kind == "number":
+            value = float(tok.lexeme)
+            if value == float("inf"):
+                raise ParseError("number too large", line=tok.line, column=tok.column)
             self.advance()
-            return Number(float(tok.lexeme), pos=pos)
+            return Number(value, pos=pos)
         if tok.kind == "operator" and tok.lexeme == "-":
             self._enter()
             try:

@@ -56,14 +56,14 @@ def tokenize(source: str) -> list[Token]:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
             start_col = col
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
+            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdecimal():
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
             lexeme = source[start:i]
             col += len(lexeme)

@@ -6,7 +6,7 @@ class LumenloopError(Exception):
 
 
 class SchemaError(LumenloopError):
-    """A scenario or table document is structurally malformed."""
+    """An input file or document is malformed."""
 
 
 class ValidationError(LumenloopError):

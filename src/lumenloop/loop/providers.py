@@ -8,7 +8,6 @@ the loop tests assert prompt contents against.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Protocol
 
 import requests
 
+from ..documents import parse_json, read_text
 from ..errors import (
     AuthError,
     MalformedResponse,
@@ -138,15 +138,10 @@ class ReplayProvider:
 def load_replay_script(path: str | Path) -> ReplayProvider:
     """Read a JSONL file where each line is {"content": <response text>}."""
     responses: list[str] = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        doc = parse_json(line, f"{path}:{lineno}")
         if not isinstance(doc, dict) or not isinstance(doc.get("content"), str):
             raise SchemaError(
                 f"{path}:{lineno}: expected an object with a string 'content'"

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
 
+from ..documents import as_number, parse_json, read_text
 from ..dsl.formatter import format_program
 from ..dsl.nodes import Program
 from ..dsl.parser import parse_source
@@ -270,13 +271,13 @@ def run_loop(
 
 def parse_transcript(text: str) -> tuple[dict, list[dict], dict]:
     """Split transcript JSONL into (header, records, trailer)."""
-    lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+    lines = [parse_json(line, "transcript") for line in text.splitlines() if line.strip()]
     if len(lines) < 2:
         raise SchemaError("transcript needs at least a header and a trailer")
     header, trailer = lines[0], lines[-1]
-    if header.get("kind") != "loop-transcript":
+    if not isinstance(header, dict) or header.get("kind") != "loop-transcript":
         raise SchemaError("first transcript line is not a header")
-    if "status" not in trailer:
+    if not isinstance(trailer, dict) or "status" not in trailer:
         raise SchemaError("last transcript line is not a status trailer")
     return header, lines[1:-1], trailer
 
@@ -287,10 +288,7 @@ def load_calibration(path: str | Path) -> dict[str, SimulationMetrics]:
     The fitness in each entry is stored, not recomputed, so stubs can pin
     externally reported scores exactly.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"calibration file is not valid JSON: {exc}") from exc
+    doc = parse_json(read_text(path), path)
     entries = doc.get("entries") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
         raise SchemaError("calibration file must have an 'entries' list")
@@ -299,13 +297,11 @@ def load_calibration(path: str | Path) -> dict[str, SimulationMetrics]:
         try:
             program = parse_source(entry["program"])
             m = entry["metrics"]
-            metrics = SimulationMetrics(
-                energy_pct=float(m["energy_pct"]),
-                people_pct=float(m["people_pct"]),
-                trip_pct=float(m["trip_pct"]),
-                fitness=float(m["fitness"]),
-            )
-        except (KeyError, TypeError, ValueError, LexError, ParseError) as exc:
+            metrics = SimulationMetrics(**{
+                key: as_number(m[key], f"calibration entry {i}: {key}")
+                for key in ("energy_pct", "people_pct", "trip_pct", "fitness")
+            })
+        except (KeyError, TypeError, LexError, ParseError) as exc:
             raise SchemaError(f"calibration entry {i} is malformed: {exc}") from exc
         bindings[format_program(program)] = metrics
     return bindings

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..documents import as_int, as_number, parse_json, read_text
 from ..engine import ActuatorCommand, BatchStep, SensorReading
 from ..errors import LengthMismatch, SchemaError
 
@@ -174,37 +175,28 @@ def save_genome(
 
 
 def parse_genome_document(doc: dict) -> tuple[NetworkSpec, Genome]:
-    if not isinstance(doc, dict) or "genes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("genes"), list):
         raise SchemaError("genome document must be an object with a 'genes' list")
     net = doc.get("network", {})
     if not isinstance(net, dict):
         raise SchemaError("'network' must be an object")
-    try:
-        n_inputs = int(net.get("n_inputs", N_INPUTS))
-        n_hidden = int(net.get("n_hidden", DEFAULT_NETWORK.n_hidden))
-        n_outputs = int(net.get("n_outputs", N_OUTPUTS))
-        genes = np.asarray([float(g) for g in doc["genes"]], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed genome document: {exc}") from exc
+    n_inputs = as_int(net.get("n_inputs", N_INPUTS), "network.n_inputs")
+    n_hidden = as_int(net.get("n_hidden", DEFAULT_NETWORK.n_hidden), "network.n_hidden")
+    n_outputs = as_int(net.get("n_outputs", N_OUTPUTS), "network.n_outputs")
     if (n_inputs, n_outputs) != (N_INPUTS, N_OUTPUTS):
         raise SchemaError(f"genome network must take {N_INPUTS} inputs and give "
                           f"{N_OUTPUTS} outputs, got {n_inputs}-{n_hidden}-{n_outputs}")
     spec = NetworkSpec(n_hidden)
-    if not np.isfinite(genes).all():
-        raise SchemaError("genome genes must be finite numbers, not NaN or Infinity")
+    genes = np.array([as_number(g, f"genes[{i}]") for i, g in enumerate(doc["genes"])])
     if genes.size != spec.genome_length:
         raise LengthMismatch(
             f"genome has {genes.size} genes, expected {spec.genome_length}"
         )
     fitness = doc.get("fitness")
     if fitness is not None:
-        fitness = float(fitness)
+        fitness = as_number(fitness, "fitness")
     return spec, Genome(genes=genes, fitness=fitness)
 
 
 def load_genome(path: str | Path) -> tuple[NetworkSpec, Genome]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"genome file is not valid JSON: {exc}") from exc
-    return parse_genome_document(doc)
+    return parse_genome_document(parse_json(read_text(path), path))

@@ -10,12 +10,12 @@ deterministic and ignore it.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .documents import as_int, as_number, parse_json, read_text
 from .errors import SchemaError, ValidationError
 
 
@@ -92,18 +92,6 @@ def _require_keys(obj: dict, keys: set[str], where: str) -> None:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
 def parse_scenario(doc: dict) -> ScenarioSpec:
     """Validate a parsed scenario document and build a ScenarioSpec."""
     _require_keys(doc, TOP_LEVEL_KEYS, "scenario")
@@ -111,9 +99,9 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
     name = doc["name"]
     if not isinstance(name, str) or not name:
         raise SchemaError("name: expected a nonempty string")
-    max_ticks = _as_int(doc["max_ticks"], "max_ticks")
-    threshold = _as_number(doc["movement_threshold"], "movement_threshold")
-    _as_int(doc["rng_seed"], "rng_seed")
+    max_ticks = as_int(doc["max_ticks"], "max_ticks")
+    threshold = as_number(doc["movement_threshold"], "movement_threshold")
+    as_int(doc["rng_seed"], "rng_seed")
 
     if not isinstance(doc["ambient_schedule"], list):
         raise SchemaError("ambient_schedule: expected an array")
@@ -122,8 +110,8 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         where = f"ambient_schedule[{i}]"
         _require_keys(entry, {"from_tick", "level"}, where)
         schedule.append(AmbientEntry(
-            _as_int(entry["from_tick"], f"{where}.from_tick"),
-            _as_number(entry["level"], f"{where}.level"),
+            as_int(entry["from_tick"], f"{where}.from_tick"),
+            as_number(entry["level"], f"{where}.level"),
         ))
 
     if not isinstance(doc["poles"], list):
@@ -135,8 +123,8 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         if not isinstance(entry["neighbors"], list):
             raise SchemaError(f"{where}.neighbors: expected an array")
         poles.append(PoleSpec(
-            _as_int(entry["id"], f"{where}.id"),
-            tuple(_as_int(n, f"{where}.neighbors[{j}]") for j, n in enumerate(entry["neighbors"])),
+            as_int(entry["id"], f"{where}.id"),
+            tuple(as_int(n, f"{where}.neighbors[{j}]") for j, n in enumerate(entry["neighbors"])),
         ))
 
     if not isinstance(doc["people"], list):
@@ -146,10 +134,10 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
         where = f"people[{i}]"
         _require_keys(entry, {"id", "origin", "destination", "start_tick"}, where)
         people.append(PersonSpec(
-            _as_int(entry["id"], f"{where}.id"),
-            _as_int(entry["origin"], f"{where}.origin"),
-            _as_int(entry["destination"], f"{where}.destination"),
-            _as_int(entry["start_tick"], f"{where}.start_tick"),
+            as_int(entry["id"], f"{where}.id"),
+            as_int(entry["origin"], f"{where}.origin"),
+            as_int(entry["destination"], f"{where}.destination"),
+            as_int(entry["start_tick"], f"{where}.start_tick"),
         ))
 
     spec = ScenarioSpec(
@@ -275,12 +263,7 @@ def load_scenario(source: str | Path) -> ScenarioSpec:
     """
     if source in BUILTIN_SCENARIOS:
         return builtin_scenario(source)
-    text = Path(source).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{source}: not valid JSON: {exc}") from exc
-    return parse_scenario(doc)
+    return parse_scenario(parse_json(read_text(source), source))
 
 
 def _grid_document(name: str, side: int, max_ticks: int, people: list[dict]) -> dict:

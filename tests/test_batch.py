@@ -6,11 +6,14 @@ gives that lane's controller (``==``, no tolerance), on the built-in
 scenarios and on small generated ones, whatever the other lanes hold; and
 ``run_simulation``, one lane of ``run_batch``, must also give the oracle's
 traces. Lanes run networks through ``network_batch_step`` and rule programs
-through ``controller_step``.
+through ``controller_step``. Metamorphic relations over generated scenarios
+check what no oracle can: ranges, monotonicity in the light level, and
+that pole ids matter only through their order.
 """
 
 import random
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +41,7 @@ from lumenloop.neuro.network import (
     NetworkSpec,
     network_batch_step,
 )
-from lumenloop.scenario import _grid_document, builtin_scenario, parse_scenario
+from lumenloop.scenario import PoleSpec, _grid_document, builtin_scenario, parse_scenario
 
 
 def fixed(max_examples):
@@ -240,6 +243,63 @@ def test_light_is_clamped_before_the_threshold_for_any_step(level):
 
 def test_zero_lanes():
     assert batched(SCENARIO1, np.zeros((0, DEFAULT_NETWORK.genome_length))) == []
+
+
+# -- metamorphic relations ------------------------------------------------------
+
+
+def mixed_lanes(scenario, seed):
+    """Three random rule programs, then three random networks."""
+    rng = random.Random(seed)
+    factories = [program_factory(rand_program(rng)) for _ in range(3)]
+    programs = run_batch(scenario, controller_step(scenario, factories), len(factories))
+    return programs + batched(scenario, random_genes(seed, 3))
+
+
+@fixed(40)
+@given(scenario=small_scenarios(), seed=st.integers(0, 2**32 - 1))
+@example(scenario=scenario_from([]), seed=0)
+def test_metrics_stay_in_range(scenario, seed):
+    people, max_ticks = len(scenario.people), scenario.max_ticks
+    # a person walks at most from their start tick to the last tick
+    walk_limit = sum(max_ticks - p.start_tick for p in scenario.people)
+    for m in mixed_lanes(scenario, seed):
+        for pct in (m.energy_pct, m.people_pct, m.trip_pct):
+            assert 0.0 <= pct <= 100.0
+        assert -100.0 <= m.fitness <= 100.0
+        trip_ticks = round(m.trip_pct * people * max_ticks / 100.0)
+        assert trip_ticks <= walk_limit <= people * max_ticks
+
+
+@fixed(40)
+@given(scenario=small_scenarios(),
+       levels=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+def test_people_pct_never_falls_as_a_constant_light_rises(scenario, levels):
+    levels = np.sort(levels)[:, None]
+
+    def step(ambient, motion, signal, light):
+        return levels, True, 0.0
+
+    people_pct = [m.people_pct for m in run_batch(scenario, step, len(levels))]
+    assert people_pct == sorted(people_pct)
+
+
+@fixed(40)
+@given(scenario=small_scenarios(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_relabelling_pole_ids_in_order_keeps_the_metrics(scenario, seed, data):
+    # ties break by the lowest id, so only a map that keeps the order counts
+    ids = sorted(p.id for p in scenario.poles)
+    new_ids = data.draw(st.sets(st.integers(-10**6, 10**6), min_size=len(ids),
+                                max_size=len(ids)))
+    label = dict(zip(ids, sorted(new_ids)))
+    relabelled = replace(
+        scenario,
+        poles=tuple(PoleSpec(label[p.id], tuple(label[n] for n in p.neighbors))
+                    for p in scenario.poles),
+        people=tuple(replace(p, origin=label[p.origin], destination=label[p.destination])
+                     for p in scenario.people),
+    )
+    assert mixed_lanes(relabelled, seed) == mixed_lanes(scenario, seed)
 
 
 # -- one forward pass for both engines ------------------------------------------

@@ -14,6 +14,7 @@ from lumenloop.cli import (
     EXIT_USAGE,
     main,
 )
+from lumenloop.controllers import ResolvedController
 from lumenloop.fitness import DEFAULT_WEIGHTS
 
 
@@ -148,6 +149,21 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert argv[-2] in err[0]
+
+
+def test_a_faulting_controller_is_a_usage_error(capsys, monkeypatch):
+    # built-in, rule and genome controllers never raise; a controller from
+    # the Python API can, so one stands in for the resolved controller
+    class Faulty:
+        def act(self, reading):
+            raise ArithmeticError("bad weights")
+
+    monkeypatch.setattr("lumenloop.cli.resolve_controller",
+                        lambda ref: ResolvedController("faulty", Faulty))
+    assert main(["simulate"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tick 0, pole 0: bad weights\n"
 
 
 # -- evolve ------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Interpreter semantics: totality, clamping, retention, memory."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from lumenloop.dsl.interpreter import EvalContext, evaluate
+from lumenloop.dsl.nodes import Number
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import ActuatorCommand, SensorReading
 
@@ -58,8 +62,13 @@ def test_division_by_zero_yields_zero():
 
 
 def test_overflow_collapses_to_zero():
-    big = "9" * 400  # parses to float infinity
-    cmd, ctx = run_once(f"mem.big = {big} broadcast = mem.big + 0.5")
+    # the parser rejects a literal too large for a float, so plant an
+    # infinite literal in the parsed program
+    program = parse_source("mem.big = 1 broadcast = mem.big + 0.5")
+    first = replace(program.statements[0], value=Number(math.inf))
+    program = replace(program, statements=(first, *program.statements[1:]))
+    ctx = EvalContext()
+    cmd = evaluate(program, reading(), ctx)
     assert ctx.memory["big"] == 0.0
     assert cmd.broadcast == 0.5
     # overflow produced by arithmetic rather than a literal

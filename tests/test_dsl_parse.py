@@ -67,6 +67,16 @@ def test_lex_error_position():
     assert "line 2, column 13" in str(err.value)
 
 
+def test_numbers_are_decimal_and_finite():
+    # "²" passes str.isdigit, but float() cannot read it
+    with pytest.raises(LexError, match="column 9: unexpected character '²'"):
+        parse_source("light = ²")
+    # an infinite literal would format as "inf", which no parser reads back
+    with pytest.raises(ParseError, match="line 1, column 9: number too large"):
+        parse_source("light = 1" + "0" * 400)
+    assert parse_source("light = " + "9" * 308).statements[0].value.value == 1e308
+
+
 # --- parser ---
 
 def test_canonical_example():
