@@ -3,7 +3,8 @@
 A controller source is one of:
   * a builtin name ("always_on", "always_off", "iteration1"..."iteration3"),
   * a path to a rule-program source file,
-  * a path to a genome JSON file (an object with a "genes" list).
+  * a path to a genome JSON file (an object with a "genes" list); any
+    file named ``*.json``, or whose text starts with ``{``, is read as one.
 
 Builtin names win unless the string is an explicit path (contains a
 separator or names an existing file).
@@ -81,7 +82,8 @@ def resolve_controller(source: str) -> ResolvedController:
             f"unknown controller {source!r}: not a builtin ({known}) "
             "and no such file"
         ) from None
-    if text.lstrip().startswith("{"):
+    # A .json file is a genome even when empty, never an empty rule program.
+    if path.name.endswith(".json") or text.lstrip().startswith("{"):
         spec, genome = parse_genome_document(parse_json(text, path))
         return ResolvedController(
             label=path.stem, factory=network_factory(genome.genes, spec)

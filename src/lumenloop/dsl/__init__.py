@@ -22,7 +22,7 @@ from .nodes import (
     Program,
     Ref,
 )
-from .parser import parse, parse_source
+from .parser import parse_source
 from .reference import LANGUAGE_REFERENCE
 from .tokens import Token, tokenize
 from .validator import Diagnostic, validate, validate_strict
@@ -45,7 +45,6 @@ __all__ = [
     "Neg",
     "Not",
     "Number",
-    "parse",
     "parse_source",
     "Program",
     "Ref",

@@ -8,6 +8,7 @@ only where precedence or associativity requires them.
 from __future__ import annotations
 
 from .nodes import (
+    BINARY_LEVEL,
     Assignment,
     BinOp,
     BoolOp,
@@ -27,13 +28,10 @@ from .nodes import (
 
 _INDENT = "  "
 
-_EXPR_ATOM = 4
-_EXPR_NEG = 3
-_EXPR_PREC = {"*": 2, "/": 2, "+": 1, "-": 1}
-
-_COND_ATOM = 4
-_COND_NOT = 3
-_COND_PREC = {"and": 2, "or": 1}
+# Binding strength of non-binary nodes: a prefix node ("-", "not") binds
+# tighter than every binary level, an atom tighter still.
+_PREFIX = max(BINARY_LEVEL.values()) + 1
+_ATOM = _PREFIX + 1
 
 
 def _format_number(value: float) -> str:
@@ -53,12 +51,28 @@ def _format_number(value: float) -> str:
     return s
 
 
-def _expr_prec(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        return _EXPR_PREC[node.op]
-    if isinstance(node, Neg):
-        return _EXPR_NEG
-    return _EXPR_ATOM
+def _binding(node: Expr | Cond) -> int:
+    if isinstance(node, (BinOp, BoolOp)):
+        return BINARY_LEVEL[node.op]
+    if isinstance(node, (Neg, Not)):
+        return _PREFIX
+    return _ATOM
+
+
+def _operand(node, fmt, binding: int) -> str:
+    """Format a child in a slot that needs at least ``binding``; a child
+    that binds looser is parenthesized. This is the one precedence rule."""
+    text = fmt(node)
+    return f"({text})" if _binding(node) < binding else text
+
+
+def _format_binary(node: BinOp | BoolOp, fmt) -> str:
+    level = BINARY_LEVEL[node.op]
+    # A same-level right child needs parens to survive left-associative
+    # reparsing: a - (b - c).
+    left = _operand(node.left, fmt, level)
+    right = _operand(node.right, fmt, level + 1)
+    return f"{left} {node.op} {right}"
 
 
 def format_expr(node: Expr) -> str:
@@ -69,30 +83,11 @@ def format_expr(node: Expr) -> str:
     if isinstance(node, MemRef):
         return f"mem.{node.name}"
     if isinstance(node, Neg):
-        inner = format_expr(node.operand)
-        if _expr_prec(node.operand) < _EXPR_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
+        # "-" takes any factor, so only a binary operand needs parens.
+        return "-" + _operand(node.operand, format_expr, _PREFIX)
     if isinstance(node, BinOp):
-        prec = _EXPR_PREC[node.op]
-        left = format_expr(node.left)
-        if _expr_prec(node.left) < prec:
-            left = f"({left})"
-        right = format_expr(node.right)
-        # Same-precedence right children need parens to survive
-        # left-associative reparsing: a - (b - c).
-        if _expr_prec(node.right) <= prec:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+        return _format_binary(node, format_expr)
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _cond_prec(node: Cond) -> int:
-    if isinstance(node, BoolOp):
-        return _COND_PREC[node.op]
-    if isinstance(node, Not):
-        return _COND_NOT
-    return _COND_ATOM
 
 
 def format_cond(node: Cond) -> str:
@@ -101,20 +96,10 @@ def format_cond(node: Cond) -> str:
     if isinstance(node, Comparison):
         return f"{format_expr(node.left)} {node.op} {format_expr(node.right)}"
     if isinstance(node, Not):
-        inner = format_cond(node.operand)
-        if _cond_prec(node.operand) < _COND_ATOM:
-            # The grammar allows "not" only before an atom.
-            inner = f"({inner})"
-        return f"not {inner}"
+        # "not" takes only an atom: not (not x).
+        return "not " + _operand(node.operand, format_cond, _ATOM)
     if isinstance(node, BoolOp):
-        prec = _COND_PREC[node.op]
-        left = format_cond(node.left)
-        if _cond_prec(node.left) < prec:
-            left = f"({left})"
-        right = format_cond(node.right)
-        if _cond_prec(node.right) <= prec:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+        return _format_binary(node, format_cond)
     raise TypeError(f"not a condition node: {node!r}")
 
 

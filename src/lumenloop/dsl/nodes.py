@@ -14,6 +14,18 @@ ACTUATOR_NAMES = ("light", "listen", "broadcast")
 # Sensors that have no actuator counterpart and therefore reject assignment.
 READ_ONLY_NAMES = frozenset(SENSOR_NAMES) - frozenset(ACTUATOR_NAMES)
 
+# Binary operator levels, loosest first; every level is left-associative.
+# The parser builds one chain per level and the formatter parenthesizes
+# by level, so this is the only statement of operator precedence.
+COND_LEVELS = (("or",), ("and",))
+EXPR_LEVELS = (("+", "-"), ("*", "/"))
+BINARY_LEVEL = {
+    op: level
+    for levels in (COND_LEVELS, EXPR_LEVELS)
+    for level, ops in enumerate(levels)
+    for op in ops
+}
+
 
 @dataclass(frozen=True)
 class Pos:

@@ -18,6 +18,10 @@ Grammar (statements are juxtaposed; newlines are not significant):
     factor     := number | "-" factor | "(" expr ")" | identifier
                 | "mem" "." identifier
 
+The or/and and the +-/*/ rules are not written out in code here: one
+chain parser builds them from nodes.COND_LEVELS and nodes.EXPR_LEVELS,
+the table the formatter also reads.
+
 The parser is deliberately lenient about identifier names (any identifier
 may appear as a target or operand); the validator reports unknown names
 with positions. Structural nesting is capped well above the validator's
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 from ..errors import ParseError
 from .nodes import (
+    COND_LEVELS,
+    EXPR_LEVELS,
     Assignment,
     BinOp,
     BoolOp,
@@ -180,28 +186,31 @@ class _Parser:
             body.append(self.parse_statement())
 
     def parse_cond(self) -> Cond:
-        return self._parse_bool_chain("or", self.parse_and_cond)
+        return self._parse_chain(COND_LEVELS, 0, BoolOp, self.parse_not_cond)
 
-    def parse_and_cond(self) -> Cond:
-        return self._parse_bool_chain("and", self.parse_not_cond)
-
-    def _parse_bool_chain(self, op: str, parse_operand) -> Cond:
+    def _parse_chain(self, levels, level: int, node_type, parse_operand):
+        """One left-associative chain of ``levels[level]`` operators whose
+        operands are chains of the tighter levels (or, past the last level,
+        ``parse_operand``)."""
+        if level == len(levels):
+            return parse_operand()
+        ops = levels[level]
+        left = self._parse_chain(levels, level + 1, node_type, parse_operand)
         # Each chained operator holds a nesting slot while its right
         # operand parses, so self.depth tracks true AST depth and keeps
         # the recursive formatter/checker stack-safe later.
-        left = parse_operand()
         entered = 0
         try:
             while True:
                 tok = self.peek()
-                if tok is None or tok.kind != "keyword" or tok.lexeme != op:
+                if tok is None or tok.lexeme not in ops:
                     return left
                 pos = Pos(tok.line, tok.column)
                 self.advance()
                 self._enter()
                 entered += 1
-                right = parse_operand()
-                left = BoolOp(op, left, right, pos=pos)
+                right = self._parse_chain(levels, level + 1, node_type, parse_operand)
+                left = node_type(tok.lexeme, left, right, pos=pos)
         finally:
             for _ in range(entered):
                 self._exit()
@@ -261,28 +270,7 @@ class _Parser:
         return Comparison(tok.lexeme, left, right, pos=Pos(tok.line, tok.column))
 
     def parse_expr(self) -> Expr:
-        return self._parse_binop_chain(("+", "-"), self.parse_term)
-
-    def parse_term(self) -> Expr:
-        return self._parse_binop_chain(("*", "/"), self.parse_factor)
-
-    def _parse_binop_chain(self, ops: tuple[str, ...], parse_operand) -> Expr:
-        left = parse_operand()
-        entered = 0
-        try:
-            while True:
-                tok = self.peek()
-                if tok is None or tok.kind != "operator" or tok.lexeme not in ops:
-                    return left
-                pos = Pos(tok.line, tok.column)
-                self.advance()
-                self._enter()
-                entered += 1
-                right = parse_operand()
-                left = BinOp(tok.lexeme, left, right, pos=pos)
-        finally:
-            for _ in range(entered):
-                self._exit()
+        return self._parse_chain(EXPR_LEVELS, 0, BinOp, self.parse_factor)
 
     def parse_factor(self) -> Expr:
         tok = self.peek()
@@ -320,10 +308,6 @@ class _Parser:
         raise self.fail("expected an expression")
 
 
-def parse(tokens: list[Token]) -> Program:
-    return _Parser(tokens).parse_program()
-
-
 def parse_source(source: str) -> Program:
     """Tokenize and parse in one step."""
-    return parse(tokenize(source))
+    return _Parser(tokenize(source)).parse_program()

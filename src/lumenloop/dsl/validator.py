@@ -1,8 +1,9 @@
 """Static checks over parsed programs.
 
 validate() returns diagnostics instead of raising so callers (the repair
-loop, the CLI) can report every problem at once. validate_strict() raises
-ValidationError on the first error-severity diagnostic.
+loop, the CLI) can report every problem at once. validate_strict() and
+the repair loop's extraction both raise through raise_errors(): one
+ValidationError that carries every error-severity diagnostic.
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ class Diagnostic:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-def _expr_depth(node: Expr) -> int:
-    if isinstance(node, Neg):
-        return 1 + _expr_depth(node.operand)
-    if isinstance(node, BinOp):
-        return 1 + max(_expr_depth(node.left), _expr_depth(node.right))
-    return 1
-
-
 def _literal_value(node: Expr) -> float | None:
     if isinstance(node, Number):
         return node.value
@@ -77,27 +70,27 @@ class _Checker:
         )
 
     def check_root_expr(self, node: Expr) -> None:
-        self.check_expr(node)
-        if _expr_depth(node) > MAX_EXPR_DEPTH:
+        if self.check_expr(node) > MAX_EXPR_DEPTH:
             self.report(
                 "error",
                 f"expression nesting exceeds {MAX_EXPR_DEPTH} levels",
                 node,
             )
 
-    def check_expr(self, node: Expr) -> None:
-        if isinstance(node, Ref):
-            if node.name not in _SENSOR_SET:
-                self.report("error", f"unknown identifier '{node.name}'", node)
-        elif isinstance(node, Neg):
-            self.check_expr(node.operand)
-        elif isinstance(node, BinOp):
-            self.check_expr(node.left)
-            self.check_expr(node.right)
+    def check_expr(self, node: Expr) -> int:
+        """Check an expression tree and return its depth."""
+        if isinstance(node, Neg):
+            return 1 + self.check_expr(node.operand)
+        if isinstance(node, BinOp):
+            depth = 1 + max(self.check_expr(node.left), self.check_expr(node.right))
             if node.op == "/" and _literal_value(node.right) == 0:
                 self.report(
                     "warning", "division by the constant 0 always yields 0", node
                 )
+            return depth
+        if isinstance(node, Ref) and node.name not in _SENSOR_SET:
+            self.report("error", f"unknown identifier '{node.name}'", node)
+        return 1
 
     def check_cond(self, node: Cond) -> None:
         if isinstance(node, Comparison):
@@ -164,10 +157,14 @@ def errors_only(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     return [d for d in diagnostics if d.severity == "error"]
 
 
-def validate_strict(program: Program) -> Program:
-    """Raise ValidationError on the first error diagnostic; warnings pass."""
-    problems = errors_only(validate(program))
+def raise_errors(diagnostics: list[Diagnostic]) -> None:
+    """Raise one ValidationError whose message is the first error and whose
+    ``diagnostics`` are every error, in source order; warnings pass."""
+    problems = [str(d) for d in errors_only(diagnostics)]
     if problems:
-        first = problems[0]
-        raise ValidationError(str(first))
+        raise ValidationError(problems[0], diagnostics=problems)
+
+
+def validate_strict(program: Program) -> Program:
+    raise_errors(validate(program))
     return program

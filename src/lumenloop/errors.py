@@ -13,14 +13,16 @@ class ValidationError(LumenloopError):
     """A well-formed document violates a semantic invariant.
 
     ``path`` points at the offending field (e.g. ``people[2].destination``)
-    when the error comes from scenario validation.
+    when the error comes from scenario validation. ``diagnostics`` lists
+    every error found, in source order; it defaults to this one message.
     """
 
-    def __init__(self, message, path=None):
+    def __init__(self, message, path=None, diagnostics=()):
         self.path = path
         if path:
             message = f"{path}: {message}"
         super().__init__(message)
+        self.diagnostics = tuple(diagnostics) or (message,)
 
 
 class ControllerError(LumenloopError):

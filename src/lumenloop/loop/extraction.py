@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from ..dsl.nodes import Program
 from ..dsl.parser import parse_source
-from ..dsl.validator import errors_only, validate
-from ..errors import NoCodeBlock, ValidationError
+from ..dsl.validator import raise_errors, validate
+from ..errors import NoCodeBlock
 
 # Opening fence with optional info string ("```controller"), then anything
 # up to a closing fence at line start.
@@ -40,15 +40,10 @@ def extract_program(response: str) -> Extraction:
     """Extract, parse, and statically check the replied program.
 
     Raises NoCodeBlock, LexError, ParseError (positions relative to the
-    block), or ValidationError. A ValidationError raised here carries a
-    ``diagnostics`` attribute with every error message in source order;
-    warnings do not block extraction.
+    block), or ValidationError, whose ``diagnostics`` list every error in
+    source order; warnings do not block extraction.
     """
     code, rationale = find_last_block(response)
     program = parse_source(code)
-    problems = [str(d) for d in errors_only(validate(program))]
-    if problems:
-        error = ValidationError(problems[0])
-        error.diagnostics = problems
-        raise error
+    raise_errors(validate(program))
     return Extraction(program=program, code=code, rationale=rationale)

@@ -9,8 +9,10 @@ plus at most the latest program and metrics, never the whole history.
 
 Transcripts are JSONL: a header line with the LoopConfig fields, one
 line per iteration record, and a status trailer, written incrementally so
-a crash loses at most the in-flight iteration. They contain no timestamps,
-so a replayed run writes byte-identical output.
+a crash loses at most the in-flight iteration. The trailer is written only
+when the run ends in one of its three statuses, so a crashed run leaves a
+file that parse_transcript rejects. They contain no timestamps, so a
+replayed run writes byte-identical output.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _try_extract(response: str) -> tuple[Extraction | None, list[str]]:
     except (NoCodeBlock, LexError, ParseError) as exc:
         return None, [str(exc)]
     except ValidationError as exc:
-        return None, list(getattr(exc, "diagnostics", None) or [str(exc)])
+        return None, list(exc.diagnostics)
 
 
 def _rationale_of(response: str) -> str:
@@ -216,7 +218,7 @@ def run_loop(
             except ProviderError as exc:
                 transcript.status = STATUS_PROVIDER_FAILURE
                 transcript.failure = str(exc)
-                return transcript
+                break
             if extraction is None:
                 record = IterationRecord(
                     index=index,
@@ -250,11 +252,10 @@ def run_loop(
             writer.write(asdict(record))
             if accepted:
                 transcript.status = STATUS_THRESHOLD_MET
-                return transcript
+                break
             feedback_source = record
-        transcript.status = STATUS_BUDGET_EXHAUSTED
-        return transcript
-    finally:
+        # Only a run that ends in one of the three statuses gets a trailer;
+        # an escaping exception leaves a file parse_transcript rejects.
         best = transcript.best_record
         writer.write(
             {
@@ -266,6 +267,8 @@ def run_loop(
                 "failure": transcript.failure,
             }
         )
+        return transcript
+    finally:
         writer.close()
 
 

@@ -75,6 +75,10 @@ class ScenarioSpec:
         return level
 
 
+# The engine builds per-tick tables, so a run's length needs a stated
+# ceiling; the built-ins run 60 and 100 ticks.
+MAX_TICKS = 100_000
+
 TOP_LEVEL_KEYS = {
     "name", "max_ticks", "movement_threshold", "rng_seed",
     "ambient_schedule", "poles", "people",
@@ -155,6 +159,8 @@ def parse_scenario(doc: dict) -> ScenarioSpec:
 def _validate(spec: ScenarioSpec) -> None:
     if spec.max_ticks <= 0:
         raise ValidationError("must be positive", path="max_ticks")
+    if spec.max_ticks > MAX_TICKS:
+        raise ValidationError(f"must be at most {MAX_TICKS}", path="max_ticks")
     if not 0.0 <= spec.movement_threshold <= 1.0:
         raise ValidationError(
             f"must be in [0, 1], got {spec.movement_threshold}", path="movement_threshold"

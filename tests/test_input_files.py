@@ -146,8 +146,7 @@ def broken_table(draw):
 
 
 def truncated(text: str):
-    # an empty file is a valid empty rule program, so keep at least one character
-    return st.integers(1, len(text) - 1).map(lambda cut: text[:cut])
+    return st.integers(0, len(text) - 1).map(lambda cut: text[:cut])
 
 
 @st.composite
@@ -194,5 +193,8 @@ def broken_files():
     with_value(CALIBRATION, ["entries", 0, "metrics", "fitness"], "nan")).encode()))
 @example(case=("rule", b"light = \xc2\xb2\n"))
 @example(case=("rule", ("light = 1" + "0" * 400).encode()))
+# an empty .json controller file once ran as an empty rule program
+@example(case=("genome", b""))
+@example(case=("genome", b" \n\t "))
 def test_malformed_input_files_exit_2(case):
     check_rejected(*case)

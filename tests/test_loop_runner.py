@@ -251,6 +251,31 @@ def test_transcript_written_even_on_provider_failure(tmp_path):
     assert len(records) == 1
 
 
+@pytest.mark.parametrize("scored_before_raise", [0, 1])
+def test_transcript_has_no_trailer_when_evaluator_raises(
+        fixture_dir, tmp_path, scored_before_raise):
+    stub = load_calibration(fixture_dir / "calibration_stub.json")
+    scored = []
+
+    def evaluator(program):
+        if len(scored) == scored_before_raise:
+            raise MissingMetrics("not in the stub")
+        scored.append(program)
+        return stub_evaluator(stub)(program)
+
+    provider = load_replay_script(fixture_dir / "three_iter.jsonl")
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(MissingMetrics):
+        run_loop(LoopConfig(), provider, SCENARIO1, evaluator=evaluator,
+                 transcript_path=path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines[0]["kind"] == "loop-transcript"
+    # the header and every finished record, then no trailer
+    assert [line["index"] for line in lines[1:]] == list(range(1, scored_before_raise + 1))
+    with pytest.raises(SchemaError):
+        parse_transcript(path.read_text())
+
+
 def test_parse_transcript_schema_errors():
     with pytest.raises(SchemaError):
         parse_transcript("")

@@ -7,6 +7,7 @@ import pytest
 from lumenloop.errors import SchemaError, ValidationError
 from lumenloop.scenario import (
     BUILTIN_SCENARIOS,
+    MAX_TICKS,
     builtin_scenario,
     builtin_scenario_document,
     distances_to,
@@ -96,6 +97,22 @@ def test_nonpositive_max_ticks():
     # start ticks are range-checked against max_ticks after the sign check
     with pytest.raises(ValidationError, match="max_ticks"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("max_ticks", [MAX_TICKS + 1, 10**12])
+def test_max_ticks_above_bound_rejected(max_ticks):
+    # checked before any per-tick table is built; never simulated here
+    doc = doc1()
+    doc["max_ticks"] = max_ticks
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "max_ticks"
+
+
+def test_max_ticks_at_bound_parses():
+    doc = doc1()
+    doc["max_ticks"] = MAX_TICKS
+    assert parse_scenario(doc).max_ticks == MAX_TICKS
 
 
 def test_threshold_out_of_range():
