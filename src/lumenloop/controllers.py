@@ -16,15 +16,23 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dsl.baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
+from .dsl.compiler import CompiledProgram
 from .dsl.interpreter import EvalContext, evaluate
 from .dsl.nodes import Program
 from .dsl.parser import parse_source
 from .dsl.validator import validate_strict
 from .documents import parse_json, read_text
-from .engine import ActuatorCommand, ControllerFactory, SensorReading
+from .engine import ActuatorCommand, BatchStep, ControllerFactory, SensorReading
 from .errors import UnknownBaseline
-from .neuro.network import NetworkController, NetworkSpec, parse_genome_document
+from .neuro.network import (
+    NetworkController,
+    NetworkSpec,
+    network_batch_step,
+    parse_genome_document,
+)
 
 
 class DslController:
@@ -38,12 +46,38 @@ class DslController:
         return evaluate(self.program, reading, self.ctx)
 
 
+class _ProgramFactory:
+    def __init__(self, program: Program):
+        self.program = program
+        self.compiled = CompiledProgram(program)
+
+    def __call__(self) -> DslController:
+        return DslController(self.program)
+
+    def batch_step(self) -> BatchStep:
+        return self.compiled.batch_step()
+
+
+class _NetworkFactory:
+    def __init__(self, genes, spec: NetworkSpec):
+        self.genes = np.asarray(genes, dtype=float)
+        self.spec = spec
+
+    def __call__(self) -> NetworkController:
+        return NetworkController(self.genes, self.spec)
+
+    def batch_step(self) -> BatchStep:
+        return network_batch_step(self.genes[None], self.spec)
+
+
 def program_factory(program: Program) -> ControllerFactory:
-    return lambda: DslController(program)
+    """A factory of DslControllers whose batch step is the compiled program."""
+    return _ProgramFactory(program)
 
 
 def network_factory(genes, spec: NetworkSpec) -> ControllerFactory:
-    return lambda: NetworkController(genes, spec)
+    """A factory of NetworkControllers whose batch step is ``network_batch_step``."""
+    return _NetworkFactory(genes, spec)
 
 
 @dataclass(frozen=True)

@@ -130,15 +130,18 @@ class _Checker:
                 self.check_statement(stmt)
 
 
-def validate(program: Program) -> list[Diagnostic]:
+def validate(program: Program, canonical: str | None = None) -> list[Diagnostic]:
     """Return all diagnostics for a program, errors and warnings mixed,
-    in source order."""
+    in source order. ``canonical`` is ``format_program(program)``, when
+    the caller has already rendered it."""
     checker = _Checker()
     for stmt in program.statements:
         checker.check_statement(stmt)
     # Size limit is measured over the canonical rendering so it cannot be
     # gamed with comments or whitespace.
-    token_count = len(tokenize(format_program(program)))
+    if canonical is None:
+        canonical = format_program(program)
+    token_count = len(tokenize(canonical))
     if token_count > MAX_PROGRAM_TOKENS:
         checker.diagnostics.append(
             Diagnostic(

@@ -17,19 +17,24 @@ pole hears its neighbors' broadcasts at tick t+1.
 One tick loop implements these rules. ``run_batch`` runs many independent
 copies of a scenario at once (one lane per copy) over (lanes, poles)
 arrays, stepping every pole of every lane with one batch step per tick:
-``network_batch_step`` for networks, ``controller_step`` for one
-controller object per pole. ``run_simulation`` is one lane of it and can
-trace every tick. Routes, neighbours and ambient levels come from
-``scenario.compiled``.
+``network_batch_step`` for a population of networks, ``controller_step``
+for one controller factory per lane. ``controller_step`` stacks one step
+per lane: the factory's own batch step where it offers one (a rule
+program compiled by ``dsl.compiler``, or a network), else one
+``factory()`` per pole stepped through ``act``. ``run_simulation`` is one
+lane of it and can trace every tick from the loop's arrays. Routes,
+neighbours and ambient levels come from ``scenario.compiled``.
 
 Parity contract: a lane's metrics do not depend on the other lanes and are
 equal (``==``) to those of the per-pole scalar loop kept as the tests'
 oracle in ``tests/scalar_engine.py``, given a step that computes each pole
 with the scalar controller's floating-point operations in the same order
-(``controller_step`` calls it; ``neuro.network.forward`` fixes the order).
-Signal is Python's ``max`` over the neighbours in document order, the
-light clamp and threshold are the same comparisons, and the energy sum
-adds the poles of a tick left to right, then the ticks in order.
+(the per-pole adapter calls it; ``neuro.network.forward`` fixes the order
+for networks, and ``dsl.compiler`` does the interpreter's operations with
+numpy's float64 ones). Signal is Python's ``max`` over the neighbours in
+document order, the light clamp and threshold are the same comparisons,
+and the energy sum adds the poles of a tick left to right, then the ticks
+in order.
 """
 
 from __future__ import annotations
@@ -76,6 +81,10 @@ class Controller(Protocol):
 
 
 ControllerFactory = Callable[[], Controller]
+"""Makes one controller per pole. A factory may also offer ``batch_step()``:
+a fresh BatchStep for one lane in which every pole gets exactly what its
+own ``factory()`` would give it. ``controller_step`` then runs the lane
+through that step."""
 
 
 @dataclass(frozen=True)
@@ -219,50 +228,80 @@ in tick order.
 """
 
 
-class _ControllerStep:
-    """``controller_step``; after each call, ``readings[i]`` and ``commands[i]``
-    hold lane i's readings and commands of that tick in pole order."""
+def count_since_motion(since, motion: np.ndarray) -> np.ndarray:
+    """Each pole's ticks_since_motion after a tick with ``motion`` (0.0/1.0):
+    0 where motion is seen, else one more than ``since``, saturating at
+    TICKS_SINCE_MOTION_CAP. A run starts from the cap (no motion seen yet)."""
+    return np.where(motion == 1.0, 0, np.minimum(since + 1, TICKS_SINCE_MOTION_CAP))
 
-    def __init__(self, scenario: ScenarioSpec, factories: list[ControllerFactory]):
+
+def _lane_readings(tick: int, sensors: tuple, since: np.ndarray) -> list[SensorReading]:
+    """Lane 0's readings in pole order, from a step's (ambient, motion,
+    signal, light) arguments and the lane's ticks_since_motion counts."""
+    ambient, motion, signal, light = sensors
+    return [
+        SensorReading(ambient, moving == 1.0, heard, lit, count, tick)
+        for moving, heard, lit, count in zip(
+            motion[0].tolist(), signal[0].tolist(), light[0].tolist(), since[0].tolist()
+        )
+    ]
+
+
+class _PerPoleStep:
+    """One lane of ``controller_step``: a ``factory()`` per pole, stepped
+    through ``act`` on the lane's readings."""
+
+    def __init__(self, scenario: ScenarioSpec, factory: ControllerFactory):
         self.pole_ids = [pole.id for pole in scenario.poles]
-        self.controllers = [[factory() for _ in scenario.poles] for factory in factories]
-        # saturated start: no motion has been observed yet
-        self.since_motion = [[TICKS_SINCE_MOTION_CAP] * len(scenario.poles) for _ in factories]
+        self.controllers = [factory() for _ in scenario.poles]
+        self.since = TICKS_SINCE_MOTION_CAP
         self.tick = 0
 
     def __call__(self, ambient, motion, signal, light):
         tick = self.tick
         self.tick += 1
-        self.readings, self.commands = [], []
-        for controllers, since, motion_row, signal_row, light_row in zip(
-            self.controllers, self.since_motion, motion.tolist(), signal.tolist(), light.tolist()
-        ):
-            readings, commands = [], []
-            for j, controller in enumerate(controllers):
-                moving = motion_row[j] == 1.0
-                since[j] = 0 if moving else min(since[j] + 1, TICKS_SINCE_MOTION_CAP)
-                reading = SensorReading(ambient, moving, signal_row[j], light_row[j], since[j], tick)
-                try:
-                    commands.append(controller.act(reading))
-                except Exception as exc:
-                    raise ControllerError(str(exc), tick=tick, pole_id=self.pole_ids[j]) from exc
-                readings.append(reading)
-            self.readings.append(readings)
-            self.commands.append(commands)
+        self.since = count_since_motion(self.since, motion)
+        readings = _lane_readings(tick, (ambient, motion, signal, light), self.since)
+        commands = []
+        for pole_id, controller, reading in zip(self.pole_ids, self.controllers, readings):
+            try:
+                commands.append(controller.act(reading))
+            except Exception as exc:
+                raise ControllerError(str(exc), tick=tick, pole_id=pole_id) from exc
         return (
-            np.array([[c.light for c in row] for row in self.commands], dtype=float),
-            np.array([[c.listen for c in row] for row in self.commands], dtype=bool),
-            np.array([[c.broadcast for c in row] for row in self.commands], dtype=float),
+            np.array([[c.light for c in commands]], dtype=float),
+            np.array([[c.listen for c in commands]], dtype=bool),
+            np.array([[c.broadcast for c in commands]], dtype=float),
         )
 
 
 def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) -> BatchStep:
-    """``run_batch`` step in which every pole of lane i runs its own ``factories[i]()``.
+    """``run_batch`` step in which every pole of lane i runs ``factories[i]``.
 
-    An exception from ``act`` becomes a ControllerError naming the tick and
-    the pole. The step keeps per-pole state, so it serves one ``run_batch``.
+    A factory that offers ``batch_step()`` runs its lane through that step;
+    any other factory gets one ``factories[i]()`` per pole, called through
+    ``act``, and an exception from ``act`` becomes a ControllerError naming
+    the tick and the pole. The step keeps per-pole state, so it serves one
+    ``run_batch``.
     """
-    return _ControllerStep(scenario, factories)
+    lanes = [
+        factory.batch_step() if hasattr(factory, "batch_step")
+        else _PerPoleStep(scenario, factory)
+        for factory in factories
+    ]
+    if len(lanes) == 1:
+        return lanes[0]
+
+    def step(ambient, motion, signal, light):
+        outputs = (np.empty(light.shape), np.empty(light.shape, dtype=bool),
+                   np.empty(light.shape))
+        for i, lane in enumerate(lanes):
+            row = slice(i, i + 1)
+            for out, value in zip(outputs, lane(ambient, motion[row], signal[row], light[row])):
+                out[row] = value
+        return outputs
+
+    return step
 
 
 def _run_lanes(
@@ -270,10 +309,13 @@ def _run_lanes(
     step: BatchStep,
     lanes: int,
     weights: FitnessWeights,
-    on_tick: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+    on_tick: Callable[[int, tuple, tuple, tuple], None] | None = None,
 ) -> list[SimulationMetrics]:
-    """The tick loop. After each tick it calls ``on_tick(tick, position, moved,
-    finished)``, if given, with (lanes, people) arrays of pole columns and flags."""
+    """The tick loop. After each tick it calls ``on_tick(tick, sensors,
+    commands, people)``, if given: ``sensors`` is (ambient, motion, signal,
+    light) as passed to the step, ``commands`` the step's (light, listen,
+    broadcast) as (lanes, poles) arrays, and ``people`` (position, moved,
+    finished) as (lanes, people) arrays of pole columns and flags."""
     plan = scenario.compiled
     n_poles = len(scenario.poles)
     shape = (lanes, n_poles)
@@ -302,8 +344,9 @@ def _run_lanes(
             signal = np.where(other > signal, other, signal)
         signal = np.where(listen, signal, 0.0)
 
+        sensors = (ambient, motion, signal, light)
         light, listen, broadcast = (
-            np.broadcast_to(out, shape) for out in step(ambient, motion, signal, light)
+            np.broadcast_to(out, shape) for out in step(*sensors)
         )
         heard[:, :n_poles] = broadcast
 
@@ -320,7 +363,7 @@ def _run_lanes(
         # compensates rounding from Python 3.12 on
         light_sum += np.add.accumulate(light, axis=1)[:, -1]
         if on_tick is not None:
-            on_tick(tick, position, moves, finished)
+            on_tick(tick, sensors, (light, listen, broadcast), (position, moves, finished))
 
     totals = zip(light_sum.tolist(), finished.sum(axis=1).tolist(), trip_ticks.tolist())
     metrics = [compute_metrics(RawTotals(*raw), scenario) for raw in totals]
@@ -349,21 +392,30 @@ def run_simulation(
 ):
     """Run the scenario with one ``controller_factory()`` per pole and score it.
 
-    Returns SimulationMetrics, or (SimulationMetrics, list[TickTrace]) when
-    ``trace`` is true. Identical inputs produce bit-identical outputs.
+    The run is one lane of ``controller_step``, so a factory that offers a
+    batch step runs through it. Returns SimulationMetrics, or
+    (SimulationMetrics, list[TickTrace]) when ``trace`` is true; the trace
+    is read from the loop's arrays, whatever the step. Identical inputs
+    produce bit-identical outputs.
     """
     step = controller_step(scenario, [controller_factory])
-    pole_ids, traces = step.pole_ids, []
+    if not trace:
+        return _run_lanes(scenario, step, 1, weights)[0]
+    pole_ids = [pole.id for pole in scenario.poles]
+    traces: list[TickTrace] = []
+    since = TICKS_SINCE_MOTION_CAP
 
-    def record(tick, position, moved, finished):
-        people = zip(scenario.people, position[0].tolist(), moved[0].tolist(),
-                     finished[0].tolist())
+    def record(tick, sensors, commands, people):
+        nonlocal since
+        since = count_since_motion(since, sensors[1])
+        position, moved, finished = (a[0].tolist() for a in people)
         traces.append(TickTrace(
             tick,
-            dict(zip(pole_ids, step.readings[0])),
-            dict(zip(pole_ids, step.commands[0])),
-            {p.id: PersonTrace(pole_ids[c], m, f) for p, c, m, f in people},
+            dict(zip(pole_ids, _lane_readings(tick, sensors, since))),
+            dict(zip(pole_ids, map(ActuatorCommand, *(a[0].tolist() for a in commands)))),
+            {p.id: PersonTrace(pole_ids[c], m, f)
+             for p, c, m, f in zip(scenario.people, position, moved, finished)},
         ))
 
-    (metrics,) = _run_lanes(scenario, step, 1, weights, record if trace else None)
-    return (metrics, traces) if trace else metrics
+    (metrics,) = _run_lanes(scenario, step, 1, weights, record)
+    return metrics, traces

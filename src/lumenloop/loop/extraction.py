@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from ..dsl.formatter import format_program
 from ..dsl.nodes import Program
 from ..dsl.parser import parse_source
 from ..dsl.validator import raise_errors, validate
@@ -20,6 +21,7 @@ class Extraction:
     program: Program
     code: str  # block contents as replied, fences stripped
     rationale: str  # response minus the chosen block
+    canonical: str  # format_program(program), rendered once
 
 
 def find_last_block(response: str) -> tuple[str, str]:
@@ -45,5 +47,6 @@ def extract_program(response: str) -> Extraction:
     """
     code, rationale = find_last_block(response)
     program = parse_source(code)
-    raise_errors(validate(program))
-    return Extraction(program=program, code=code, rationale=rationale)
+    canonical = format_program(program)
+    raise_errors(validate(program, canonical))
+    return Extraction(program=program, code=code, rationale=rationale, canonical=canonical)

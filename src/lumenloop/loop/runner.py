@@ -17,6 +17,7 @@ replayed run writes byte-identical output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -243,7 +244,7 @@ def run_loop(
                 prompt=main_prompt,
                 response=response,
                 rationale=extraction.rationale,
-                program=format_program(extraction.program),
+                program=extraction.canonical,
                 metrics=metrics,
                 repair_attempts=attempts,
                 outcome=OUTCOME_ACCEPTED if accepted else OUTCOME_BELOW_THRESHOLD,
@@ -316,8 +317,11 @@ def stub_evaluator(bindings: dict[str, SimulationMetrics]) -> Evaluator:
         try:
             return bindings[key]
         except KeyError:
+            digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
+            first_line = key.split("\n", 1)[0]
             raise MissingMetrics(
-                "program is not in the calibration stub:\n" + key
+                f"program is not in the calibration stub: first line {first_line!r}, "
+                f"sha256 {digest} of its canonical text"
             ) from None
 
     return evaluate

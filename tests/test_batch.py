@@ -5,15 +5,18 @@ oracle: ``run_batch`` must give every lane exactly the metrics the oracle
 gives that lane's controller (``==``, no tolerance), on the built-in
 scenarios and on small generated ones, whatever the other lanes hold; and
 ``run_simulation``, one lane of ``run_batch``, must also give the oracle's
-traces. Lanes run networks through ``network_batch_step`` and rule programs
-through ``controller_step``. Metamorphic relations over generated scenarios
-check what no oracle can: ranges, monotonicity in the light level, and
-that pole ids matter only through their order.
+traces. Lanes run networks through ``network_batch_step``, rule programs
+through their compiled step (``dsl.compiler``) and any other controller
+through ``controller_step``'s per-pole adapter; the oracle runs every rule
+program through the interpreter. Metamorphic relations over generated
+scenarios check what no oracle can: ranges, monotonicity in the light
+level, and that pole ids matter only through their order.
 """
 
 import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ from hypothesis.extra.numpy import arrays
 
 import scalar_engine
 from genprog import rand_program
-from lumenloop.controllers import program_factory
+from lumenloop.controllers import DslController, program_factory, resolve_controller
+from lumenloop.dsl.nodes import Assignment, BinOp, Number, Program, Ref
+from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import (
     ActuatorCommand,
     SensorReading,
@@ -190,6 +195,9 @@ def test_edge_case_scenarios(people, expected_people_pct):
     assert [m.people_pct for m in got] == [expected_people_pct] * 4
 
 
+# -- compiled rule programs ------------------------------------------------------
+
+
 @fixed(40)
 @given(scenario=small_scenarios(), seed=st.integers(0, 2**32 - 1))
 @example(scenario=SCENARIO1, seed=0)
@@ -197,9 +205,110 @@ def test_rule_programs_equal_the_scalar_engine(scenario, seed):
     rng = random.Random(seed)
     factories = [program_factory(rand_program(rng)) for _ in range(3)]
     want = [scalar_engine.run_simulation(scenario, f, trace=True) for f in factories]
-    assert run_simulation(scenario, factories[0], trace=True) == want[0]
+    assert [run_simulation(scenario, f, trace=True) for f in factories] == want
     lanes = run_batch(scenario, controller_step(scenario, factories), len(factories))
     assert lanes == [metrics for metrics, _ in want]
+
+
+def _with_unknown_ref():
+    # a hand-built AST: the parser and validator never let `dusk` through
+    return Program((
+        Assignment("light", BinOp("+", Ref("dusk"), Number(0.75))),
+        Assignment("broadcast", Ref("dusk")),
+    ))
+
+
+EDGE_PROGRAMS = {
+    "negative-zero-light": "light = -0",
+    "negative-zero-broadcast": "broadcast = -0",
+    "negative-zero-products": "light = 0 * -1 broadcast = signal * -0",
+    "listen-at-one-half": "listen = ambient + 0.5 broadcast = 0.5 * motion + 0.5",
+    "divide-by-zero": "light = 1 / (signal - signal) + 0.25 broadcast = signal / 0",
+    "overflow-to-inf": (
+        "mem.a = mem.a * 1000000 + 1000000 "
+        "light = mem.a / 1000000000 broadcast = mem.a / mem.a "
+        "if mem.a < 1 then listen = 0 else listen = 1 end"
+    ),
+    "nested-if-memory": """\
+if ticks_since_motion < 3 or signal > 0.5 then
+  mem.seen = mem.seen + 1
+  if mem.seen > 2 then
+    mem.seen = mem.seen - 2
+    light = mem.seen / 2
+  else
+    broadcast = mem.seen * 0.25
+  end
+else
+  if not motion and tick > 10 then
+    mem.seen = 0
+  end
+  light = light * 0.5
+end
+""",
+}
+
+
+@pytest.mark.parametrize("program", [
+    *(parse_source(source) for source in EDGE_PROGRAMS.values()), _with_unknown_ref(),
+], ids=[*EDGE_PROGRAMS, "unknown-ref"])
+@pytest.mark.parametrize("scenario", [SCENARIO1, SCENARIO2], ids=["scenario1", "scenario2"])
+def test_edge_programs_equal_the_interpreter_sign_for_sign(program, scenario):
+    # repr tells -0.0 from 0.0, which == does not
+    factory = program_factory(program)
+    want = scalar_engine.run_simulation(scenario, factory, trace=True)
+    assert repr(run_simulation(scenario, factory, trace=True)) == repr(want)
+
+
+def test_the_overflow_program_does_overflow():
+    # in the oracle, the slot grows a millionfold per tick until the product
+    # is inf, which collapses to 0, so the slot starts again from 10**6
+    program = parse_source(EDGE_PROGRAMS["overflow-to-inf"])
+    _, traces = scalar_engine.run_simulation(SCENARIO1, program_factory(program), trace=True)
+    lights = [t.commands[0].light for t in traces]
+    assert lights[0] == 0.001 and 0.001 in lights[1:]
+
+
+def test_a_mixed_compare_stack_equals_the_per_lane_oracle():
+    scenario = SCENARIO2
+    genome = str(Path(__file__).parent / "fixtures" / "genome.json")
+    factories = [
+        resolve_controller("iteration3").factory,
+        resolve_controller(genome).factory,
+        program_factory(parse_source(EDGE_PROGRAMS["nested-if-memory"])),
+    ]
+    want = [scalar_engine.run_simulation(scenario, f) for f in factories]
+    assert run_batch(scenario, controller_step(scenario, factories), 3) == want
+
+
+def test_dsl_controllers_through_act_equal_the_compiled_step():
+    # a plain callable offers no batch step, so every pole runs
+    # DslController.act through controller_step's per-pole adapter
+    program = parse_source(EDGE_PROGRAMS["nested-if-memory"])
+    per_pole = run_simulation(SCENARIO2, lambda: DslController(program), trace=True)
+    assert per_pole == run_simulation(SCENARIO2, program_factory(program), trace=True)
+    assert per_pole == scalar_engine.run_simulation(
+        SCENARIO2, lambda: DslController(program), trace=True
+    )
+
+
+def test_rule_programs_never_run_through_act(monkeypatch):
+    def act(self, reading):
+        raise AssertionError("a rule program ran through DslController.act")
+
+    monkeypatch.setattr(DslController, "act", act)
+    factory = resolve_controller("iteration1").factory
+    assert run_simulation(SCENARIO1, factory, trace=True)[0] == run_simulation(
+        SCENARIO1, factory
+    )
+    run_batch(SCENARIO1, controller_step(SCENARIO1, [factory, factory]), 2)
+
+
+def test_constant_subtrees_fold_without_warnings():
+    # folded at compile time: an overflowing product and a division by zero
+    huge = "9" * 300
+    program = parse_source(f"mem.a = {huge} * {huge} light = mem.a + 1 / 0 + 0.5")
+    (metrics,) = run_batch(SCENARIO1, program_factory(program).batch_step(), 1)
+    assert metrics.energy_pct == 50.0
 
 
 def test_controller_errors_name_the_tick_and_pole():

@@ -315,6 +315,22 @@ def test_gpt_loop_script_runs_dry(capsys, tmp_path, fixture_dir):
     assert "provider failure" in captured.err
 
 
+def test_gpt_loop_program_missing_from_the_stub(capsys, tmp_path, fixture_dir):
+    # the stub names the missing program in one line, not its whole text
+    stub = tmp_path / "empty.json"
+    stub.write_text('{"entries": []}')
+    assert main([
+        "gpt-loop", "--replay", str(fixture_dir / "three_iter.jsonl"),
+        "--stub-metrics", str(stub),
+        "--transcript", str(tmp_path / "t.jsonl"),
+        "--out", str(tmp_path / "best.rules"),
+    ]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "not in the calibration stub" in err and "sha256" in err
+
+
 def test_gpt_loop_without_provider(capsys):
     assert main(["gpt-loop"]) == EXIT_USAGE
     err = capsys.readouterr().err
