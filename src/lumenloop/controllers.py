@@ -20,7 +20,6 @@ import numpy as np
 
 from .dsl.baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
 from .dsl.compiler import CompiledProgram
-from .dsl.interpreter import EvalContext, evaluate
 from .dsl.nodes import Program
 from .dsl.parser import parse_source
 from .dsl.validator import validate_strict
@@ -36,23 +35,29 @@ from .neuro.network import (
 
 
 class DslController:
-    """Runs a rule program with fresh per-pole memory."""
+    """Runs a compiled rule program on one pole, with fresh per-pole memory."""
 
-    def __init__(self, program: Program):
-        self.program = program
-        self.ctx = EvalContext()
+    def __init__(self, program: CompiledProgram):
+        self.step = program.batch_step()
 
     def act(self, reading: SensorReading) -> ActuatorCommand:
-        return evaluate(self.program, reading, self.ctx)
+        light, listen, broadcast = self.step.run(
+            reading.ambient,
+            1.0 if reading.motion else 0.0,
+            reading.signal,
+            reading.current_light,
+            float(reading.ticks_since_motion),
+            float(reading.tick),
+        )
+        return ActuatorCommand(float(light), bool(listen), float(broadcast))
 
 
 class _ProgramFactory:
     def __init__(self, program: Program):
-        self.program = program
         self.compiled = CompiledProgram(program)
 
     def __call__(self) -> DslController:
-        return DslController(self.program)
+        return DslController(self.compiled)
 
     def batch_step(self) -> BatchStep:
         return self.compiled.batch_step()
@@ -71,7 +76,8 @@ class _NetworkFactory:
 
 
 def program_factory(program: Program) -> ControllerFactory:
-    """A factory of DslControllers whose batch step is the compiled program."""
+    """A factory of DslControllers over one compiled program, whose batch
+    step runs that program on a whole lane."""
     return _ProgramFactory(program)
 
 

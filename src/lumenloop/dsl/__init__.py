@@ -3,11 +3,12 @@
 Controllers are small if-else programs over pole sensors, actuators, and
 per-pole memory variables. The language is total: evaluation never raises,
 division by zero yields 0, and actuator outputs are clamped to [0, 1].
+A program runs compiled (``dsl.compiler``): as a batch step over a lane of
+poles, or on one pole through ``controllers.DslController``.
 """
 
 from .baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
 from .formatter import format_program
-from .interpreter import EvalContext, evaluate
 from .nodes import (
     Assignment,
     BinOp,
@@ -35,8 +36,6 @@ __all__ = [
     "builtin_program",
     "Comparison",
     "Diagnostic",
-    "EvalContext",
-    "evaluate",
     "format_program",
     "If",
     "LANGUAGE_REFERENCE",

@@ -1,20 +1,24 @@
-"""Rule programs compiled to batch steps.
+"""Rule programs compiled to closures: the package's one implementation of
+the rule language.
 
-``CompiledProgram`` turns a program's AST, once, into closures over
-(lanes, poles) numpy arrays. ``CompiledProgram.batch_step`` gives an
-``engine.run_batch`` step in which every pole of every lane runs the
-program, with exactly the results of one ``interpreter.evaluate`` per pole.
+``CompiledProgram`` turns a program's AST, once, into closures over numpy
+values. ``CompiledProgram.batch_step`` gives an ``engine.run_batch`` step in
+which every pole of every lane runs the program over (lanes, poles) arrays;
+``controllers.DslController`` runs the same closures on one pole's scalar
+readings. Both go through ``_ProgramStep.run``.
 
 The lowering is if-conversion: a condition becomes a boolean mask over the
 poles, both branches run, each under its own mask, and an assignment keeps
 the old value where its mask is false (``np.where(mask, value, old)``).
 Expressions have no side effects, so evaluating both branches, and both
-sides of ``and``/``or``, changes nothing. The interpreter's rules carry
-over: division by zero gives 0, a non-finite result collapses to 0 at each
-arithmetic operator and at each assignment, light and broadcast clamp to
-[0, 1] by the same two comparisons (so -0.0 stays -0.0), listen is
-``value >= 0.5``, an unknown identifier reads 0 and an unknown target is
-not written. numpy's float64 operations round as Python's floats do.
+sides of ``and``/``or``, changes nothing. The language's rules: division by
+zero gives 0, a non-finite result collapses to 0 at each arithmetic
+operator and at each assignment, light and broadcast clamp to [0, 1] by two
+comparisons (so -0.0 stays -0.0), listen is ``value >= 0.5``, an unknown
+identifier reads 0, an unknown target is not written, reading ``light``
+gives the sensor (the lamp's level at the start of the tick), and an
+actuator a tick does not assign keeps its last value. numpy's float64
+operations round as Python's floats do.
 
 A closure takes the step, which holds the tick's sensors, the memory
 slots and the actuator values so far. A subtree without sensors or memory
@@ -61,7 +65,7 @@ def _clamp01(value):
     return np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
 
 
-# x / 0 is inf or nan in numpy, which collapses to 0: the interpreter's
+# x / 0 is inf or nan in numpy, which collapses to 0: the language's
 # division-by-zero rule needs no test of its own
 _ARITHMETIC = {
     "+": lambda left, right: _total(np.add(left, right)),
@@ -193,7 +197,7 @@ def _block(statements, names: set[str]) -> Run:
 
 
 class CompiledProgram:
-    """A program lowered to closures, ready to make batch steps."""
+    """A program lowered to closures, ready to make steps."""
 
     def __init__(self, program: Program):
         names: set[str] = set()  # sensors read and memory slots used
@@ -203,15 +207,17 @@ class CompiledProgram:
         self._counts_motion = "ticks_since_motion" in names
 
     def batch_step(self) -> BatchStep:
-        """A fresh ``engine.run_batch`` step: every pole starts from the
-        interpreter's initial state (no memory, lamp off, listening, silent)."""
+        """A fresh step: every pole starts with no memory, lamp off,
+        listening and silent."""
         return _ProgramStep(self._run, self._memory, self._counts_motion)
 
 
 class _ProgramStep:
-    """Per-pole state of one run: memory slots, the last listen and broadcast
-    values, the ticks-since-motion counters and the tick. Each starts as a
-    scalar and becomes an array once a tick writes it per pole."""
+    """Per-pole state of one run: memory slots, the last light, listen and
+    broadcast values, the ticks-since-motion counters and the tick. Each
+    starts as a scalar and becomes an array once a tick writes it per pole.
+    Called with a lane's arrays it is a ``run_batch`` step; ``run`` alone is
+    one tick on given sensors, which is all a single pole needs."""
 
     __slots__ = (
         "_run", "_counts_motion", "_since", "_tick", "memory", "outputs",
@@ -227,15 +233,22 @@ class _ProgramStep:
         self.outputs = {"light": 0.0, "listen": True, "broadcast": 0.0}
 
     def __call__(self, ambient, motion, signal, light):
+        since = None  # read only by a program that counts it
         if self._counts_motion:
             self._since = count_since_motion(self._since, motion)
-            self.ticks_since_motion = self._since.astype(float)
-        self.ambient, self.motion, self.signal, self.light = ambient, motion, signal, light
-        self.moving = motion == 1.0
-        self.tick = float(self._tick)
+            since = self._since.astype(float)
+        tick = float(self._tick)
         self._tick += 1
-        outputs = self.outputs
-        outputs["light"] = light  # an actuator not assigned keeps its value
+        return self.run(ambient, motion, signal, light, since, tick)
+
+    def run(self, ambient, motion, signal, light, ticks_since_motion, tick):
+        """Run the program once on these sensors (floats, or float arrays
+        of one shape; motion is 0.0 or 1.0) and return the (light, listen,
+        broadcast) values that hold after it."""
+        self.ambient, self.motion, self.signal, self.light = ambient, motion, signal, light
+        self.ticks_since_motion, self.tick = ticks_since_motion, tick
+        self.moving = motion == 1.0
         with np.errstate(all="ignore"):
             self._run(self, None)
+        outputs = self.outputs
         return outputs["light"], outputs["listen"], outputs["broadcast"]

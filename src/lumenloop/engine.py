@@ -30,8 +30,9 @@ equal (``==``) to those of the per-pole scalar loop kept as the tests'
 oracle in ``tests/scalar_engine.py``, given a step that computes each pole
 with the scalar controller's floating-point operations in the same order
 (the per-pole adapter calls it; ``neuro.network.forward`` fixes the order
-for networks, and ``dsl.compiler`` does the interpreter's operations with
-numpy's float64 ones). Signal is Python's ``max`` over the neighbours in
+for networks, and ``dsl.compiler`` does the operations of the tests'
+tree-walking interpreter, ``tests/interpreter.py``, with numpy's float64
+ones, whether on a lane or on one pole's ``DslController``). Signal is Python's ``max`` over the neighbours in
 document order, the light clamp and threshold are the same comparisons,
 and the energy sum adds the poles of a tick left to right, then the ticks
 in order.

@@ -25,7 +25,6 @@ from typing import Callable, TextIO
 
 from ..documents import as_number, parse_json, read_text
 from ..dsl.formatter import format_program
-from ..dsl.nodes import Program
 from ..dsl.parser import parse_source
 from ..engine import run_simulation
 from ..errors import (
@@ -57,7 +56,9 @@ OUTCOME_ACCEPTED = "accepted"
 OUTCOME_BELOW_THRESHOLD = "below-threshold"
 OUTCOME_PARSE_FAILED = "parse-failed"
 
-Evaluator = Callable[[Program], SimulationMetrics]
+Evaluator = Callable[[Extraction], SimulationMetrics]
+"""Scores an extracted program: its AST is ``.program``, its canonical text
+``.canonical``."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,8 @@ def simulation_evaluator(
 ) -> Evaluator:
     from ..controllers import program_factory
 
-    def evaluate(program: Program) -> SimulationMetrics:
-        return run_simulation(scenario, program_factory(program), weights=weights)
+    def evaluate(extraction: Extraction) -> SimulationMetrics:
+        return run_simulation(scenario, program_factory(extraction.program), weights=weights)
 
     return evaluate
 
@@ -237,7 +238,7 @@ def run_loop(
                 # Nothing was scored; the next iteration falls back to the
                 # last scored record, or starts over from the top.
                 continue
-            metrics = evaluator(extraction.program)
+            metrics = evaluator(extraction)
             accepted = metrics.fitness >= config.fitness_threshold
             record = IterationRecord(
                 index=index,
@@ -312,8 +313,8 @@ def load_calibration(path: str | Path) -> dict[str, SimulationMetrics]:
 
 
 def stub_evaluator(bindings: dict[str, SimulationMetrics]) -> Evaluator:
-    def evaluate(program: Program) -> SimulationMetrics:
-        key = format_program(program)
+    def evaluate(extraction: Extraction) -> SimulationMetrics:
+        key = extraction.canonical
         try:
             return bindings[key]
         except KeyError:

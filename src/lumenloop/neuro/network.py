@@ -183,6 +183,8 @@ def parse_genome_document(doc: dict) -> tuple[NetworkSpec, Genome]:
     n_inputs = as_int(net.get("n_inputs", N_INPUTS), "network.n_inputs")
     n_hidden = as_int(net.get("n_hidden", DEFAULT_NETWORK.n_hidden), "network.n_hidden")
     n_outputs = as_int(net.get("n_outputs", N_OUTPUTS), "network.n_outputs")
+    if n_hidden < 0:  # the rule of evolve --hidden
+        raise SchemaError(f"network.n_hidden: expected an integer >= 0, got {n_hidden}")
     if (n_inputs, n_outputs) != (N_INPUTS, N_OUTPUTS):
         raise SchemaError(f"genome network must take {N_INPUTS} inputs and give "
                           f"{N_OUTPUTS} outputs, got {n_inputs}-{n_hidden}-{n_outputs}")

@@ -1,11 +1,16 @@
-"""Stateful total evaluator.
+"""The tree-walking rule-program interpreter: the reference that the
+package's compiled programs (``lumenloop.dsl.compiler``) are tested against.
 
 A program runs once per tick against a SensorReading and an EvalContext
-holding the pole's memory and the previous actuator command. Evaluation
-never raises on validated programs: division by zero yields 0.0, non-finite
-intermediates collapse to 0.0, light/broadcast outputs clamp to [0, 1] and
-listen is true when its assigned value is >= 0.5. Actuators keep their
-previous value when a tick's run does not assign them.
+holding the pole's memory and the previous actuator command, by walking
+the AST with Python floats. Evaluation never raises on validated programs:
+division by zero yields 0.0, non-finite intermediates collapse to 0.0,
+light/broadcast outputs clamp to [0, 1] and listen is true when its
+assigned value is >= 0.5. Actuators keep their previous value when a
+tick's run does not assign them. ``InterpreterController`` is one pole's
+controller and ``interpreter_factory`` a factory of them, for
+``tests/scalar_engine.py``; both must give exactly (``repr``-equal) what
+``lumenloop.controllers.program_factory`` gives.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..engine import ActuatorCommand, SensorReading
-from .nodes import (
+from lumenloop.dsl.nodes import (
     Assignment,
     BinOp,
     BoolOp,
@@ -31,6 +35,7 @@ from .nodes import (
     Ref,
     Statement,
 )
+from lumenloop.engine import ActuatorCommand, SensorReading
 
 _COMPARE = {
     "<": lambda a, b: a < b,
@@ -171,3 +176,19 @@ def evaluate(
     )
     ctx.previous = command
     return command
+
+
+class InterpreterController:
+    """Runs a rule program through ``evaluate`` with fresh per-pole memory."""
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.ctx = EvalContext()
+
+    def act(self, reading: SensorReading) -> ActuatorCommand:
+        return evaluate(self.program, reading, self.ctx)
+
+
+def interpreter_factory(program: Program):
+    """A controller factory: one InterpreterController per pole."""
+    return lambda: InterpreterController(program)

@@ -1,9 +1,10 @@
 """Hand-coded Python mirrors of the built-in controller programs.
 
 Each oracle repeats its program's float operations literally, statement by
-statement, so running the interpreter over any reading stream must match the
-oracle actuator-for-actuator with exact float equality. Two deliberate
-subtleties they share with the interpreter: reading `light` always returns
+statement, so running the package's DslController (the compiled program on
+one pole) over any reading stream must match the oracle
+actuator-for-actuator with exact float equality. Two deliberate subtleties
+they share with the language: reading `light` always returns
 the sensor (the lamp level the pole currently shows), never a value assigned
 earlier in the same tick, and unassigned actuators keep their previous
 output value.

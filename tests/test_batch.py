@@ -8,9 +8,10 @@ scenarios and on small generated ones, whatever the other lanes hold; and
 traces. Lanes run networks through ``network_batch_step``, rule programs
 through their compiled step (``dsl.compiler``) and any other controller
 through ``controller_step``'s per-pole adapter; the oracle runs every rule
-program through the interpreter. Metamorphic relations over generated
-scenarios check what no oracle can: ranges, monotonicity in the light
-level, and that pole ids matter only through their order.
+program through the tests' tree-walking interpreter (``interpreter.py``),
+never through a package factory's controller. Metamorphic relations over
+generated scenarios check what no oracle can: ranges, monotonicity in the
+light level, and that pole ids matter only through their order.
 """
 
 import random
@@ -26,7 +27,9 @@ from hypothesis.extra.numpy import arrays
 
 import scalar_engine
 from genprog import rand_program
+from interpreter import interpreter_factory
 from lumenloop.controllers import DslController, program_factory, resolve_controller
+from lumenloop.dsl.baselines import builtin_program
 from lumenloop.dsl.nodes import Assignment, BinOp, Number, Program, Ref
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import (
@@ -44,6 +47,7 @@ from lumenloop.neuro.network import (
     Genome,
     NetworkController,
     NetworkSpec,
+    load_genome,
     network_batch_step,
 )
 from lumenloop.scenario import PoleSpec, _grid_document, builtin_scenario, parse_scenario
@@ -203,8 +207,10 @@ def test_edge_case_scenarios(people, expected_people_pct):
 @example(scenario=SCENARIO1, seed=0)
 def test_rule_programs_equal_the_scalar_engine(scenario, seed):
     rng = random.Random(seed)
-    factories = [program_factory(rand_program(rng)) for _ in range(3)]
-    want = [scalar_engine.run_simulation(scenario, f, trace=True) for f in factories]
+    programs = [rand_program(rng) for _ in range(3)]
+    factories = [program_factory(p) for p in programs]
+    want = [scalar_engine.run_simulation(scenario, interpreter_factory(p), trace=True)
+            for p in programs]
     assert [run_simulation(scenario, f, trace=True) for f in factories] == want
     lanes = run_batch(scenario, controller_step(scenario, factories), len(factories))
     assert lanes == [metrics for metrics, _ in want]
@@ -254,29 +260,38 @@ end
 @pytest.mark.parametrize("scenario", [SCENARIO1, SCENARIO2], ids=["scenario1", "scenario2"])
 def test_edge_programs_equal_the_interpreter_sign_for_sign(program, scenario):
     # repr tells -0.0 from 0.0, which == does not
-    factory = program_factory(program)
-    want = scalar_engine.run_simulation(scenario, factory, trace=True)
-    assert repr(run_simulation(scenario, factory, trace=True)) == repr(want)
+    want = scalar_engine.run_simulation(scenario, interpreter_factory(program), trace=True)
+    got = run_simulation(scenario, program_factory(program), trace=True)
+    assert repr(got) == repr(want)
 
 
 def test_the_overflow_program_does_overflow():
     # in the oracle, the slot grows a millionfold per tick until the product
     # is inf, which collapses to 0, so the slot starts again from 10**6
     program = parse_source(EDGE_PROGRAMS["overflow-to-inf"])
-    _, traces = scalar_engine.run_simulation(SCENARIO1, program_factory(program), trace=True)
+    _, traces = scalar_engine.run_simulation(
+        SCENARIO1, interpreter_factory(program), trace=True
+    )
     lights = [t.commands[0].light for t in traces]
     assert lights[0] == 0.001 and 0.001 in lights[1:]
 
 
 def test_a_mixed_compare_stack_equals_the_per_lane_oracle():
     scenario = SCENARIO2
-    genome = str(Path(__file__).parent / "fixtures" / "genome.json")
+    path = Path(__file__).parent / "fixtures" / "genome.json"
+    spec, genome = load_genome(path)
+    nested = parse_source(EDGE_PROGRAMS["nested-if-memory"])
     factories = [
         resolve_controller("iteration3").factory,
-        resolve_controller(genome).factory,
-        program_factory(parse_source(EDGE_PROGRAMS["nested-if-memory"])),
+        resolve_controller(str(path)).factory,
+        program_factory(nested),
     ]
-    want = [scalar_engine.run_simulation(scenario, f) for f in factories]
+    oracles = [
+        interpreter_factory(builtin_program("iteration3")),
+        lambda: NetworkController(genome.genes, spec),
+        interpreter_factory(nested),
+    ]
+    want = [scalar_engine.run_simulation(scenario, f) for f in oracles]
     assert run_batch(scenario, controller_step(scenario, factories), 3) == want
 
 
@@ -284,10 +299,11 @@ def test_dsl_controllers_through_act_equal_the_compiled_step():
     # a plain callable offers no batch step, so every pole runs
     # DslController.act through controller_step's per-pole adapter
     program = parse_source(EDGE_PROGRAMS["nested-if-memory"])
-    per_pole = run_simulation(SCENARIO2, lambda: DslController(program), trace=True)
-    assert per_pole == run_simulation(SCENARIO2, program_factory(program), trace=True)
+    factory = program_factory(program)
+    per_pole = run_simulation(SCENARIO2, lambda: factory(), trace=True)
+    assert per_pole == run_simulation(SCENARIO2, factory, trace=True)
     assert per_pole == scalar_engine.run_simulation(
-        SCENARIO2, lambda: DslController(program), trace=True
+        SCENARIO2, interpreter_factory(program), trace=True
     )
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lumenloop.controllers import DslController, resolve_controller
+from lumenloop.controllers import DslController, program_factory, resolve_controller
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import SensorReading
 from lumenloop.errors import ParseError, UnknownBaseline, ValidationError
@@ -100,8 +100,9 @@ def test_genome_file_bad_json(tmp_path):
 
 
 def test_dsl_controller_instances_are_isolated():
-    program = parse_source("mem.n = mem.n + 1 broadcast = mem.n / 4")
-    a, b = DslController(program), DslController(program)
+    # two controllers from one factory share the compiled program, not its memory
+    factory = program_factory(parse_source("mem.n = mem.n + 1 broadcast = mem.n / 4"))
+    a, b = factory(), factory()
     a.act(reading())
     a.act(reading())
     assert a.act(reading()).broadcast == 0.75

@@ -59,8 +59,9 @@ BAD_STATEMENTS = ["light = ²", "light = ½", "light = 1" + "0" * 400, "light = 
 BAD_CELLS = ["abc", "nan", "NaN", "inf", "-Infinity", "1e400", "", "0x10", "[1]"]
 
 
-def check_rejected(kind: str, data: bytes) -> None:
-    """Run the command that reads ``kind`` on ``data``: exit 2, one error line."""
+def check_rejected(kind: str, data: bytes) -> str:
+    """Run the command that reads ``kind`` on ``data``: exit 2, one error line,
+    which it returns."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = tmp / f"input{SUFFIX[kind]}"
@@ -82,6 +83,7 @@ def check_rejected(kind: str, data: bytes) -> None:
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "Traceback" not in err.getvalue()
+    return lines[0]
 
 
 def dumps(doc, depth: int = DEEP) -> str:
@@ -181,6 +183,7 @@ def broken_files():
 @example(case=("genome", dumps(with_value(GENOME, ["fitness"], "abc")).encode()))
 @example(case=("genome", dumps(with_value(GENOME, ["fitness"], [1])).encode()))
 @example(case=("genome", dumps(with_value(GENOME, ["network", "n_hidden"], HUGE)).encode()))
+@example(case=("genome", dumps(with_value(GENOME, ["network", "n_hidden"], -1)).encode()))
 @example(case=("scenario", b"\xff" + json.dumps(SCENARIO).encode()))
 @example(case=("genome", b"\xff" + json.dumps(GENOME).encode()))
 @example(case=("rule", b"\xff" + RULES.encode()))
@@ -198,3 +201,10 @@ def broken_files():
 @example(case=("genome", b" \n\t "))
 def test_malformed_input_files_exit_2(case):
     check_rejected(*case)
+
+
+def test_a_negative_hidden_width_is_named():
+    # it once fell through to a gene count check: "expected -5"
+    genome = dumps(with_value(GENOME, ["network", "n_hidden"], -1))
+    error = check_rejected("genome", genome.encode())
+    assert error == "error: network.n_hidden: expected an integer >= 0, got -1"

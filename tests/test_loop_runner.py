@@ -6,7 +6,10 @@ import pytest
 
 from lumenloop.dsl.baselines import ITERATION_1_SOURCE, ITERATION_2_SOURCE
 from lumenloop.errors import MissingMetrics, SchemaError
+from lumenloop.dsl import validator
 from lumenloop.fitness import SimulationMetrics
+from lumenloop.loop import extraction, runner
+from lumenloop.loop.extraction import extract_program
 from lumenloop.loop.providers import ReplayProvider, load_replay_script
 from lumenloop.loop.runner import (
     STATUS_BUDGET_EXHAUSTED,
@@ -170,25 +173,35 @@ def test_provider_failure_mid_loop():
 
 
 def test_simulation_evaluator_scores_programs():
-    from lumenloop.dsl.parser import parse_source
-
     evaluate = simulation_evaluator(SCENARIO1)
-    metrics = evaluate(parse_source("light = 1.0"))
+    metrics = evaluate(extract_program(wrap("light = 1.0\n")))
     assert metrics.energy_pct == 100.0
     assert metrics.people_pct == 100.0
     assert metrics.fitness == pytest.approx(56.0)
 
 
 def test_stub_evaluator_uses_stored_fitness():
-    from lumenloop.dsl.parser import parse_source
-
     bindings = load_calibration_from_sources()
     evaluate = stub_evaluator(bindings)
-    metrics = evaluate(parse_source(ITERATION_2_SOURCE))
+    metrics = evaluate(extract_program(wrap(ITERATION_2_SOURCE)))
     # the stored score stands even though recomputing would give 61.218
     assert metrics.fitness == 61.2
     with pytest.raises(MissingMetrics):
-        evaluate(parse_source("light = 0.123"))
+        evaluate(extract_program(wrap("light = 0.123\n")))
+
+
+def test_each_replayed_program_is_rendered_once(fixture_dir, monkeypatch):
+    # extraction renders the canonical text, and the stub looks it up as is
+    evaluator = stub_evaluator(load_calibration(fixture_dir / "calibration_stub.json"))
+    rendered = []
+    for module in (extraction, runner, validator):
+        render = module.format_program
+        monkeypatch.setattr(module, "format_program",
+                            lambda program, render=render: rendered.append(program) or render(program))
+    provider = load_replay_script(fixture_dir / "three_iter.jsonl")
+    transcript = run_loop(LoopConfig(), provider, SCENARIO1, evaluator=evaluator)
+    assert len(transcript.records) == 3
+    assert len(rendered) == 3
 
 
 def test_calibration_stub_keys_are_canonical(fixture_dir, tmp_path):
@@ -257,11 +270,11 @@ def test_transcript_has_no_trailer_when_evaluator_raises(
     stub = load_calibration(fixture_dir / "calibration_stub.json")
     scored = []
 
-    def evaluator(program):
+    def evaluator(extraction):
         if len(scored) == scored_before_raise:
             raise MissingMetrics("not in the stub")
-        scored.append(program)
-        return stub_evaluator(stub)(program)
+        scored.append(extraction)
+        return stub_evaluator(stub)(extraction)
 
     provider = load_replay_script(fixture_dir / "three_iter.jsonl")
     path = tmp_path / "t.jsonl"
