@@ -25,6 +25,14 @@ program compiled by ``dsl.compiler``, or a network), else one
 lane of it and can trace every tick from the loop's arrays. Routes,
 neighbours and ambient levels come from ``scenario.compiled``.
 
+A tick costs about as many microseconds as it makes numpy calls, however
+many lanes it holds, so the loop makes few. On a tick where no one can
+move (before the first start tick, or once every person of every lane is
+home) it skips the people phase (occupancy, movement and trip time),
+whose outcome is then known: no motion and no moves. The loop never
+writes into an array once it has passed it to the step or to
+``on_tick``: a step may keep references to its sensors and outputs.
+
 Parity contract: a lane's metrics do not depend on the other lanes and are
 equal (``==``) to those of the per-pole scalar loop kept as the tests'
 oracle in ``tests/scalar_engine.py``, given a step that computes each pole
@@ -32,10 +40,12 @@ with the scalar controller's floating-point operations in the same order
 (the per-pole adapter calls it; ``neuro.network.forward`` fixes the order
 for networks, and ``dsl.compiler`` does the operations of the tests'
 tree-walking interpreter, ``tests/interpreter.py``, with numpy's float64
-ones, whether on a lane or on one pole's ``DslController``). Signal is Python's ``max`` over the neighbours in
-document order, the light clamp and threshold are the same comparisons,
-and the energy sum adds the poles of a tick left to right, then the ticks
-in order.
+ones, whether on a lane or on one pole's ``DslController``). Signal is
+Python's ``max`` over the neighbours in document order (the first value,
+replaced only by a strictly greater one, which ``np.maximum`` is not for
+NaN and signed zeros), the light clamp and threshold are the same
+comparisons, and the energy sum adds the poles of a tick left to right,
+then the ticks in order.
 """
 
 from __future__ import annotations
@@ -172,7 +182,7 @@ class CompiledScenario:
     """
 
     ambient: tuple[float, ...]  # ambient level per tick
-    neighbor_index: np.ndarray  # (poles, max degree) columns, see compile_scenario
+    neighbor_index: np.ndarray  # (max degree, poles) columns, see compile_scenario
     next_hop: np.ndarray  # (people, poles) next column on the person's route, -1 off it
     origin: np.ndarray  # (people,) columns
     destination: np.ndarray  # (people,) columns
@@ -182,20 +192,21 @@ class CompiledScenario:
 def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
     """Route table, neighbour matrix and ambient per tick, in one pass.
 
-    Use ``scenario.compiled``, which caches this per ScenarioSpec. A row of
-    ``neighbor_index`` shorter than the widest is padded with its first
-    neighbour, which leaves a max over the row unchanged; a pole without
-    neighbours points at column ``len(poles)``, which ``run_batch`` holds at
-    a zero broadcast (what ``max`` over no neighbours defaults to).
+    Use ``scenario.compiled``, which caches this per ScenarioSpec. Column j
+    of ``neighbor_index`` lists pole j's neighbours; one shorter than the
+    widest is padded with its first neighbour, which leaves a max over it
+    unchanged, and a pole without neighbours points at column
+    ``len(poles)``, which ``run_batch`` holds at a zero broadcast (what
+    ``max`` over no neighbours defaults to).
     """
     column = {pole.id: j for j, pole in enumerate(scenario.poles)}
     n_poles = len(scenario.poles)
     width = max((len(pole.neighbors) for pole in scenario.poles), default=0) or 1
-    neighbor_index = np.full((n_poles, width), n_poles, dtype=np.intp)
+    neighbor_index = np.full((width, n_poles), n_poles, dtype=np.intp)
     for j, pole in enumerate(scenario.poles):
         if pole.neighbors:
             row = [column[n] for n in pole.neighbors]
-            neighbor_index[j] = row + row[:1] * (width - len(row))
+            neighbor_index[:, j] = row + row[:1] * (width - len(row))
 
     next_hop = np.full((len(scenario.people), n_poles), -1, dtype=np.intp)
     for m, person in enumerate(scenario.people):
@@ -225,7 +236,9 @@ Arguments after ``ambient`` are (lanes, poles) arrays: motion as 0.0/1.0,
 the heard signal, and each pole's light from the previous tick. Returns
 the new light and broadcast levels and the boolean listen flags, each
 (lanes, poles) or broadcastable to it. The loop calls it once per tick,
-in tick order.
+in tick order. Neither side writes into an array once it has handed it
+over: the loop passes the step's light back to it as the next tick's
+sensor.
 """
 
 
@@ -324,41 +337,59 @@ def _run_lanes(
     listen = np.ones(shape, dtype=bool)
     # the last broadcasts, and a zero column for poles without neighbours
     heard = np.zeros((lanes, n_poles + 1))
-    rows = np.arange(lanes)[:, None]
-    person = np.arange(len(scenario.people))
+    # flat indices: a pole column plus lane_base is its place in a
+    # (lanes, poles) array, plus hop_base its place in next_hop
+    lane_base = np.arange(lanes)[:, None] * n_poles
+    hop_base = np.arange(len(scenario.people)) * n_poles
     position = np.tile(plan.origin, (lanes, 1))
     finished = np.zeros(position.shape, dtype=bool)
-    trip_ticks = np.zeros(lanes, dtype=np.int64)
+    trip_ticks = np.zeros(position.shape, dtype=np.int64)
     light_sum = np.zeros(lanes)
+    # No one can move before the first start tick or once everyone is
+    # home; those ticks skip the people phase and share these arrays.
+    first_start = plan.start_tick.min(initial=len(plan.ambient))
+    no_motion = np.zeros(shape)
+    no_moves = np.zeros(position.shape, dtype=bool)
+    everyone_home = False
 
     for tick, ambient in enumerate(plan.ambient):
-        active = (plan.start_tick <= tick) & ~finished
-        motion = np.zeros(shape)
-        lane, who = np.nonzero(active)
-        motion[lane, position[lane, who]] = 1.0
+        people_phase = tick >= first_start and not everyone_home
+        if people_phase:
+            active = (plan.start_tick <= tick) & ~finished
+            here = position + lane_base
+            motion = np.zeros(shape)
+            np.put(motion, here[active], 1.0)
+        else:
+            motion = no_motion
 
         # Python's max over the neighbours: the first value, replaced by
         # each later one only when strictly greater.
-        signal = heard[:, plan.neighbor_index[:, 0]]
-        for k in range(1, plan.neighbor_index.shape[1]):
-            other = heard[:, plan.neighbor_index[:, k]]
-            signal = np.where(other > signal, other, signal)
+        neighbors = heard[:, plan.neighbor_index]
+        signal = neighbors[:, 0]
+        for k in range(1, len(plan.neighbor_index)):
+            other = neighbors[:, k]
+            np.copyto(signal, other, where=other > signal)
         signal = np.where(listen, signal, 0.0)
 
         sensors = (ambient, motion, signal, light)
         light, listen, broadcast = (
-            np.broadcast_to(out, shape) for out in step(*sensors)
+            out if np.shape(out) == shape else np.broadcast_to(out, shape)
+            for out in step(*sensors)
         )
         heard[:, :n_poles] = broadcast
 
-        # degenerate zero-length route: finish without a trip tick
-        walking = active & (position != plan.destination)
-        finished |= active & ~walking
-        trip_ticks += walking.sum(axis=1)
-        lit = np.minimum(np.maximum(ambient + light[rows, position], 0.0), 1.0)
-        moves = walking & (lit >= scenario.movement_threshold)
-        position = np.where(moves, plan.next_hop[person, position], position)
-        finished |= moves & (position == plan.destination)
+        if people_phase:
+            walking = active & (position != plan.destination)
+            trip_ticks += walking
+            lit = np.minimum(np.maximum(ambient + np.take(light, here), 0.0), 1.0)
+            moves = walking & (lit >= scenario.movement_threshold)
+            position = np.where(moves, np.take(plan.next_hop, hop_base + position), position)
+            # arrived, or on a zero-length route, which finishes at its
+            # start tick without a trip tick
+            finished = finished | (active & (position == plan.destination))
+            everyone_home = finished.all()
+        else:
+            moves = no_moves
 
         # accumulate adds left to right; the built-in sum() of floats
         # compensates rounding from Python 3.12 on
@@ -366,7 +397,9 @@ def _run_lanes(
         if on_tick is not None:
             on_tick(tick, sensors, (light, listen, broadcast), (position, moves, finished))
 
-    totals = zip(light_sum.tolist(), finished.sum(axis=1).tolist(), trip_ticks.tolist())
+    totals = zip(
+        light_sum.tolist(), finished.sum(axis=1).tolist(), trip_ticks.sum(axis=1).tolist()
+    )
     metrics = [compute_metrics(RawTotals(*raw), scenario) for raw in totals]
     return [replace(m, fitness=compute_fitness(m, weights)) for m in metrics]
 

@@ -4,7 +4,9 @@ One hidden layer, sigmoid activations throughout, bias on every unit. A
 genome is the flat weight vector; see split_genome for the packing order.
 ``forward`` is the one implementation of the network: ``NetworkController``
 calls it for one pole, ``network_batch_step`` for every pole of a whole
-population, with bit-identical results.
+population, with bit-identical results. Both lay the weights out with
+``per_pole_rows``: one contiguous row per (input, unit) with a column per
+pole, so each layer is a few elementwise operations on long rows.
 """
 
 from __future__ import annotations
@@ -44,14 +46,11 @@ class Genome:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function: 1 / (1 + exp(-x)) where
+    x >= 0, exp(x) / (1 + exp(x)) elsewhere, so exp never overflows."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def split_genome(spec: NetworkSpec, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,25 +74,39 @@ def split_genome(spec: NetworkSpec, genes: np.ndarray) -> tuple[np.ndarray, np.n
     return w_hidden, w_output
 
 
+def per_pole_rows(w: np.ndarray, poles: int) -> np.ndarray:
+    """Weight rows laid out for ``forward``: (inputs + 1, units, lanes * poles).
+
+    ``w`` is a (lanes, units, inputs + 1) stack from split_genome. Row i
+    holds every unit's weight on input i, and the last row the biases,
+    each repeated for the ``poles`` poles of its lane: column
+    ``lane * poles + pole`` belongs to that pole, as in a flattened
+    (lanes, poles) array.
+    """
+    return np.repeat(w.transpose(2, 1, 0), poles, axis=-1)
+
+
 def _layer(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # bias, then + w[i] * x[i] for each input in order: the products are
-    # elementwise and each sum is one numpy operation, so no summation
+    # bias, then + w[i] * x[i] for each input i in order: the products are
+    # elementwise and each sum is one numpy addition, so no summation
     # order is left to a BLAS kernel
-    products = w[..., :-1] * x[..., None, :]
-    acc = w[..., -1]
-    for i in range(x.shape[-1]):
-        acc = acc + products[..., i]
+    products = w[:-1] * x[:, None]
+    acc = w[-1].copy()
+    for product in products:
+        acc += product
     return sigmoid(acc)
 
 
 def forward(w_hidden: np.ndarray, w_output: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Network outputs for inputs ``x[..., i]``, in a fixed operation order.
+    """Network outputs as an (N_OUTPUTS, columns) array, a row per output.
 
-    ``w_hidden`` and ``w_output`` come from split_genome, with extra
-    leading axes that broadcast against the leading axes of ``x``. Each
-    output element goes through the same operations in the same order
-    however many genomes and poles are computed together, so the result for
-    one (genome, inputs) pair never depends on the rest of the batch.
+    ``w_hidden`` and ``w_output`` come from per_pole_rows, and ``x`` is an
+    (N_INPUTS, columns) array: the inputs in reading_to_inputs order, a
+    column per pole. Every array operation runs along contiguous rows of
+    columns. Each output element goes through the same operations in the
+    same order however many genomes and poles are computed together, so
+    the result for one (genome, inputs) pair never depends on the rest of
+    the batch.
     """
     return _layer(w_output, _layer(w_hidden, x))
 
@@ -119,35 +132,41 @@ class NetworkController:
     """Engine adapter: outputs are (light, listen, broadcast)."""
 
     def __init__(self, genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK):
-        # Split once up front; per-tick work is one forward pass.
-        self._w_hidden, self._w_output = split_genome(spec, genes)
+        # one lane of one pole: the batch step's layout with one column
+        self._w_hidden, self._w_output = (
+            per_pole_rows(w[None], 1) for w in split_genome(spec, genes)
+        )
 
     def act(self, reading: SensorReading) -> ActuatorCommand:
-        y = forward(self._w_hidden, self._w_output, reading_to_inputs(reading))
+        (light,), (listen,), (broadcast,) = forward(
+            self._w_hidden, self._w_output, reading_to_inputs(reading)[:, None]
+        )
         return ActuatorCommand(
-            light=float(y[0]), listen=bool(y[1] >= 0.5), broadcast=float(y[2])
+            light=float(light), listen=bool(listen >= 0.5), broadcast=float(broadcast)
         )
 
 
 def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -> BatchStep:
     """``engine.run_batch`` step in which lane i runs NetworkController(genes[i]).
 
-    ``genes`` is a (lanes, genome_length) stack. Inputs are laid out as in
-    reading_to_inputs, so every pole of lane i gets the same outputs as
-    ``NetworkController(genes[i]).act``, bit for bit.
+    ``genes`` is a (lanes, genome_length) stack. The step lays the weights
+    out per pole (per_pole_rows) at its first call, when the pole count is
+    known, so it serves one ``run_batch``. Every pole of lane i gets the
+    same outputs as ``NetworkController(genes[i]).act``, bit for bit.
     """
     w_hidden, w_output = split_genome(spec, genes)
-    # a pole axis between the lane axis and the weight rows
-    w_hidden, w_output = w_hidden[:, None], w_output[:, None]
+    rows = None
 
     def step(ambient, motion, signal, light):
-        x = np.empty(light.shape + (N_INPUTS,))
-        x[..., 0] = ambient
-        x[..., 1] = motion
-        x[..., 2] = signal
-        x[..., 3] = light
-        y = forward(w_hidden, w_output, x)
-        return y[..., 0], y[..., 1] >= 0.5, y[..., 2]
+        nonlocal rows
+        if rows is None:
+            poles = light.shape[-1]
+            rows = (per_pole_rows(w_hidden, poles), per_pole_rows(w_output, poles))
+        x = np.empty((N_INPUTS,) + light.shape)
+        x[0], x[1], x[2], x[3] = ambient, motion, signal, light
+        y = forward(*rows, x.reshape(N_INPUTS, -1))
+        light, listen, broadcast = y.reshape((N_OUTPUTS,) + light.shape)
+        return light, listen >= 0.5, broadcast
 
     return step
 

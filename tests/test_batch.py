@@ -14,9 +14,11 @@ generated scenarios check what no oracle can: ranges, monotonicity in the
 light level, and that pole ids matter only through their order.
 """
 
+import copy
 import random
 import sys
 from dataclasses import replace
+from math import nan
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +30,19 @@ from hypothesis.extra.numpy import arrays
 import scalar_engine
 from genprog import rand_program
 from interpreter import interpreter_factory
-from lumenloop.controllers import DslController, program_factory, resolve_controller
+from lumenloop.controllers import (
+    DslController,
+    network_factory,
+    program_factory,
+    resolve_controller,
+)
 from lumenloop.dsl.baselines import builtin_program
 from lumenloop.dsl.nodes import Assignment, BinOp, Number, Program, Ref
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import (
     ActuatorCommand,
     SensorReading,
+    _run_lanes,
     controller_step,
     run_batch,
     run_simulation,
@@ -199,6 +207,103 @@ def test_edge_case_scenarios(people, expected_people_pct):
     assert [m.people_pct for m in got] == [expected_people_pct] * 4
 
 
+# The loop skips the people phase on ticks where no one can move: before the
+# first start tick and once everyone is home. Each scenario below has many
+# such ticks, so a skipped tick that differed from the oracle would show in
+# the motion sensor, ticks_since_motion, or a person's moved/finished flags.
+SKIPPING_SCENARIOS = {
+    "everyone-starts-in-the-last-two-ticks": scenario_from(
+        [(0, 8, 28), (8, 0, 29), (4, 5, 28)], isolated_pole=True
+    ),
+    # a bright ambient moves everyone every tick: all home by tick 2
+    "everyone-home-by-tick-2": scenario_from(
+        [(0, 1, 0), (4, 4, 1), (2, 5, 1)], ambient=((0, 1.0), (10, 0.0))
+    ),
+    "zero-people": scenario_from([], isolated_pole=True),
+}
+COUNTS_TICKS_SINCE_MOTION = parse_source("""\
+if ticks_since_motion < 2 then
+  light = 1 broadcast = 0.75
+else
+  light = ticks_since_motion / 300 broadcast = signal * 0.5
+end
+""")
+
+
+@pytest.mark.parametrize("scenario", SKIPPING_SCENARIOS.values(), ids=SKIPPING_SCENARIOS)
+@pytest.mark.parametrize("controller", ["network", "rule-program"])
+def test_skipped_people_phases_are_invisible(scenario, controller):
+    if controller == "network":
+        genes = random_genes(13, 1)[0]
+        factory = network_factory(genes, DEFAULT_NETWORK)
+        oracle_factory = lambda: NetworkController(genes)  # noqa: E731
+    else:
+        factory = program_factory(COUNTS_TICKS_SINCE_MOTION)
+        oracle_factory = interpreter_factory(COUNTS_TICKS_SINCE_MOTION)
+    # == on the traces compares every reading, command and person flag
+    want = scalar_engine.run_simulation(scenario, oracle_factory, trace=True)
+    assert run_simulation(scenario, factory, trace=True) == want
+    assert run_batch(scenario, controller_step(scenario, [factory] * 3), 3) == [want[0]] * 3
+
+
+def test_the_skipping_scenarios_have_ticks_to_skip():
+    late = SKIPPING_SCENARIOS["everyone-starts-in-the-last-two-ticks"]
+    assert min(p.start_tick for p in late.people) == late.max_ticks - 2
+    early = SKIPPING_SCENARIOS["everyone-home-by-tick-2"]
+    _, traces = scalar_engine.run_simulation(early, lambda: ConstantLight(0.0), trace=True)
+    assert all(person.finished for person in traces[1].people.values())
+
+
+class Keeper:
+    """Keeps every value it is shown beside a copy taken when it was shown."""
+
+    def __init__(self):
+        self.kept = []
+
+    def keep(self, *values):
+        self.kept += [(value, copy.copy(value)) for value in values]
+
+    def changed(self):
+        # repr tells -0.0 from 0.0 and shows nan, which == does not
+        return [(repr(was), repr(value)) for value, was in self.kept
+                if repr(value) != repr(was)]
+
+
+def kept_by(keeper, step):
+    """``step``, keeping every argument it is called with and every value it returns."""
+    def recorded(*sensors):
+        keeper.keep(*sensors)
+        outputs = step(*sensors)
+        keeper.keep(*outputs)
+        return outputs
+
+    return recorded
+
+
+@pytest.mark.parametrize("scenario", [SCENARIO1, *SKIPPING_SCENARIOS.values()],
+                         ids=["scenario1", *SKIPPING_SCENARIOS])
+@pytest.mark.parametrize("steps", ["networks", "rule-programs", "one-rule-program"])
+def test_the_loop_never_writes_into_what_it_hands_out(scenario, steps):
+    # a step, and on_tick, may keep what they are given; a compiled rule
+    # program keeps its sensors and its outputs
+    programs = [COUNTS_TICKS_SINCE_MOTION, parse_source(EDGE_PROGRAMS["nested-if-memory"]),
+                parse_source(EDGE_PROGRAMS["negative-zero-broadcast"])]
+    if steps == "networks":
+        step, lanes = network_batch_step(random_genes(5, 3)), 3
+    elif steps == "rule-programs":
+        step, lanes = controller_step(scenario, [program_factory(p) for p in programs]), 3
+    else:
+        step, lanes = program_factory(programs[0]).batch_step(), 1
+    keeper = Keeper()
+
+    def on_tick(tick, sensors, commands, people):
+        keeper.keep(*sensors, *commands, *people)
+
+    _run_lanes(scenario, kept_by(keeper, step), lanes, DEFAULT_WEIGHTS, on_tick)
+    assert len(keeper.kept) == 17 * scenario.max_ticks  # 7 to and from the step, 10 to on_tick
+    assert keeper.changed() == []
+
+
 # -- compiled rule programs ------------------------------------------------------
 
 
@@ -352,6 +457,31 @@ class ConstantLight:
         return ActuatorCommand(light=self.level)
 
 
+class Broadcasts:
+    def __init__(self, level):
+        self.level = level
+
+    def act(self, reading):
+        return ActuatorCommand(light=0.5, broadcast=self.level)
+
+
+def test_signal_is_pythons_max_for_nan_and_signed_zero_broadcasts():
+    # Python's max keeps the first value unless a later one is strictly
+    # greater: a NaN counts only as a pole's first neighbour, and of -0.0
+    # and 0.0 the first wins (pole 4 hears -0.0, 0.0, -0.0, 0.0); np.maximum
+    # differs in both
+    def factory():
+        levels = iter([nan, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.75])
+        return lambda: Broadcasts(next(levels))
+
+    want = scalar_engine.run_simulation(SCENARIO1, factory(), trace=True)
+    heard = [repr(r.signal) for r in want[1][1].readings.values()]
+    assert heard == ["-0.0", "nan", "-0.0", "nan", "-0.0", "0.75", "0.0", "0.75", "-0.0"]
+    got = run_simulation(SCENARIO1, factory(), trace=True)
+    assert [repr(t) for t in got[1]] == [repr(t) for t in want[1]]
+    assert repr(got[0]) == repr(want[0])
+
+
 @pytest.mark.parametrize("level", [-0.5, 1.5])
 def test_light_is_clamped_before_the_threshold_for_any_step(level):
     # with threshold 0, a negative lamp level still moves people once
@@ -430,33 +560,45 @@ def test_relabelling_pole_ids_in_order_keeps_the_metrics(scenario, seed, data):
 # -- one forward pass for both engines ------------------------------------------
 
 
+def step_inputs(shape):
+    """Three ticks of (motion, signal, light) inputs, each (lanes, poles)."""
+    return arrays(np.float64, (3, *shape, 3), elements=st.floats(0.0, 1.0))
+
+
 @fixed(50)
 @given(
     hidden=st.sampled_from([0, 1, 6, 12]),
     seed=st.integers(0, 2**32 - 1),
-    inputs=arrays(np.float64, (5, 7, 3), elements=st.floats(0.0, 1.0)),
-    ambient=st.floats(0.0, 1.0),
+    inputs=st.sampled_from([(1, 1), (1, 7), (5, 7)]).flatmap(step_inputs),
+    ambients=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
 )
-def test_batch_step_equals_controller_act_per_pole(hidden, seed, inputs, ambient):
+@example(hidden=0, seed=0, inputs=np.full((3, 1, 1, 3), 0.25), ambients=[0.0, 0.5, 1.0])
+@example(hidden=0, seed=1, inputs=np.linspace(0.0, 1.0, 63).reshape(3, 1, 7, 3),
+         ambients=[1.0, 0.0, 0.5])
+def test_batch_step_equals_controller_act_per_pole(hidden, seed, inputs, ambients):
+    # one step over three ticks: the weight rows it lays out per pole at
+    # its first call must serve every later call
     spec = NetworkSpec(n_hidden=hidden)
-    genes = random_genes(seed, 5, spec)
-    motion = (inputs[..., 0] >= 0.5).astype(float)
-    signal, light = inputs[..., 1], inputs[..., 2]
-    out_light, out_listen, out_broadcast = (
-        np.broadcast_to(a, motion.shape)
-        for a in network_batch_step(genes, spec)(ambient, motion, signal, light)
-    )
-    for lane, g in enumerate(genes):
-        controller = NetworkController(g, spec)
-        for pole in range(motion.shape[1]):
-            command = controller.act(SensorReading(
-                ambient=ambient, motion=bool(motion[lane, pole]),
-                signal=float(signal[lane, pole]), current_light=float(light[lane, pole]),
-                ticks_since_motion=0, tick=0,
-            ))
-            assert command.light == out_light[lane, pole]
-            assert command.listen == out_listen[lane, pole]
-            assert command.broadcast == out_broadcast[lane, pole]
+    lanes = inputs.shape[1]
+    genes = random_genes(seed, lanes, spec)
+    step = network_batch_step(genes, spec)
+    controllers = [NetworkController(g, spec) for g in genes]
+    for ambient, tick_inputs in zip(ambients, inputs):
+        motion = (tick_inputs[..., 0] >= 0.5).astype(float)
+        signal, light = tick_inputs[..., 1], tick_inputs[..., 2]
+        out_light, out_listen, out_broadcast = (
+            np.broadcast_to(a, motion.shape) for a in step(ambient, motion, signal, light)
+        )
+        for lane, controller in enumerate(controllers):
+            for pole in range(motion.shape[1]):
+                command = controller.act(SensorReading(
+                    ambient=ambient, motion=bool(motion[lane, pole]),
+                    signal=float(signal[lane, pole]), current_light=float(light[lane, pole]),
+                    ticks_since_motion=0, tick=0,
+                ))
+                assert command.light == out_light[lane, pole]
+                assert command.listen == out_listen[lane, pole]
+                assert command.broadcast == out_broadcast[lane, pole]
 
 
 # -- workers ---------------------------------------------------------------------
