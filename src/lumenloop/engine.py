@@ -26,11 +26,10 @@ lane of it and can trace every tick from the loop's arrays. Routes,
 neighbours and ambient levels come from ``scenario.compiled``.
 
 A tick costs about as many microseconds as it makes numpy calls, however
-many lanes it holds, so the loop makes few. On a tick where no one can
-move (before the first start tick, or once every person of every lane is
-home) it skips the people phase (occupancy, movement and trip time),
-whose outcome is then known: no motion and no moves. The loop never
-writes into an array once it has passed it to the step or to
+many lanes it holds, so the loop makes few. Once every person of every
+lane is home it skips the people phase (occupancy, movement and trip
+time), whose outcome is then known: no motion and no moves. The loop
+never writes into an array once it has passed it to the step or to
 ``on_tick``: a step may keep references to its sensors and outputs.
 
 Parity contract: a lane's metrics do not depend on the other lanes and are
@@ -345,15 +344,14 @@ def _run_lanes(
     finished = np.zeros(position.shape, dtype=bool)
     trip_ticks = np.zeros(position.shape, dtype=np.int64)
     light_sum = np.zeros(lanes)
-    # No one can move before the first start tick or once everyone is
-    # home; those ticks skip the people phase and share these arrays.
-    first_start = plan.start_tick.min(initial=len(plan.ambient))
+    # No one moves once everyone is home; those ticks skip the people
+    # phase and share these arrays.
     no_motion = np.zeros(shape)
     no_moves = np.zeros(position.shape, dtype=bool)
-    everyone_home = False
+    everyone_home = not len(scenario.people)
 
     for tick, ambient in enumerate(plan.ambient):
-        people_phase = tick >= first_start and not everyone_home
+        people_phase = not everyone_home
         if people_phase:
             active = (plan.start_tick <= tick) & ~finished
             here = position + lane_base
@@ -373,7 +371,8 @@ def _run_lanes(
 
         sensors = (ambient, motion, signal, light)
         light, listen, broadcast = (
-            out if np.shape(out) == shape else np.broadcast_to(out, shape)
+            out if isinstance(out, np.ndarray) and out.shape == shape
+            else np.broadcast_to(out, shape)
             for out in step(*sensors)
         )
         heard[:, :n_poles] = broadcast

@@ -207,11 +207,11 @@ def test_edge_case_scenarios(people, expected_people_pct):
     assert [m.people_pct for m in got] == [expected_people_pct] * 4
 
 
-# The loop skips the people phase on ticks where no one can move: before the
-# first start tick and once everyone is home. Each scenario below has many
-# such ticks, so a skipped tick that differed from the oracle would show in
-# the motion sensor, ticks_since_motion, or a person's moved/finished flags.
-SKIPPING_SCENARIOS = {
+# Scenarios with many ticks on which no one can move: before anyone starts,
+# and once everyone is home, where the loop skips the people phase. A tick
+# that differed from the oracle would show in the motion sensor,
+# ticks_since_motion, or a person's moved/finished flags.
+IDLE_SCENARIOS = {
     "everyone-starts-in-the-last-two-ticks": scenario_from(
         [(0, 8, 28), (8, 0, 29), (4, 5, 28)], isolated_pole=True
     ),
@@ -230,9 +230,9 @@ end
 """)
 
 
-@pytest.mark.parametrize("scenario", SKIPPING_SCENARIOS.values(), ids=SKIPPING_SCENARIOS)
+@pytest.mark.parametrize("scenario", IDLE_SCENARIOS.values(), ids=IDLE_SCENARIOS)
 @pytest.mark.parametrize("controller", ["network", "rule-program"])
-def test_skipped_people_phases_are_invisible(scenario, controller):
+def test_idle_ticks_equal_the_oracle(scenario, controller):
     if controller == "network":
         genes = random_genes(13, 1)[0]
         factory = network_factory(genes, DEFAULT_NETWORK)
@@ -246,10 +246,10 @@ def test_skipped_people_phases_are_invisible(scenario, controller):
     assert run_batch(scenario, controller_step(scenario, [factory] * 3), 3) == [want[0]] * 3
 
 
-def test_the_skipping_scenarios_have_ticks_to_skip():
-    late = SKIPPING_SCENARIOS["everyone-starts-in-the-last-two-ticks"]
+def test_the_idle_scenarios_are_idle():
+    late = IDLE_SCENARIOS["everyone-starts-in-the-last-two-ticks"]
     assert min(p.start_tick for p in late.people) == late.max_ticks - 2
-    early = SKIPPING_SCENARIOS["everyone-home-by-tick-2"]
+    early = IDLE_SCENARIOS["everyone-home-by-tick-2"]
     _, traces = scalar_engine.run_simulation(early, lambda: ConstantLight(0.0), trace=True)
     assert all(person.finished for person in traces[1].people.values())
 
@@ -280,8 +280,8 @@ def kept_by(keeper, step):
     return recorded
 
 
-@pytest.mark.parametrize("scenario", [SCENARIO1, *SKIPPING_SCENARIOS.values()],
-                         ids=["scenario1", *SKIPPING_SCENARIOS])
+@pytest.mark.parametrize("scenario", [SCENARIO1, *IDLE_SCENARIOS.values()],
+                         ids=["scenario1", *IDLE_SCENARIOS])
 @pytest.mark.parametrize("steps", ["networks", "rule-programs", "one-rule-program"])
 def test_the_loop_never_writes_into_what_it_hands_out(scenario, steps):
     # a step, and on_tick, may keep what they are given; a compiled rule
@@ -494,6 +494,22 @@ def test_light_is_clamped_before_the_threshold_for_any_step(level):
             return np.full(light.shape, level), True, 0.0
 
         assert run_batch(scenario, step, 2) == [want, want]
+
+
+def test_a_step_may_return_nested_lists():
+    # a step's outputs need only be broadcastable to (lanes, poles); lists
+    # of the full shape reach the next tick and the trace as arrays
+    class ListFactory:
+        def batch_step(self):
+            def step(ambient, motion, signal, light):
+                lanes, poles = light.shape
+                return [[0.5] * poles] * lanes, [[True] * poles] * lanes, [[0.25] * poles] * lanes
+
+            return step
+
+    want = scalar_engine.run_simulation(SCENARIO1, lambda: Broadcasts(0.25), trace=True)
+    assert run_simulation(SCENARIO1, ListFactory(), trace=True) == want
+    assert run_batch(SCENARIO1, ListFactory().batch_step(), 2) == [want[0]] * 2
 
 
 def test_zero_lanes():
