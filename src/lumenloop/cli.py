@@ -140,6 +140,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                         ("--workers", args.workers)):
         _require(value >= 1, flag, ">= 1", value)
     _require(args.hidden >= 0, "--hidden", ">= 0", args.hidden)
+    _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     _require(0 <= args.elitism <= args.population, "--elitism",
              "between 0 and --population", args.elitism)
     for flag, value in (("--crossover-rate", args.crossover_rate),

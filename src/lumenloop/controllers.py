@@ -26,12 +26,7 @@ from .dsl.validator import validate_strict
 from .documents import parse_json, read_text
 from .engine import ActuatorCommand, BatchStep, ControllerFactory, SensorReading
 from .errors import UnknownBaseline
-from .neuro.network import (
-    NetworkController,
-    NetworkSpec,
-    network_batch_step,
-    parse_genome_document,
-)
+from .neuro.network import NetworkSpec, network_batch_step, parse_genome_document
 
 
 class DslController:
@@ -68,9 +63,6 @@ class _NetworkFactory:
         self.genes = np.asarray(genes, dtype=float)
         self.spec = spec
 
-    def __call__(self) -> NetworkController:
-        return NetworkController(self.genes, self.spec)
-
     def batch_step(self) -> BatchStep:
         return network_batch_step(self.genes[None], self.spec)
 
@@ -82,7 +74,8 @@ def program_factory(program: Program) -> ControllerFactory:
 
 
 def network_factory(genes, spec: NetworkSpec) -> ControllerFactory:
-    """A factory of NetworkControllers whose batch step is ``network_batch_step``."""
+    """A factory that offers only a batch step, ``network_batch_step`` over
+    one genome: a genome runs on a whole lane, never pole by pole."""
     return _NetworkFactory(genes, spec)
 
 

@@ -36,10 +36,10 @@ Parity contract: a lane's metrics do not depend on the other lanes and are
 equal (``==``) to those of the per-pole scalar loop kept as the tests'
 oracle in ``tests/scalar_engine.py``, given a step that computes each pole
 with the scalar controller's floating-point operations in the same order
-(the per-pole adapter calls it; ``neuro.network.forward`` fixes the order
-for networks, and ``dsl.compiler`` does the operations of the tests'
-tree-walking interpreter, ``tests/interpreter.py``, with numpy's float64
-ones, whether on a lane or on one pole's ``DslController``). Signal is
+(``neuro.network.forward`` fixes the order for networks, as run on one
+pole by ``tests/network_controller.py``, and ``dsl.compiler`` does the
+operations of the tests' tree-walking interpreter, ``tests/interpreter.py``,
+with numpy's float64 ones, on a lane or on one pole's ``DslController``). Signal is
 Python's ``max`` over the neighbours in document order (the first value,
 replaced only by a strictly greater one, which ``np.maximum`` is not for
 NaN and signed zeros), the light clamp and threshold are the same
@@ -91,10 +91,10 @@ class Controller(Protocol):
 
 
 ControllerFactory = Callable[[], Controller]
-"""Makes one controller per pole. A factory may also offer ``batch_step()``:
-a fresh BatchStep for one lane in which every pole gets exactly what its
-own ``factory()`` would give it. ``controller_step`` then runs the lane
-through that step."""
+"""Makes one controller per pole, or offers ``batch_step()``: a fresh
+BatchStep for one lane, which ``controller_step`` prefers. A genome's
+factory offers only that; a rule program's is also callable, with the
+same outputs, until ``benchmarks/tracing.py`` stops timing ``act``."""
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,15 @@ def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
     def columns(field: str) -> np.ndarray:
         return np.array([column[getattr(p, field)] for p in scenario.people], dtype=np.intp)
 
+    # scenario.ambient_at per tick in one walk: like ambient_at, the walk
+    # reaches an entry only once it has passed every earlier one
+    ambient, level = [], 0.0
+    for entry in scenario.ambient_schedule:
+        ambient += [level] * (min(entry.from_tick, scenario.max_ticks) - len(ambient))
+        level = entry.level
+
     return CompiledScenario(
-        ambient=tuple(scenario.ambient_at(tick) for tick in range(scenario.max_ticks)),
+        ambient=tuple(ambient + [level] * (scenario.max_ticks - len(ambient))),
         neighbor_index=neighbor_index,
         next_hop=next_hop,
         origin=columns("origin"),
@@ -291,11 +298,11 @@ class _PerPoleStep:
 def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) -> BatchStep:
     """``run_batch`` step in which every pole of lane i runs ``factories[i]``.
 
-    A factory that offers ``batch_step()`` runs its lane through that step;
-    any other factory gets one ``factories[i]()`` per pole, called through
-    ``act``, and an exception from ``act`` becomes a ControllerError naming
-    the tick and the pole. The step keeps per-pole state, so it serves one
-    ``run_batch``.
+    A factory that offers ``batch_step()``, as every resolved one does,
+    runs its lane through that step; any other gets one ``factories[i]()``
+    per pole, called through ``act``, and an exception from ``act`` becomes
+    a ControllerError naming the tick and the pole. The step keeps
+    per-pole state, so it serves one ``run_batch``.
     """
     lanes = [
         factory.batch_step() if hasattr(factory, "batch_step")

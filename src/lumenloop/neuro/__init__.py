@@ -14,10 +14,8 @@ from .evolution import (
 )
 from .network import (
     Genome,
-    NetworkController,
     NetworkSpec,
     load_genome,
-    reading_to_inputs,
     save_genome,
     sigmoid,
 )
@@ -32,10 +30,8 @@ __all__ = [
     "init_population",
     "load_genome",
     "mutate",
-    "NetworkController",
     "NetworkSpec",
     "one_point_crossover",
-    "reading_to_inputs",
     "run_evolution",
     "save_genome",
     "sigmoid",

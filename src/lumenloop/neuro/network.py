@@ -2,11 +2,11 @@
 
 One hidden layer, sigmoid activations throughout, bias on every unit. A
 genome is the flat weight vector; see split_genome for the packing order.
-``forward`` is the one implementation of the network: ``NetworkController``
-calls it for one pole, ``network_batch_step`` for every pole of a whole
-population, with bit-identical results. Both lay the weights out with
-``per_pole_rows``: one contiguous row per (input, unit) with a column per
-pole, so each layer is a few elementwise operations on long rows.
+``forward`` is the one implementation of the network, and
+``network_batch_step`` runs it for every pole of a whole population at
+once, laying the weights out with ``per_pole_rows``: one contiguous row
+per (input, unit) with a column per pole, so each layer is a few
+elementwise operations on long rows.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from ..documents import as_int, as_number, parse_json, read_text
-from ..engine import ActuatorCommand, BatchStep, SensorReading
+from ..engine import BatchStep
 from ..errors import LengthMismatch, SchemaError
 
 
-# the engine's four sensors (see reading_to_inputs) and three actuators
+# a BatchStep's four sensors (ambient, motion, signal, own light; not a rule
+# program's ticks_since_motion or tick) and its three actuators
 N_INPUTS = 4
 N_OUTPUTS = 3
 
@@ -101,58 +102,25 @@ def forward(w_hidden: np.ndarray, w_output: np.ndarray, x: np.ndarray) -> np.nda
     """Network outputs as an (N_OUTPUTS, columns) array, a row per output.
 
     ``w_hidden`` and ``w_output`` come from per_pole_rows, and ``x`` is an
-    (N_INPUTS, columns) array: the inputs in reading_to_inputs order, a
-    column per pole. Every array operation runs along contiguous rows of
-    columns. Each output element goes through the same operations in the
-    same order however many genomes and poles are computed together, so
-    the result for one (genome, inputs) pair never depends on the rest of
-    the batch.
+    (N_INPUTS, columns) array: the sensors in N_INPUTS order, a column per
+    pole. Every array operation runs along contiguous rows of columns.
+    Each output element goes through the same operations in the same
+    order however many genomes and poles are computed together, so the
+    result for one (genome, inputs) pair never depends on the rest of the
+    batch. A sum past the float range is ±inf, which sigmoid maps to
+    exactly 1 or 0: the defined result, so overflow is not warned about.
     """
-    return _layer(w_output, _layer(w_hidden, x))
-
-
-def reading_to_inputs(reading: SensorReading) -> np.ndarray:
-    """Sensor vector fed to the network, all components in [0, 1].
-
-    Deliberately the minimal set (ambient, motion, signal, own light); the
-    rule language additionally sees ticks_since_motion and tick.
-    """
-    return np.array(
-        [
-            reading.ambient,
-            1.0 if reading.motion else 0.0,
-            reading.signal,
-            reading.current_light,
-        ],
-        dtype=float,
-    )
-
-
-class NetworkController:
-    """Engine adapter: outputs are (light, listen, broadcast)."""
-
-    def __init__(self, genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK):
-        # one lane of one pole: the batch step's layout with one column
-        self._w_hidden, self._w_output = (
-            per_pole_rows(w[None], 1) for w in split_genome(spec, genes)
-        )
-
-    def act(self, reading: SensorReading) -> ActuatorCommand:
-        (light,), (listen,), (broadcast,) = forward(
-            self._w_hidden, self._w_output, reading_to_inputs(reading)[:, None]
-        )
-        return ActuatorCommand(
-            light=float(light), listen=bool(listen >= 0.5), broadcast=float(broadcast)
-        )
+    with np.errstate(over="ignore"):
+        return _layer(w_output, _layer(w_hidden, x))
 
 
 def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -> BatchStep:
-    """``engine.run_batch`` step in which lane i runs NetworkController(genes[i]).
+    """``engine.run_batch`` step in which every pole of lane i runs genome
+    ``genes[i]`` (``forward``; listen is output 1 >= 0.5).
 
     ``genes`` is a (lanes, genome_length) stack. The step lays the weights
     out per pole (per_pole_rows) at its first call, when the pole count is
-    known, so it serves one ``run_batch``. Every pole of lane i gets the
-    same outputs as ``NetworkController(genes[i]).act``, bit for bit.
+    known, so it serves one ``run_batch``.
     """
     w_hidden, w_output = split_genome(spec, genes)
     rows = None

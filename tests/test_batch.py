@@ -8,10 +8,12 @@ scenarios and on small generated ones, whatever the other lanes hold; and
 traces. Lanes run networks through ``network_batch_step``, rule programs
 through their compiled step (``dsl.compiler``) and any other controller
 through ``controller_step``'s per-pole adapter; the oracle runs every rule
-program through the tests' tree-walking interpreter (``interpreter.py``),
-never through a package factory's controller. Metamorphic relations over
-generated scenarios check what no oracle can: ranges, monotonicity in the
-light level, and that pole ids matter only through their order.
+program through the tests' tree-walking interpreter (``interpreter.py``)
+and every genome through the tests' per-pole network
+(``network_controller.py``), never through a package factory's
+controller. Metamorphic relations over generated scenarios check what no
+oracle can: ranges, monotonicity in the light level, and that pole ids
+matter only through their order.
 """
 
 import copy
@@ -30,6 +32,7 @@ from hypothesis.extra.numpy import arrays
 import scalar_engine
 from genprog import rand_program
 from interpreter import interpreter_factory
+from network_controller import NetworkController
 from lumenloop.controllers import (
     DslController,
     network_factory,
@@ -53,10 +56,10 @@ from lumenloop.neuro.evolution import evaluate_population, simulation_objective
 from lumenloop.neuro.network import (
     DEFAULT_NETWORK,
     Genome,
-    NetworkController,
     NetworkSpec,
     load_genome,
     network_batch_step,
+    save_genome,
 )
 from lumenloop.scenario import PoleSpec, _grid_document, builtin_scenario, parse_scenario
 
@@ -398,6 +401,20 @@ def test_a_mixed_compare_stack_equals_the_per_lane_oracle():
     ]
     want = [scalar_engine.run_simulation(scenario, f) for f in oracles]
     assert run_batch(scenario, controller_step(scenario, factories), 3) == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_saturating_genome_runs_without_warnings(tmp_path):
+    # finite genes whose sums pass the float range: each saturates to
+    # +-inf, which sigmoid maps to exactly 1 or 0, with no overflow warning
+    genes = np.random.default_rng(5).choice([-1e308, 1e308], DEFAULT_NETWORK.genome_length)
+    path = tmp_path / "huge.json"
+    save_genome(path, Genome(genes=genes))
+    factory = resolve_controller(str(path)).factory
+    want = scalar_engine.run_simulation(SCENARIO2, lambda: NetworkController(genes), trace=True)
+    assert run_simulation(SCENARIO2, factory, trace=True) == want
+    lights = {c.light for t in want[1] for c in t.commands.values()}
+    assert lights == {0.0, 1.0}
 
 
 def test_dsl_controllers_through_act_equal_the_compiled_step():

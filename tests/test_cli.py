@@ -113,6 +113,7 @@ def test_simulate_bad_weights(capsys):
             ("--generations", "0"),
             ("--tournament", "0"),
             ("--hidden", "-1"),
+            ("--seed", "-1"),
             ("--elitism", "-1"),
             ("--elitism", "3"),
             ("--crossover-rate", "-0.5"),
@@ -144,11 +145,14 @@ def test_simulate_bad_weights(capsys):
     ["fitness-check", "--tolerance", "nan"],
     ["fitness-check", "--tolerance", "-1"],
 ])
-def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+def test_out_of_range_numbers_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert argv[-2] in err[0]
+    # checked before any work starts: no manifest or other output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_faulting_controller_is_a_usage_error(capsys, monkeypatch):

@@ -9,12 +9,7 @@ from lumenloop.controllers import DslController, program_factory, resolve_contro
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import SensorReading
 from lumenloop.errors import ParseError, UnknownBaseline, ValidationError
-from lumenloop.neuro.network import (
-    DEFAULT_NETWORK,
-    Genome,
-    NetworkController,
-    save_genome,
-)
+from lumenloop.neuro.network import DEFAULT_NETWORK, Genome, save_genome
 
 
 def reading(**kw):
@@ -71,10 +66,17 @@ def test_genome_file_resolves(tmp_path):
     save_genome(path, Genome(genes=genes, fitness=12.5), DEFAULT_NETWORK)
     resolved = resolve_controller(str(path))
     assert resolved.label == "net"
-    controller = resolved.factory()
-    assert isinstance(controller, NetworkController)
-    cmd = controller.act(reading())
-    assert cmd.light == 0.5  # all-zero weights sigmoid to exactly one half
+    # a genome runs only as a batch step, here one lane of five poles
+    assert not callable(resolved.factory)
+    step = resolved.factory.batch_step()
+    motion = np.array([[0.0, 1.0, 0.0, 1.0, 0.0]])
+    signal = np.array([[0.0, 0.25, 1.0, 0.5, 0.0]])
+    light = np.array([[0.0, 0.0, 0.75, 1.0, 0.5]])
+    out_light, listen, broadcast = step(0.5, motion, signal, light)
+    # all-zero weights sigmoid to exactly one half, and listen is >= 0.5
+    assert out_light.tolist() == [[0.5] * 5]
+    assert listen.tolist() == [[True] * 5]
+    assert broadcast.tolist() == [[0.5] * 5]
 
 
 def test_missing_pathlike_file_raises_oserror(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from imitation import imitation_objective
+from network_controller import NetworkController, reading_to_inputs
 from lumenloop.engine import SensorReading
 from lumenloop.errors import LengthMismatch, SchemaError
 from lumenloop.neuro.evolution import (
@@ -22,10 +23,8 @@ from lumenloop.neuro.evolution import (
 from lumenloop.neuro.network import (
     DEFAULT_NETWORK,
     Genome,
-    NetworkController,
     NetworkSpec,
     load_genome,
-    reading_to_inputs,
     save_genome,
     sigmoid,
     split_genome,

@@ -1,13 +1,18 @@
 """Scenario schema, validation, graph helpers, and the built-in grids."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lumenloop.engine import compile_scenario
 from lumenloop.errors import SchemaError, ValidationError
 from lumenloop.scenario import (
     BUILTIN_SCENARIOS,
     MAX_TICKS,
+    AmbientEntry,
     builtin_scenario,
     builtin_scenario_document,
     distances_to,
@@ -212,6 +217,27 @@ def test_ambient_at_steps():
     assert spec.ambient_at(9) == 0.3
     assert spec.ambient_at(10) == 0.8
     assert spec.ambient_at(59) == 0.8
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    max_ticks=st.integers(1, 60),
+    schedule=st.lists(
+        st.builds(AmbientEntry, st.integers(-2, 70), st.floats(0.0, 1.0)), max_size=8
+    ),
+    ordered=st.booleans(),
+)
+def test_compiled_ambient_equals_ambient_at(max_ticks, schedule, ordered):
+    # ambient_at defines the level per tick; the engine's table is built in
+    # one walk. Unordered and repeated from_ticks, which validation
+    # rejects, are checked too: the walk must stop where ambient_at stops.
+    if ordered:
+        schedule.sort(key=lambda entry: entry.from_tick)
+    spec = replace(builtin_scenario("scenario1"), max_ticks=max_ticks,
+                   ambient_schedule=tuple(schedule))
+    assert compile_scenario(spec).ambient == tuple(
+        spec.ambient_at(tick) for tick in range(max_ticks)
+    )
 
 
 def test_distances_and_paths():
