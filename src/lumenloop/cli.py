@@ -30,18 +30,6 @@ from .fitness import (
     SimulationMetrics,
     compute_fitness,
 )
-from .loop import (
-    ENV_API_KEY,
-    HttpProvider,
-    LoopConfig,
-    STATUS_PROVIDER_FAILURE,
-    STATUS_THRESHOLD_MET,
-    load_calibration,
-    load_replay_script,
-    run_loop,
-    stub_evaluator,
-)
-from .loop.providers import DEFAULT_MODEL
 from .neuro import EvolutionConfig, NetworkSpec, run_evolution, save_genome
 from .scenario import BUILTIN_SCENARIOS, load_scenario
 
@@ -68,6 +56,11 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
     """Reject an out-of-range command line value (exit 2, no traceback)."""
     if not ok:
         raise SchemaError(f"{flag} must be {rule}, got {value}")
+
+
+def _require_nonempty(flag: str, value: str | None) -> None:
+    """Reject an empty name or path, which Path('') would read as '.'."""
+    _require(value != "", flag, "a non-empty name or path", "''")
 
 
 def _write_manifest(path: str, command: str, config: dict, outputs: list[str]) -> None:
@@ -103,6 +96,8 @@ def _comparison_row(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
+    _require_nonempty("--scenario", args.scenario)
+    _require_nonempty("--controller", args.controller)
     scenario = load_scenario(args.scenario)
     resolved = resolve_controller(args.controller)
     outputs = [args.trace] if args.trace else []
@@ -148,6 +143,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         _require(0.0 <= value <= 1.0, flag, "in [0, 1]", value)
     _require(0.0 <= args.mutation_sigma < math.inf, "--mutation-sigma",
              "finite and >= 0", args.mutation_sigma)
+    _require_nonempty("--scenario", args.scenario)
     scenario = load_scenario(args.scenario)
     config = EvolutionConfig(
         population_size=args.population,
@@ -210,6 +206,20 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_gpt_loop(args: argparse.Namespace) -> int:
+    # Only this command runs the loop package, so only it imports it.
+    from .loop import (
+        DEFAULT_MODEL,
+        ENV_API_KEY,
+        HttpProvider,
+        LoopConfig,
+        STATUS_PROVIDER_FAILURE,
+        STATUS_THRESHOLD_MET,
+        load_calibration,
+        load_replay_script,
+        run_loop,
+        stub_evaluator,
+    )
+
     weights = _parse_weights(args.weights)
     _require(math.isfinite(args.threshold), "--threshold", "finite", args.threshold)
     _require(args.max_iterations >= 1, "--max-iterations", ">= 1", args.max_iterations)
@@ -218,6 +228,10 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
     _require(0.0 < args.timeout < math.inf, "--timeout", "finite and > 0", args.timeout)
     _require(0.0 <= args.temperature < math.inf, "--temperature", "finite and >= 0",
              args.temperature)
+    for flag, value in (("--scenario", args.scenario), ("--replay", args.replay),
+                        ("--stub-metrics", args.stub_metrics)):
+        _require_nonempty(flag, value)
+    model = DEFAULT_MODEL if args.model is None else args.model
     scenario = load_scenario(args.scenario)
     if args.replay is None and not os.environ.get(ENV_API_KEY):
         print(
@@ -230,8 +244,8 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
         fitness_threshold=args.threshold,
         max_iterations=args.max_iterations,
         max_repair_attempts=args.max_repair_attempts,
-        provider="replay" if args.replay else "http",
-        model=args.model,
+        provider="http" if args.replay is None else "replay",
+        model=model,
         temperature=args.temperature,
         timeout=args.timeout,
         scenario=args.scenario,
@@ -247,14 +261,14 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
         },
         [args.transcript, args.out],
     )
-    if args.replay:
-        provider = load_replay_script(args.replay)
-    else:
+    if args.replay is None:
         provider = HttpProvider.from_env(
-            model=args.model, temperature=args.temperature, timeout=args.timeout
+            model=model, temperature=args.temperature, timeout=args.timeout
         )
+    else:
+        provider = load_replay_script(args.replay)
     evaluator = None
-    if args.stub_metrics:
+    if args.stub_metrics is not None:
         evaluator = stub_evaluator(load_calibration(args.stub_metrics))
     transcript = run_loop(
         config, provider, scenario, evaluator=evaluator,
@@ -298,6 +312,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     scenario_refs = args.scenario or list(BUILTIN_SCENARIOS)
     controller_refs = args.controller or list(DEFAULT_COMPARE_CONTROLLERS)
+    for flag, refs in (("--scenario", scenario_refs), ("--controller", controller_refs)):
+        for ref in refs:
+            _require_nonempty(flag, ref)
     scenarios = [load_scenario(ref) for ref in scenario_refs]
     controllers = [resolve_controller(ref) for ref in controller_refs]
     _write_manifest(
@@ -351,6 +368,7 @@ def _load_check_table(path: str | None) -> list[tuple[str, float, float, float, 
 def cmd_fitness_check(args: argparse.Namespace) -> int:
     _require(0.0 <= args.tolerance < math.inf, "--tolerance", "finite and >= 0",
              args.tolerance)
+    _require_nonempty("--table", args.table)
     _write_manifest(
         args.manifest,
         "fitness-check",
@@ -441,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="scenario1")
     p.add_argument("--replay", default=None,
                    help="JSONL of scripted responses instead of live HTTP")
-    p.add_argument("--model", default=DEFAULT_MODEL)
+    p.add_argument("--model", default=None,
+                   help="model name (default: the loop's DEFAULT_MODEL)")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--threshold", type=float, default=62.0)

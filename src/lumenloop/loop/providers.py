@@ -1,9 +1,10 @@
 """Chat-completion providers.
 
-HttpProvider talks to an OpenAI-style /chat/completions endpoint.
-ReplayProvider replays canned responses so loops run offline and
-deterministically; it also logs every request it receives, which is what
-the loop tests assert prompt contents against.
+HttpProvider talks to an OpenAI-style /chat/completions endpoint; it is
+the only code that imports ``requests``, and only when it runs, so every
+other command starts without it. ReplayProvider replays canned responses
+so loops run offline and deterministically; it also logs every request it
+receives, which is what the loop tests assert prompt contents against.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Protocol
-
-import requests
+from typing import TYPE_CHECKING, Protocol
 
 from ..documents import parse_json, read_text
 from ..errors import (
@@ -23,6 +22,9 @@ from ..errors import (
     SchemaError,
     ScriptExhausted,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 ENV_API_KEY = "LUMENLOOP_API_KEY"
 ENV_API_BASE = "LUMENLOOP_API_BASE"
@@ -57,7 +59,11 @@ class HttpProvider:
         self.model = model
         self.temperature = temperature
         self.timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
         self._session.headers["Authorization"] = f"Bearer {api_key}"
 
     @classmethod
@@ -69,6 +75,8 @@ class HttpProvider:
         return cls(api_key=api_key, **kwargs)
 
     def complete(self, messages: list[Message]) -> str:
+        import requests
+
         payload = {
             "model": self.model,
             "messages": messages,

@@ -342,6 +342,15 @@ def test_gpt_loop_without_provider(capsys):
     assert "--replay" in err
 
 
+def test_gpt_loop_model_flag_reaches_the_manifest(capsys, fixture_dir):
+    # the default model is pinned by the golden manifest
+    assert main(["gpt-loop", "--replay", str(fixture_dir / "three_iter.jsonl"),
+                 "--stub-metrics", str(fixture_dir / "calibration_stub.json"),
+                 "--model", "other"]) == EXIT_OK
+    capsys.readouterr()
+    assert read_manifest("gpt-loop-manifest.json")["config"]["model"] == "other"
+
+
 def test_gpt_loop_manifest_written_before_work(capsys):
     # replay path is bad, but the manifest must already be on disk
     assert main(["gpt-loop", "--replay", "no-such-script.jsonl"]) == EXIT_USAGE
@@ -378,6 +387,38 @@ def test_compare_explicit_selection(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("scenario2,iteration3,")
+
+
+# -- every command ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", ""],
+    ["simulate", "--controller", ""],
+    ["evolve", "--scenario", ""],
+    ["gpt-loop", "--scenario", ""],
+    ["gpt-loop", "--replay", ""],
+    ["gpt-loop", "--replay", str(Path(__file__).parent / "fixtures" / "three_iter.jsonl"),
+     "--stub-metrics", ""],
+    ["compare", "--scenario", ""],
+    ["compare", "--controller", "always_on", "--controller", ""],
+    ["fitness-check", "--table", ""],
+])
+def test_empty_names_and_paths_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
+    # Path("") is ".", which used to surface as "Is a directory: '.'"; and
+    # with a key set, an empty --replay went live and an empty
+    # --stub-metrics fell back to simulation
+    monkeypatch.setenv("LUMENLOOP_API_KEY", "sk-test")
+    built = []
+    monkeypatch.setattr("lumenloop.loop.HttpProvider.from_env",
+                        lambda **kwargs: built.append("http"))
+    monkeypatch.setattr("lumenloop.loop.load_replay_script",
+                        lambda path: built.append("replay"))
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {argv[-2]} must be a non-empty name or path, got ''"]
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- fitness-check -----------------------------------------------------------
