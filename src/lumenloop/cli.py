@@ -96,8 +96,9 @@ def _comparison_row(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    _require_nonempty("--scenario", args.scenario)
-    _require_nonempty("--controller", args.controller)
+    for flag, value in (("--scenario", args.scenario), ("--controller", args.controller),
+                        ("--trace", args.trace)):
+        _require_nonempty(flag, value)
     scenario = load_scenario(args.scenario)
     resolved = resolve_controller(args.controller)
     outputs = [args.trace] if args.trace else []
@@ -143,7 +144,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         _require(0.0 <= value <= 1.0, flag, "in [0, 1]", value)
     _require(0.0 <= args.mutation_sigma < math.inf, "--mutation-sigma",
              "finite and >= 0", args.mutation_sigma)
-    _require_nonempty("--scenario", args.scenario)
+    for flag, value in (("--scenario", args.scenario), ("--out", args.out),
+                        ("--log", args.log)):
+        _require_nonempty(flag, value)
     scenario = load_scenario(args.scenario)
     config = EvolutionConfig(
         population_size=args.population,
@@ -229,7 +232,8 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
     _require(0.0 <= args.temperature < math.inf, "--temperature", "finite and >= 0",
              args.temperature)
     for flag, value in (("--scenario", args.scenario), ("--replay", args.replay),
-                        ("--stub-metrics", args.stub_metrics)):
+                        ("--stub-metrics", args.stub_metrics),
+                        ("--transcript", args.transcript), ("--out", args.out)):
         _require_nonempty(flag, value)
     model = DEFAULT_MODEL if args.model is None else args.model
     scenario = load_scenario(args.scenario)
@@ -501,6 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_nonempty("--manifest", args.manifest)  # every command writes one
         return args.func(args)
     except (LumenloopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,22 +7,31 @@ which every pole of every lane runs the program over (lanes, poles) arrays;
 ``controllers.DslController`` runs the same closures on one pole's scalar
 readings. Both go through ``_ProgramStep.run``.
 
-The lowering is if-conversion: a condition becomes a boolean mask over the
-poles, both branches run, each under its own mask, and an assignment keeps
-the old value where its mask is false (``np.where(mask, value, old)``).
+The step holds one mapping of the current values: the ``mem.*`` slots
+and the light, listen and broadcast written so far. An ``if`` whose
+condition differs between poles runs each branch over every pole, the
+then branch on a copy of the mapping and the else branch on the mapping
+itself, and merges them at the join: each target written in either branch
+gets one ``np.where(taken, then_value, else_value)``, and the set of those
+targets is known at compile time. Every operation is elementwise, so a
+pole's merged value is exactly what the branch it takes computes for it;
+no array is ever written in place, so a shallow copy is enough. A
+condition that is one value for every pole runs only the branch taken.
 Expressions have no side effects, so evaluating both branches, and both
 sides of ``and``/``or``, changes nothing. The language's rules: division by
 zero gives 0, a non-finite result collapses to 0 at each arithmetic
-operator and at each assignment, light and broadcast clamp to [0, 1] by two
-comparisons (so -0.0 stays -0.0), listen is ``value >= 0.5``, an unknown
-identifier reads 0, an unknown target is not written, reading ``light``
-gives the sensor (the lamp's level at the start of the tick), and an
-actuator a tick does not assign keeps its last value. numpy's float64
-operations round as Python's floats do.
+operator and at each assignment (a value already known to be finite, an
+arithmetic result or a memory read, skips the check there), light and
+broadcast clamp to [0, 1] by two comparisons (so -0.0 stays -0.0),
+listen is ``value >= 0.5``, an unknown identifier reads 0, an unknown
+target is not written, reading ``light`` gives the sensor (the lamp's
+level at the start of the tick), and an actuator a tick does not assign
+keeps its last value. numpy's float64 operations round as Python's
+floats do.
 
-A closure takes the step, which holds the tick's sensors, the memory
-slots and the actuator values so far. A subtree without sensors or memory
-is folded to its value at compile time, by the same operations.
+A closure takes the step, which holds the tick's sensors and the values.
+A subtree without sensors or memory is folded to its value at compile
+time, by the same operations.
 """
 
 from __future__ import annotations
@@ -52,9 +61,9 @@ from .nodes import (
 
 # A compiled expression or condition is either its constant value or a
 # closure from the step to its value (a scalar or an array of the step's
-# shape); a compiled statement is a closure over the step and the mask of
-# poles it runs for (None for all of them).
-Run = Callable[["_ProgramStep", object], None]
+# shape); a compiled statement is a closure over the step that sets values
+# in ``step.values``.
+Run = Callable[["_ProgramStep"], None]
 
 
 def _total(value):
@@ -104,9 +113,9 @@ def _expr(node, names: set[str]):
         names.add(node.name)
         return attrgetter(node.name)  # the step holds each sensor by its name
     if isinstance(node, MemRef):
-        name = node.name
-        names.add("mem." + name)
-        return lambda step: step.memory[name]
+        target = "mem." + node.name
+        names.add(target)
+        return lambda step: step.values[target]
     if isinstance(node, Neg):
         return _apply(np.negative, _expr(node.operand, names))
     if isinstance(node, BinOp):
@@ -132,66 +141,79 @@ def _cond(node, names: set[str]):
     raise TypeError(f"not a condition node: {node!r}")
 
 
-def _level(value):
-    return _clamp01(_total(value))
-
-
 def _listen(value):
-    return _total(value) >= 0.5
+    return value >= 0.5
 
 
-def _assignment(node: Assignment, names: set[str]) -> Run | None:
+def _finite(node) -> bool:
+    """Whether an expression is finite whatever the sensors read: an
+    arithmetic result (each operator makes its own total), a memory read
+    (every memory write is total), or the negation of one."""
+    while isinstance(node, Neg):
+        node = node.operand
+    return isinstance(node, (BinOp, MemRef))
+
+
+def _assignment(node: Assignment, names: set[str], written: set[str]) -> Run | None:
     target = node.target
     if target.startswith("mem."):
-        slots, name, finish = "memory", target[4:], _total
         names.add(target)
-    elif target in ("light", "broadcast"):
-        slots, name, finish = "outputs", target, _level
-    elif target == "listen":
-        slots, name, finish = "outputs", target, _listen
-    else:
+    elif target not in ("light", "listen", "broadcast"):
         return None  # other targets are validation errors; writing them is a no-op
-    value = _apply(finish, _expr(node.value, names))
+    written.add(target)
+    value = _expr(node.value, names)
+    if not _finite(node.value):  # a bare sensor may read NaN or +-inf
+        value = _apply(_total, value)
+    if target == "listen":
+        value = _apply(_listen, value)
+    elif not target.startswith("mem."):
+        value = _apply(_clamp01, value)
 
-    def run(step, mask):
-        new = value(step) if callable(value) else value
-        held = getattr(step, slots)
-        held[name] = new if mask is None else np.where(mask, new, held[name])
+    def run(step):
+        step.values[target] = value(step) if callable(value) else value
 
     return run
 
 
-def _if(node: If, names: set[str]) -> Run:
+def _if(node: If, names: set[str], written: set[str]) -> Run:
     condition = _cond(node.condition, names)
-    then_run = _block(node.then_body, names)
-    else_run = _block(node.else_body or (), names)
+    targets: set[str] = set()  # written in either branch
+    then_run = _block(node.then_body, names, targets)
+    else_run = _block(node.else_body or (), names, targets)
+    written.update(targets)
+    merged = sorted(targets)
 
-    def run(step, mask):
+    def run(step):
         taken = condition(step) if callable(condition) else condition
         if np.ndim(taken) == 0:  # every pole takes the same branch
-            (then_run if taken else else_run)(step, mask)
+            (then_run if taken else else_run)(step)
             return
-        then_run(step, taken if mask is None else mask & taken)
-        not_taken = ~taken
-        else_run(step, not_taken if mask is None else mask & not_taken)
+        values = step.values
+        step.values = dict(values)
+        then_run(step)
+        then_values, step.values = step.values, values
+        else_run(step)
+        for target in merged:
+            values[target] = np.where(taken, then_values[target], values[target])
 
     return run
 
 
-def _statement(node: Statement, names: set[str]) -> Run | None:
+def _statement(node: Statement, names: set[str], written: set[str]) -> Run | None:
     if isinstance(node, Assignment):
-        return _assignment(node, names)
+        return _assignment(node, names, written)
     if isinstance(node, If):
-        return _if(node, names)
+        return _if(node, names, written)
     raise TypeError(f"not a statement node: {node!r}")
 
 
-def _block(statements, names: set[str]) -> Run:
-    runs = [run for run in (_statement(s, names) for s in statements) if run is not None]
+def _block(statements, names: set[str], written: set[str]) -> Run:
+    runs = [run for run in (_statement(s, names, written) for s in statements)
+            if run is not None]
 
-    def run(step, mask):
+    def run(step):
         for statement in runs:
-            statement(step, mask)
+            statement(step)
 
     return run
 
@@ -202,8 +224,8 @@ class CompiledProgram:
     def __init__(self, program: Program):
         names: set[str] = set()  # sensors read and memory slots used
         with np.errstate(all="ignore"):  # constant folding may overflow
-            self._run = _block(program.statements, names)
-        self._memory = sorted(n[4:] for n in names if n.startswith("mem."))
+            self._run = _block(program.statements, names, set())
+        self._memory = sorted(n for n in names if n.startswith("mem."))
         self._counts_motion = "ticks_since_motion" in names
 
     def batch_step(self) -> BatchStep:
@@ -213,14 +235,15 @@ class CompiledProgram:
 
 
 class _ProgramStep:
-    """Per-pole state of one run: memory slots, the last light, listen and
-    broadcast values, the ticks-since-motion counters and the tick. Each
-    starts as a scalar and becomes an array once a tick writes it per pole.
-    Called with a lane's arrays it is a ``run_batch`` step; ``run`` alone is
-    one tick on given sensors, which is all a single pole needs."""
+    """Per-pole state of one run: the values (memory slots and the last
+    light, listen and broadcast), the ticks-since-motion counters and the
+    tick. Each value starts as a scalar and becomes an array once a tick
+    writes it per pole. Called with a lane's arrays it is a ``run_batch``
+    step; ``run`` alone is one tick on given sensors, which is all a single
+    pole needs."""
 
     __slots__ = (
-        "_run", "_counts_motion", "_since", "_tick", "memory", "outputs",
+        "_run", "_counts_motion", "_since", "_tick", "values",
         "ambient", "motion", "moving", "signal", "light", "ticks_since_motion", "tick",
     )
 
@@ -229,8 +252,14 @@ class _ProgramStep:
         self._counts_motion = counts_motion  # only a program that reads them
         self._since = TICKS_SINCE_MOTION_CAP  # no motion observed yet
         self._tick = 0
-        self.memory = dict.fromkeys(memory, 0.0)
-        self.outputs = {"light": 0.0, "listen": True, "broadcast": 0.0}
+        self.values = dict.fromkeys(memory, 0.0)
+        self.values.update(light=0.0, listen=True, broadcast=0.0)
+
+    @property
+    def memory(self) -> dict:
+        """The memory slots' values by name (``mem.`` left off)."""
+        return {key[4:]: value for key, value in self.values.items()
+                if key.startswith("mem.")}
 
     def __call__(self, ambient, motion, signal, light):
         since = None  # read only by a program that counts it
@@ -249,6 +278,6 @@ class _ProgramStep:
         self.ticks_since_motion, self.tick = ticks_since_motion, tick
         self.moving = motion == 1.0
         with np.errstate(all="ignore"):
-            self._run(self, None)
-        outputs = self.outputs
-        return outputs["light"], outputs["listen"], outputs["broadcast"]
+            self._run(self)
+        values = self.values
+        return values["light"], values["listen"], values["broadcast"]

@@ -20,7 +20,7 @@ import copy
 import random
 import sys
 from dataclasses import replace
-from math import nan
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from hypothesis.extra.numpy import arrays
 
 import scalar_engine
 from genprog import rand_program
-from interpreter import interpreter_factory
+from interpreter import InterpreterController, interpreter_factory
 from network_controller import NetworkController
 from lumenloop.controllers import (
     DslController,
@@ -322,6 +322,57 @@ def test_rule_programs_equal_the_scalar_engine(scenario, seed):
     assert [run_simulation(scenario, f, trace=True) for f in factories] == want
     lanes = run_batch(scenario, controller_step(scenario, factories), len(factories))
     assert lanes == [metrics for metrics, _ in want]
+
+
+# sensor readings no scenario gives: not-a-number, infinities, a signed
+# zero, a value whose products overflow, and ordinary ones
+UNUSUAL_READINGS = (nan, inf, -inf, -0.0, 0.0, 1e308, -1e308, 0.25, 0.5, 1.0, 3.0, 12.0)
+
+
+def unusual_readings(shape):
+    """Four ticks of (ambient, signal, light, ticks_since_motion, tick)
+    readings, each (lanes, poles), and of motion flags."""
+    readings = arrays(np.float64, (4, 5, *shape), elements=st.sampled_from(UNUSUAL_READINGS))
+    motion = arrays(np.float64, (4, *shape), elements=st.sampled_from((0.0, 1.0)))
+    return st.tuples(readings, motion)
+
+
+@fixed(150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ticks=st.sampled_from([(1, 1), (1, 5), (3, 4)]).flatmap(unusual_readings),
+    tick_per_pole=st.booleans(),
+)
+def test_compiled_steps_equal_the_interpreter_on_unusual_readings(seed, ticks, tick_per_pole):
+    # every pole runs the program on its own readings, so conditions differ
+    # between poles and both branches of an if run and merge; the tick is
+    # a reading per pole, or one value for all of them (as in a simulation,
+    # where a condition on the tick alone takes one branch for every pole)
+    program = rand_program(random.Random(seed))
+    readings, motions = ticks
+    shape = motions.shape[1:]
+    step = program_factory(program).batch_step()
+    controllers = np.array([[InterpreterController(program) for _ in range(shape[1])]
+                            for _ in range(shape[0])], dtype=object)
+    for n, ((ambient, signal, light, since, tick), motion) in enumerate(zip(readings, motions)):
+        tick = tick if tick_per_pole else tick[0, 0]
+        got = [np.broadcast_to(value, shape)
+               for value in step.run(ambient, motion, signal, light, since, tick)]
+        memory = {name: np.broadcast_to(value, shape) for name, value in step.memory.items()}
+        for (lane, pole), controller in np.ndenumerate(controllers):
+            want = controller.act(SensorReading(
+                ambient=float(ambient[lane, pole]), motion=bool(motion[lane, pole] == 1.0),
+                signal=float(signal[lane, pole]), current_light=float(light[lane, pole]),
+                ticks_since_motion=float(since[lane, pole]),
+                tick=float(np.broadcast_to(tick, shape)[lane, pole]),
+            ))
+            where = (n, lane, pole)
+            assert repr(float(got[0][lane, pole])) == repr(want.light), where
+            assert bool(got[1][lane, pole]) is want.listen, where
+            assert repr(float(got[2][lane, pole])) == repr(want.broadcast), where
+            for name, value in memory.items():
+                assert repr(float(value[lane, pole])) == repr(
+                    controller.ctx.memory.get(name, 0.0)), (where, name)
 
 
 def _with_unknown_ref():

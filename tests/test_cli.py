@@ -421,6 +421,34 @@ def test_empty_names_and_paths_are_usage_errors(capsys, monkeypatch, tmp_path, a
     assert list(tmp_path.iterdir()) == []
 
 
+REPLAYED = ["gpt-loop", "--replay", str(Path(__file__).parent / "fixtures" / "three_iter.jsonl"),
+            "--stub-metrics", str(Path(__file__).parent / "fixtures" / "calibration_stub.json")]
+EVOLVED = ["evolve", "--generations", "1", "--population", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trace", ""],
+    ["simulate", "--manifest", ""],
+    [*EVOLVED, "--out", ""],
+    [*EVOLVED, "--log", ""],
+    [*EVOLVED, "--manifest", ""],
+    [*REPLAYED, "--transcript", ""],
+    [*REPLAYED, "--out", ""],
+    [*REPLAYED, "--manifest", ""],
+    ["compare", "--manifest", ""],
+    ["fitness-check", "--manifest", ""],
+])
+def test_empty_output_paths_are_usage_errors(capsys, tmp_path, argv):
+    # Path("") is ".": evolve ran the whole GA and wrote its manifest and
+    # log before failing on "Is a directory: '.'", and an empty --trace
+    # wrote no trace with exit 0
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing ran: no CSV row, summary or generation line
+    assert err.splitlines() == [f"error: {argv[-2]} must be a non-empty name or path, got ''"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- fitness-check -----------------------------------------------------------
 
 
