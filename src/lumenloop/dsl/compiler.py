@@ -1,48 +1,57 @@
-"""Rule programs compiled to closures: the package's one implementation of
-the rule language.
+"""Rule programs compiled to generated Python: the package's one
+implementation of the rule language.
 
-``CompiledProgram`` turns a program's AST, once, into closures over numpy
-values. ``CompiledProgram.batch_step`` gives an ``engine.run_batch`` step in
-which every pole of every lane runs the program over (lanes, poles) arrays;
-``controllers.DslController`` runs the same closures on one pole's scalar
-readings. Both go through ``_ProgramStep.run``.
+``CompiledProgram`` lowers a program's AST, once, to the source of one
+straight-line function, ``run(<sensors>, values)``, and compiles it. Each
+operator becomes one assignment of a numpy call to a fresh local, and so
+does each step of the language's rules (the check for a finite value, the
+clamp, the listen threshold); nothing nests, so no program reaches
+CPython's limits on nested parentheses or indentation. ``values`` is the
+tuple of the program's state: the ``mem.*`` slots and the light, listen
+and broadcast written so far. The function unpacks it into locals and
+returns it. ``CompiledProgram.batch_step`` gives an ``engine.run_batch``
+step in which every pole of every lane runs the program over (lanes,
+poles) arrays; ``controllers.DslController`` runs the same function on
+one pole's scalar readings. Both go through ``_ProgramStep.run``.
 
-The step holds one mapping of the current values: the ``mem.*`` slots
-and the light, listen and broadcast written so far. An ``if`` whose
-condition differs between poles runs each branch over every pole, the
-then branch on a copy of the mapping and the else branch on the mapping
-itself, and merges them at the join: each target written in either branch
-gets one ``np.where(taken, then_value, else_value)``, and the set of those
-targets is known at compile time. Every operation is elementwise, so a
-pole's merged value is exactly what the branch it takes computes for it;
-no array is ever written in place, so a shallow copy is enough. A
-condition that is one value for every pole runs only the branch taken.
-Expressions have no side effects, so evaluating both branches, and both
-sides of ``and``/``or``, changes nothing. The language's rules: division by
-zero gives 0, a non-finite result collapses to 0 at each arithmetic
-operator and at each assignment (a value already known to be finite, an
-arithmetic result or a memory read, skips the check there), light and
-broadcast clamp to [0, 1] by two comparisons (so -0.0 stays -0.0),
-listen is ``value >= 0.5``, an unknown identifier reads 0, an unknown
-target is not written, reading ``light`` gives the sensor (the lamp's
-level at the start of the tick), and an actuator a tick does not assign
-keeps its last value. numpy's float64 operations round as Python's
-floats do.
+An ``if`` runs both branches over every pole and merges them at the join:
+each target written in either branch is saved, the then branch runs, the
+saved values are swapped back in, the else branch runs, and each target
+gets one ``np.where(taken, then_value, else_value)``. The targets are
+known at compile time. Every operation is elementwise and expressions
+have no side effects, so a pole's merged value is exactly what the branch
+it takes computes for it, also when the condition is one value for every
+pole, and evaluating both sides of ``and``/``or`` changes nothing. A
+condition folded to a constant at compile time emits only the branch it
+takes. The language's rules: division by zero gives 0, a non-finite
+result collapses to 0 at each arithmetic operator and at each assignment
+(a value already known to be finite, an arithmetic result or a memory
+read, skips the check there), light and broadcast clamp to [0, 1] by two
+comparisons (so -0.0 stays -0.0), listen is ``value >= 0.5``, an unknown
+identifier reads 0, an unknown target is not written, reading ``light``
+gives the sensor (the lamp's level at the start of the tick), and an
+actuator a tick does not assign keeps its last value. numpy's float64
+operations round as Python's floats do. A subtree without sensors or
+memory is folded to its value at compile time, by the same operations.
 
-A closure takes the step, which holds the tick's sensors and the values.
-A subtree without sensors or memory is folded to its value at compile
-time, by the same operations.
+Programs may come from a model, so no text of theirs reaches the source.
+It holds only names the generator makes (``s_<sensor>`` for the sensors
+of ``SENSOR_NAMES``, ``v<i>`` for the state, ``k<i>`` for constants,
+``e<i>`` for temporaries) and the numpy functions of ``_FUNCTIONS``. Every
+constant is passed in through the function's globals, which hold no
+builtins; memory names never become identifiers (Python would fold
+``mem.ﬁ`` and ``mem.fi`` into one by NFKC normalisation).
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from ..engine import TICKS_SINCE_MOTION_CAP, BatchStep, count_since_motion
 from .nodes import (
+    ACTUATOR_NAMES,
     SENSOR_NAMES,
     Assignment,
     BinOp,
@@ -56,93 +65,45 @@ from .nodes import (
     Number,
     Program,
     Ref,
-    Statement,
 )
 
-# A compiled expression or condition is either its constant value or a
-# closure from the step to its value (a scalar or an array of the step's
-# shape); a compiled statement is a closure over the step that sets values
-# in ``step.values``.
-Run = Callable[["_ProgramStep"], None]
-
-
-def _total(value):
-    return np.where(np.isfinite(value), value, 0.0)
-
-
-def _clamp01(value):
-    return np.where(value < 0.0, 0.0, np.where(value > 1.0, 1.0, value))
-
-
+# The only functions the generated source calls, by the names it calls them.
+_FUNCTIONS = {
+    function.__name__: function
+    for function in (
+        np.add, np.subtract, np.multiply, np.divide, np.negative,
+        np.less, np.less_equal, np.greater, np.greater_equal, np.equal, np.not_equal,
+        np.logical_and, np.logical_or, np.logical_not, np.isfinite, np.where,
+    )
+}
 # x / 0 is inf or nan in numpy, which collapses to 0: the language's
 # division-by-zero rule needs no test of its own
-_ARITHMETIC = {
-    "+": lambda left, right: _total(np.add(left, right)),
-    "-": lambda left, right: _total(np.subtract(left, right)),
-    "*": lambda left, right: _total(np.multiply(left, right)),
-    "/": lambda left, right: _total(np.divide(left, right)),
-}
+_ARITHMETIC = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
 _COMPARE = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
+    "<": "less",
+    "<=": "less_equal",
+    ">": "greater",
+    ">=": "greater_equal",
+    "==": "equal",
+    "!=": "not_equal",
 }
-_LOGIC = {"and": np.logical_and, "or": np.logical_or}
+_LOGIC = {"and": "logical_and", "or": "logical_or"}
 
 
-def _apply(op, *parts):
-    """``op`` over the parts' values: a constant if every part is one."""
-    if not any(callable(part) for part in parts):
-        return op(*parts)
-    if len(parts) == 1:
-        (inner,) = parts
-        return lambda step: op(inner(step))
-    left, right = (p if callable(p) else (lambda step, p=p: p) for p in parts)
-    return lambda step: op(left(step), right(step))
-
-
-def _expr(node, names: set[str]):
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Ref):
-        if node.name not in SENSOR_NAMES:
-            return 0.0  # unknown identifiers read as 0
-        names.add(node.name)
-        return attrgetter(node.name)  # the step holds each sensor by its name
-    if isinstance(node, MemRef):
-        target = "mem." + node.name
-        names.add(target)
-        return lambda step: step.values[target]
-    if isinstance(node, Neg):
-        return _apply(np.negative, _expr(node.operand, names))
-    if isinstance(node, BinOp):
-        return _apply(
-            _ARITHMETIC[node.op], _expr(node.left, names), _expr(node.right, names)
-        )
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _cond(node, names: set[str]):
-    if isinstance(node, MotionCond):
-        return lambda step: step.moving
-    if isinstance(node, Comparison):
-        return _apply(
-            _COMPARE[node.op], _expr(node.left, names), _expr(node.right, names)
-        )
-    if isinstance(node, BoolOp):
-        return _apply(
-            _LOGIC[node.op], _cond(node.left, names), _cond(node.right, names)
-        )
-    if isinstance(node, Not):
-        return _apply(np.logical_not, _cond(node.operand, names))
-    raise TypeError(f"not a condition node: {node!r}")
-
-
-def _listen(value):
-    return value >= 0.5
+def _walk(nodes):
+    """Every node of ``nodes`` and under them, dead branches included."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, If):
+            stack += (node.condition, *node.then_body, *(node.else_body or ()))
+        elif isinstance(node, Assignment):
+            stack.append(node.value)
+        elif isinstance(node, (BinOp, BoolOp, Comparison)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Neg, Not)):
+            stack.append(node.operand)
 
 
 def _finite(node) -> bool:
@@ -154,84 +115,148 @@ def _finite(node) -> bool:
     return isinstance(node, (BinOp, MemRef))
 
 
-def _assignment(node: Assignment, names: set[str], written: set[str]) -> Run | None:
-    target = node.target
-    if target.startswith("mem."):
-        names.add(target)
-    elif target not in ("light", "listen", "broadcast"):
-        return None  # other targets are validation errors; writing them is a no-op
-    written.add(target)
-    value = _expr(node.value, names)
-    if not _finite(node.value):  # a bare sensor may read NaN or +-inf
-        value = _apply(_total, value)
-    if target == "listen":
-        value = _apply(_listen, value)
-    elif not target.startswith("mem."):
-        value = _apply(_clamp01, value)
+class _Generator:
+    """Writes a program's body, one line per operation. A value is either
+    a constant (folded at compile time) or, as a ``str``, the local that
+    holds it at run time."""
 
-    def run(step):
-        step.values[target] = value(step) if callable(value) else value
+    def __init__(self, state: list[str], reads_motion: bool):
+        self.slot = {name: f"v{i}" for i, name in enumerate(state)}
+        self.lines: list[str] = []
+        self.constants: dict[str, object] = {}
+        self.temporaries = 0
+        # computed once per call, as numpy bools even on one pole
+        self.moving = self.call("equal", "s_motion", 1.0) if reads_motion else None
 
-    return run
+    def let(self, expression: str) -> str:
+        local = f"e{self.temporaries}"
+        self.temporaries += 1
+        self.lines.append(f"{local} = {expression}")
+        return local
 
+    def operand(self, value) -> str:
+        if isinstance(value, str):
+            return value
+        name = f"k{len(self.constants)}"
+        self.constants[name] = value
+        return name
 
-def _if(node: If, names: set[str], written: set[str]) -> Run:
-    condition = _cond(node.condition, names)
-    targets: set[str] = set()  # written in either branch
-    then_run = _block(node.then_body, names, targets)
-    else_run = _block(node.else_body or (), names, targets)
-    written.update(targets)
-    merged = sorted(targets)
+    def call(self, function: str, *args):
+        """``function(*args)``: its value if every argument is a constant,
+        else a fresh local that holds it."""
+        if not any(isinstance(arg, str) for arg in args):
+            return _FUNCTIONS[function](*args)
+        return self.let(f"{function}({', '.join(map(self.operand, args))})")
 
-    def run(step):
-        taken = condition(step) if callable(condition) else condition
-        if np.ndim(taken) == 0:  # every pole takes the same branch
-            (then_run if taken else else_run)(step)
+    def total(self, value):
+        return self.call("where", self.call("isfinite", value), value, 0.0)
+
+    def clamp01(self, value):
+        above = self.call("where", self.call("greater", value, 1.0), 1.0, value)
+        return self.call("where", self.call("less", value, 0.0), 0.0, above)
+
+    def expr(self, node):
+        if isinstance(node, Number):
+            return node.value
+        if isinstance(node, Ref):
+            # unknown identifiers read as 0
+            return f"s_{node.name}" if node.name in SENSOR_NAMES else 0.0
+        if isinstance(node, MemRef):
+            return self.slot["mem." + node.name]
+        if isinstance(node, Neg):
+            return self.call("negative", self.expr(node.operand))
+        if isinstance(node, BinOp):
+            left, right = self.expr(node.left), self.expr(node.right)
+            return self.total(self.call(_ARITHMETIC[node.op], left, right))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    def cond(self, node):
+        if isinstance(node, MotionCond):
+            return self.moving
+        if isinstance(node, Comparison):
+            left, right = self.expr(node.left), self.expr(node.right)
+            return self.call(_COMPARE[node.op], left, right)
+        if isinstance(node, BoolOp):
+            left, right = self.cond(node.left), self.cond(node.right)
+            return self.call(_LOGIC[node.op], left, right)
+        if isinstance(node, Not):
+            return self.call("logical_not", self.cond(node.operand))
+        raise TypeError(f"not a condition node: {node!r}")
+
+    def block(self, statements) -> None:
+        for node in statements:
+            if isinstance(node, Assignment):
+                self.assignment(node)
+            elif isinstance(node, If):
+                self.branch(node)
+            else:
+                raise TypeError(f"not a statement node: {node!r}")
+
+    def assignment(self, node: Assignment) -> None:
+        target = self.slot.get(node.target)
+        if target is None:
+            return  # other targets are validation errors; writing them is a no-op
+        value = self.expr(node.value)
+        if not _finite(node.value):  # a bare sensor may read NaN or +-inf
+            value = self.total(value)
+        if node.target == "listen":
+            value = self.call("greater_equal", value, 0.5)
+        elif node.target in ACTUATOR_NAMES:
+            value = self.clamp01(value)
+        self.lines.append(f"{target} = {self.operand(value)}")
+
+    def branch(self, node: If) -> None:
+        taken = self.cond(node.condition)
+        then_body, else_body = node.then_body, node.else_body or ()
+        if not isinstance(taken, str):  # folded: every pole takes one branch
+            self.block(then_body if taken else else_body)
             return
-        values = step.values
-        step.values = dict(values)
-        then_run(step)
-        then_values, step.values = step.values, values
-        else_run(step)
-        for target in merged:
-            values[target] = np.where(taken, then_values[target], values[target])
-
-    return run
-
-
-def _statement(node: Statement, names: set[str], written: set[str]) -> Run | None:
-    if isinstance(node, Assignment):
-        return _assignment(node, names, written)
-    if isinstance(node, If):
-        return _if(node, names, written)
-    raise TypeError(f"not a statement node: {node!r}")
-
-
-def _block(statements, names: set[str], written: set[str]) -> Run:
-    runs = [run for run in (_statement(s, names, written) for s in statements)
-            if run is not None]
-
-    def run(step):
-        for statement in runs:
-            statement(step)
-
-    return run
+        written = {n.target for n in _walk(then_body + else_body)
+                   if isinstance(n, Assignment) and n.target in self.slot}
+        targets = [self.slot[name] for name in sorted(written)]
+        saved = [self.let(target) for target in targets]
+        self.block(then_body)
+        # the then values go to the saved locals, the saved values back
+        self.lines += [f"{keep}, {target} = {target}, {keep}"
+                       for target, keep in zip(targets, saved)]
+        self.block(else_body)
+        self.lines += [f"{target} = where({taken}, {keep}, {target})"
+                       for target, keep in zip(targets, saved)]
 
 
 class CompiledProgram:
-    """A program lowered to closures, ready to make steps."""
+    """A program lowered to one generated function, ready to make steps.
+    ``source`` is that function's text."""
 
     def __init__(self, program: Program):
-        names: set[str] = set()  # sensors read and memory slots used
+        nodes = list(_walk(program.statements))
+        memory = {"mem." + n.name for n in nodes if isinstance(n, MemRef)}
+        memory.update(n.target for n in nodes
+                      if isinstance(n, Assignment) and n.target.startswith("mem."))
+        self._state = [*sorted(memory), *ACTUATOR_NAMES]
+        self._counts_motion = any(isinstance(n, Ref) and n.name == "ticks_since_motion"
+                                  for n in nodes)
+
+        generator = _Generator(self._state, any(isinstance(n, MotionCond) for n in nodes))
         with np.errstate(all="ignore"):  # constant folding may overflow
-            self._run = _block(program.statements, names, set())
-        self._memory = sorted(n for n in names if n.startswith("mem."))
-        self._counts_motion = "ticks_since_motion" in names
+            generator.block(program.statements)
+        sensors = ", ".join(f"s_{name}" for name in SENSOR_NAMES)
+        state = "".join(f"{local}, " for local in generator.slot.values())
+        self.source = "\n".join([
+            f"def run({sensors}, values):",
+            f"    {state}= values",
+            *(f"    {line}" for line in generator.lines),
+            f"    return {state}",
+        ]) + "\n"
+        namespace = {"__builtins__": {}, **_FUNCTIONS, **generator.constants}
+        exec(compile(self.source, "<rule program>", "exec"), namespace)
+        # inf and NaN are values of the language, never warnings
+        self._run = np.errstate(all="ignore")(namespace["run"])
 
     def batch_step(self) -> BatchStep:
         """A fresh step: every pole starts with no memory, lamp off,
         listening and silent."""
-        return _ProgramStep(self._run, self._memory, self._counts_motion)
+        return _ProgramStep(self._run, self._state, self._counts_motion)
 
 
 class _ProgramStep:
@@ -242,24 +267,26 @@ class _ProgramStep:
     step; ``run`` alone is one tick on given sensors, which is all a single
     pole needs."""
 
-    __slots__ = (
-        "_run", "_counts_motion", "_since", "_tick", "values",
-        "ambient", "motion", "moving", "signal", "light", "ticks_since_motion", "tick",
-    )
+    __slots__ = ("_run", "_names", "_counts_motion", "_since", "_tick", "_values")
 
-    def __init__(self, run: Run, memory: list[str], counts_motion: bool):
+    def __init__(self, run: Callable, names: list[str], counts_motion: bool):
         self._run = run
+        self._names = names  # of the values: memory slots, then the actuators
         self._counts_motion = counts_motion  # only a program that reads them
         self._since = TICKS_SINCE_MOTION_CAP  # no motion observed yet
         self._tick = 0
-        self.values = dict.fromkeys(memory, 0.0)
-        self.values.update(light=0.0, listen=True, broadcast=0.0)
+        self._values = (0.0,) * (len(names) - 3) + (0.0, True, 0.0)
+
+    @property
+    def values(self) -> dict:
+        """The values by name: ``mem.<name>``, light, listen, broadcast."""
+        return dict(zip(self._names, self._values))
 
     @property
     def memory(self) -> dict:
         """The memory slots' values by name (``mem.`` left off)."""
-        return {key[4:]: value for key, value in self.values.items()
-                if key.startswith("mem.")}
+        return {name[4:]: value for name, value in zip(self._names, self._values)
+                if name.startswith("mem.")}
 
     def __call__(self, ambient, motion, signal, light):
         since = None  # read only by a program that counts it
@@ -274,10 +301,7 @@ class _ProgramStep:
         """Run the program once on these sensors (floats, or float arrays
         of one shape; motion is 0.0 or 1.0) and return the (light, listen,
         broadcast) values that hold after it."""
-        self.ambient, self.motion, self.signal, self.light = ambient, motion, signal, light
-        self.ticks_since_motion, self.tick = ticks_since_motion, tick
-        self.moving = motion == 1.0
-        with np.errstate(all="ignore"):
-            self._run(self)
-        values = self.values
-        return values["light"], values["listen"], values["broadcast"]
+        values = self._values = self._run(
+            ambient, motion, signal, light, ticks_since_motion, tick, self._values
+        )
+        return values[-3:]

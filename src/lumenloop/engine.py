@@ -26,11 +26,20 @@ lane of it and can trace every tick from the loop's arrays. Routes,
 neighbours and ambient levels come from ``scenario.compiled``.
 
 A tick costs about as many microseconds as it makes numpy calls, however
-many lanes it holds, so the loop makes few. Once every person of every
-lane is home it skips the people phase (occupancy, movement and trip
-time), whose outcome is then known: no motion and no moves. The loop
-never writes into an array once it has passed it to the step or to
-``on_tick``: a step may keep references to its sensors and outputs.
+many lanes it holds, so the loop makes few. A person's state is where
+they stand, whether they have started, recomputed only on a tick that is
+someone's start tick, and whether they are away from their destination,
+computed once per tick after the moves. A person is home exactly when
+started and not away: a walker stops at the destination, and a
+zero-length route is home from its start tick on. So no per-person
+``finished`` flag is kept: the people who walk are the started ones who
+are away, and on a start tick those who start there also show motion,
+which is how a zero-length route shows motion once, with no trip tick.
+Once every person of every lane is home the loop skips the people phase
+(occupancy, movement and trip time), whose outcome is then known: no
+motion and no moves. The loop never writes into an array once it has
+passed it to the step or to ``on_tick``: a step may keep references to
+its sensors and outputs.
 
 Parity contract: a lane's metrics do not depend on the other lanes and are
 equal (``==``) to those of the per-pole scalar loop kept as the tests'
@@ -324,6 +333,13 @@ def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) 
     return step
 
 
+def _lane_array(out, shape: tuple[int, int]) -> np.ndarray:
+    """A step's output as a (lanes, poles) array."""
+    if isinstance(out, np.ndarray) and out.shape == shape:
+        return out
+    return np.broadcast_to(out, shape)
+
+
 def _run_lanes(
     scenario: ScenarioSpec,
     step: BatchStep,
@@ -348,9 +364,13 @@ def _run_lanes(
     lane_base = np.arange(lanes)[:, None] * n_poles
     hop_base = np.arange(len(scenario.people)) * n_poles
     position = np.tile(plan.origin, (lanes, 1))
-    finished = np.zeros(position.shape, dtype=bool)
     trip_ticks = np.zeros(position.shape, dtype=np.int64)
     light_sum = np.zeros(lanes)
+    # home is started & ~away (module docstring): no finished flag is kept
+    start_ticks = set(plan.start_tick.tolist())
+    last_start = max(start_ticks, default=0)  # everyone has started from here on
+    started = np.zeros(len(scenario.people), dtype=bool)
+    away = position != plan.destination
     # No one moves once everyone is home; those ticks skip the people
     # phase and share these arrays.
     no_motion = np.zeros(shape)
@@ -360,7 +380,13 @@ def _run_lanes(
     for tick, ambient in enumerate(plan.ambient):
         people_phase = not everyone_home
         if people_phase:
-            active = (plan.start_tick <= tick) & ~finished
+            if tick in start_ticks:
+                started = plan.start_tick <= tick
+                walking = started & away
+                # a zero-length route shows motion at its start tick
+                active = walking | (plan.start_tick == tick)
+            else:
+                walking = active = started & away
             here = position + lane_base
             motion = np.zeros(shape)
             np.put(motion, here[active], 1.0)
@@ -377,23 +403,19 @@ def _run_lanes(
         signal = np.where(listen, signal, 0.0)
 
         sensors = (ambient, motion, signal, light)
-        light, listen, broadcast = (
-            out if isinstance(out, np.ndarray) and out.shape == shape
-            else np.broadcast_to(out, shape)
-            for out in step(*sensors)
-        )
+        light, listen, broadcast = step(*sensors)
+        light = _lane_array(light, shape)
+        listen = _lane_array(listen, shape)
+        broadcast = _lane_array(broadcast, shape)
         heard[:, :n_poles] = broadcast
 
         if people_phase:
-            walking = active & (position != plan.destination)
             trip_ticks += walking
             lit = np.minimum(np.maximum(ambient + np.take(light, here), 0.0), 1.0)
             moves = walking & (lit >= scenario.movement_threshold)
             position = np.where(moves, np.take(plan.next_hop, hop_base + position), position)
-            # arrived, or on a zero-length route, which finishes at its
-            # start tick without a trip tick
-            finished = finished | (active & (position == plan.destination))
-            everyone_home = finished.all()
+            away = position != plan.destination
+            everyone_home = tick >= last_start and not away.any()
         else:
             moves = no_moves
 
@@ -401,8 +423,9 @@ def _run_lanes(
         # compensates rounding from Python 3.12 on
         light_sum += np.add.accumulate(light, axis=1)[:, -1]
         if on_tick is not None:
-            on_tick(tick, sensors, (light, listen, broadcast), (position, moves, finished))
+            on_tick(tick, sensors, (light, listen, broadcast), (position, moves, started & ~away))
 
+    finished = started & ~away
     totals = zip(
         light_sum.tolist(), finished.sum(axis=1).tolist(), trip_ticks.sum(axis=1).tolist()
     )

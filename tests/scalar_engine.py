@@ -3,7 +3,8 @@
 One controller object per pole, one Python loop over poles and people per
 tick, following the phase order in the ``lumenloop.engine`` docstring. The
 engine's ``run_simulation`` and ``run_batch`` must return exactly (``==``)
-what ``run_simulation`` here returns, traces included.
+what ``run_simulation`` here returns, traces included;
+``assert_same_ticks`` compares two trace lists sign for sign.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def _route(scenario: ScenarioSpec, person) -> dict[int, int]:
     """Pole id -> next pole id on the person's shortest path."""
     path = shortest_path(scenario, person.origin, person.destination)
     return {path[i]: path[i + 1] for i in range(len(path) - 1)}
+
+
+def assert_same_ticks(got: list[TickTrace], want: list[TickTrace]) -> None:
+    """Two trace lists ``repr``-equal (so -0.0 differs from 0.0), tick by
+    tick: a failure shows the first differing tick and its index, never a
+    diff of two whole traces."""
+    assert len(got) == len(want)
+    for index, (mine, theirs) in enumerate(zip(got, want)):
+        assert repr(mine) == repr(theirs), f"first difference at tick {index}"
 
 
 def run_simulation(
