@@ -8,39 +8,44 @@ does each step of the language's rules (the check for a finite value, the
 clamp, the listen threshold); nothing nests, so no program reaches
 CPython's limits on nested parentheses or indentation. ``values`` is the
 tuple of the program's state: the ``mem.*`` slots and the light, listen
-and broadcast written so far. The function unpacks it into locals and
-returns it. ``CompiledProgram.batch_step`` gives an ``engine.run_batch``
-step in which every pole of every lane runs the program over (lanes,
-poles) arrays; ``controllers.DslController`` runs the same function on
-one pole's scalar readings. Both go through ``_ProgramStep.run``.
+and broadcast written so far. The function unpacks it into parameters
+and returns each slot's final value. ``CompiledProgram.batch_step`` gives
+an ``engine.run_batch`` step in which every pole of every lane runs the
+program over (lanes, poles) arrays; ``controllers.DslController`` runs
+the same function on one pole's scalar readings. Both go through
+``_ProgramStep.run``.
 
-An ``if`` runs both branches over every pole and merges them at the join:
-each target written in either branch is saved, the then branch runs, the
-saved values are swapped back in, the else branch runs, and each target
-gets one ``np.where(taken, then_value, else_value)``. The targets are
-known at compile time. Every operation is elementwise and expressions
-have no side effects, so a pole's merged value is exactly what the branch
-it takes computes for it, also when the condition is one value for every
-pole, and evaluating both sides of ``and``/``or`` changes nothing. A
-condition folded to a constant at compile time emits only the branch it
-takes. The language's rules: division by zero gives 0, a non-finite
-result collapses to 0 at each arithmetic operator and at each assignment
-(a value already known to be finite, an arithmetic result or a memory
-read, skips the check there), light and broadcast clamp to [0, 1] by two
-comparisons (so -0.0 stays -0.0), listen is ``value >= 0.5``, an unknown
-identifier reads 0, an unknown target is not written, reading ``light``
-gives the sensor (the lamp's level at the start of the tick), and an
-actuator a tick does not assign keeps its last value. numpy's float64
-operations round as Python's floats do. A subtree without sensors or
-memory is folded to its value at compile time, by the same operations.
+The generator tracks each slot's current value, a constant or a local,
+as SSA construction does: an assignment emits no line, it only rebinds
+the slot. An ``if`` generates its then branch, restores the slots, generates
+its else branch, and emits one ``np.where(taken, then_value, else_value)``
+per slot whose value differs between the two: it adds only its merges,
+which the validator bounds (``MAX_BRANCH_MERGES``). Every operation is
+elementwise and expressions have no side effects, so a pole's merged
+value is exactly what the branch it takes computes for it, also when the
+condition is one value for every pole, and evaluating both sides of
+``and``/``or`` changes nothing. A condition folded to a constant at
+compile time emits only the branch it takes. The language's rules:
+division by zero gives 0, a non-finite result collapses to 0 at each
+arithmetic operator and at each assignment (a value already known to be
+finite, an arithmetic result or a memory read, skips the check there),
+light and broadcast clamp to [0, 1] by two comparisons (so -0.0 stays
+-0.0), listen is ``value >= 0.5``, an unknown identifier reads 0, an
+unknown target is not written, reading ``light`` gives the sensor (the
+lamp's level at the start of the tick), and an actuator a tick does not
+assign keeps its last value. numpy's float64 operations round as
+Python's floats do. A subtree whose leaves are all known at compile time
+(numbers, and memory slots the program has set to a constant) is folded
+to its value there, by the same operations.
 
 Programs may come from a model, so no text of theirs reaches the source.
 It holds only names the generator makes (``s_<sensor>`` for the sensors
-of ``SENSOR_NAMES``, ``v<i>`` for the state, ``k<i>`` for constants,
-``e<i>`` for temporaries) and the numpy functions of ``_FUNCTIONS``. Every
-constant is passed in through the function's globals, which hold no
-builtins; memory names never become identifiers (Python would fold
-``mem.ﬁ`` and ``mem.fi`` into one by NFKC normalisation).
+of ``SENSOR_NAMES``, ``v<i>`` for the state passed in, ``k<i>`` for
+constants, ``e<i>`` for temporaries) and the numpy functions of
+``_FUNCTIONS``. Every constant is passed in through the function's
+globals, which hold no builtins; memory names never become identifiers
+(Python would fold ``mem.ﬁ`` and ``mem.fi`` into one by NFKC
+normalisation).
 """
 
 from __future__ import annotations
@@ -116,9 +121,9 @@ def _finite(node) -> bool:
 
 
 class _Generator:
-    """Writes a program's body, one line per operation. A value is either
-    a constant (folded at compile time) or, as a ``str``, the local that
-    holds it at run time."""
+    """Writes a program's body, one line per operation. ``slot`` maps each
+    state slot to its current value: a constant (folded at compile time)
+    or, as a ``str``, the local that holds it at run time."""
 
     def __init__(self, state: list[str], reads_motion: bool):
         self.slot = {name: f"v{i}" for i, name in enumerate(state)}
@@ -193,8 +198,7 @@ class _Generator:
                 raise TypeError(f"not a statement node: {node!r}")
 
     def assignment(self, node: Assignment) -> None:
-        target = self.slot.get(node.target)
-        if target is None:
+        if node.target not in self.slot:
             return  # other targets are validation errors; writing them is a no-op
         value = self.expr(node.value)
         if not _finite(node.value):  # a bare sensor may read NaN or +-inf
@@ -203,25 +207,20 @@ class _Generator:
             value = self.call("greater_equal", value, 0.5)
         elif node.target in ACTUATOR_NAMES:
             value = self.clamp01(value)
-        self.lines.append(f"{target} = {self.operand(value)}")
+        self.slot[node.target] = value
 
     def branch(self, node: If) -> None:
         taken = self.cond(node.condition)
-        then_body, else_body = node.then_body, node.else_body or ()
         if not isinstance(taken, str):  # folded: every pole takes one branch
-            self.block(then_body if taken else else_body)
+            self.block(node.then_body if taken else node.else_body or ())
             return
-        written = {n.target for n in _walk(then_body + else_body)
-                   if isinstance(n, Assignment) and n.target in self.slot}
-        targets = [self.slot[name] for name in sorted(written)]
-        saved = [self.let(target) for target in targets]
-        self.block(then_body)
-        # the then values go to the saved locals, the saved values back
-        self.lines += [f"{keep}, {target} = {target}, {keep}"
-                       for target, keep in zip(targets, saved)]
-        self.block(else_body)
-        self.lines += [f"{target} = where({taken}, {keep}, {target})"
-                       for target, keep in zip(targets, saved)]
+        before = dict(self.slot)
+        self.block(node.then_body)
+        then, self.slot = self.slot, before
+        self.block(node.else_body or ())
+        for name, value in then.items():
+            if value is not self.slot[name]:  # written in a branch
+                self.slot[name] = self.call("where", taken, value, self.slot[name])
 
 
 class CompiledProgram:
@@ -238,15 +237,16 @@ class CompiledProgram:
                                   for n in nodes)
 
         generator = _Generator(self._state, any(isinstance(n, MotionCond) for n in nodes))
+        state = "".join(f"{local}, " for local in generator.slot.values())  # as passed in
         with np.errstate(all="ignore"):  # constant folding may overflow
             generator.block(program.statements)
         sensors = ", ".join(f"s_{name}" for name in SENSOR_NAMES)
-        state = "".join(f"{local}, " for local in generator.slot.values())
+        final = "".join(f"{generator.operand(value)}, " for value in generator.slot.values())
         self.source = "\n".join([
             f"def run({sensors}, values):",
             f"    {state}= values",
             *(f"    {line}" for line in generator.lines),
-            f"    return {state}",
+            f"    return {final}",
         ]) + "\n"
         namespace = {"__builtins__": {}, **_FUNCTIONS, **generator.constants}
         exec(compile(self.source, "<rule program>", "exec"), namespace)

@@ -22,7 +22,6 @@ from .nodes import (
     Comparison,
     Cond,
     Expr,
-    If,
     MemRef,
     MotionCond,
     Neg,
@@ -36,6 +35,9 @@ from .tokens import tokenize
 
 MAX_EXPR_DEPTH = 64
 MAX_PROGRAM_TOKENS = 10_000
+# An ``if`` compiles to at most one merge per distinct slot written beneath
+# it, so this bounds the merges the compiler can emit over all ifs.
+MAX_BRANCH_MERGES = 10_000
 
 _SENSOR_SET = frozenset(SENSOR_NAMES)
 _ACTUATOR_SET = frozenset(ACTUATOR_NAMES)
@@ -63,6 +65,7 @@ def _literal_value(node: Expr) -> float | None:
 class _Checker:
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []
+        self.merges = 0  # distinct slots written beneath each if, summed
 
     def report(self, severity: str, message: str, node) -> None:
         self.diagnostics.append(
@@ -103,7 +106,9 @@ class _Checker:
             self.check_cond(node.operand)
         # MotionCond needs no checks.
 
-    def check_statement(self, node: Statement) -> None:
+    def check_statement(self, node: Statement) -> set[str]:
+        """Check a statement and return the slots (memory and actuators)
+        it writes."""
         if isinstance(node, Assignment):
             target = node.target
             if target.startswith("mem."):
@@ -122,12 +127,14 @@ class _Checker:
                         node,
                     )
             self.check_root_expr(node.value)
-        elif isinstance(node, If):
-            self.check_cond(node.condition)
-            for stmt in node.then_body:
-                self.check_statement(stmt)
-            for stmt in node.else_body or ():
-                self.check_statement(stmt)
+            slot = target.startswith("mem.") or target in _ACTUATOR_SET
+            return {target} if slot else set()
+        self.check_cond(node.condition)
+        written = set()
+        for stmt in (*node.then_body, *(node.else_body or ())):
+            written |= self.check_statement(stmt)
+        self.merges += len(written)
+        return written
 
 
 def validate(program: Program, canonical: str | None = None) -> list[Diagnostic]:
@@ -148,6 +155,16 @@ def validate(program: Program, canonical: str | None = None) -> list[Diagnostic]
                 "error",
                 f"program has {token_count} tokens "
                 f"(limit {MAX_PROGRAM_TOKENS})",
+                1,
+                1,
+            )
+        )
+    if checker.merges > MAX_BRANCH_MERGES:
+        checker.diagnostics.append(
+            Diagnostic(
+                "error",
+                f"program's ifs write {checker.merges} targets, each counted "
+                f"once per enclosing if (limit {MAX_BRANCH_MERGES})",
                 1,
                 1,
             )

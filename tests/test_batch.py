@@ -410,6 +410,13 @@ else
   light = light * 0.5
 end
 """,
+    "negative-zero-through-memory": (
+        "mem.z = -0 light = mem.z broadcast = mem.z * -1 if mem.z < 0 then listen = 0 end"
+    ),
+    "branch-rebinds-a-slot-to-itself": (
+        "if signal > 0.5 then mem.a = mem.a else mem.a = mem.a + 1 end light = mem.a / 100"
+    ),
+    "same-constant-in-both-branches": "if motion then light = 0.5 else light = 0.5 end",
 }
 
 

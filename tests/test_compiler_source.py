@@ -7,7 +7,10 @@ Memory names that look like Python keywords, builtins, the generator's
 own locals, or that NFKC-normalise to another name must each stay their
 own slot. Programs nested as deep as the parser allows must compile (no
 limit of CPython's on nested parentheses or indentation is reached) and
-give source lines in proportion to their tokens.
+give source lines in proportion to their tokens. An ``if`` adds at most
+one line per slot written beneath it, and the validator bounds the sum of
+those over all ifs, so a program the validator accepts compiles to
+source lines in proportion to its tokens plus that bound.
 """
 
 import ast
@@ -25,13 +28,17 @@ import pytest
 import scalar_engine
 from genprog import rand_program
 from interpreter import InterpreterController, interpreter_factory
+from lumenloop import controllers
+from lumenloop.cli import EXIT_USAGE, main
 from lumenloop.controllers import program_factory
 from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.nodes import SENSOR_NAMES
 from lumenloop.dsl.parser import MAX_NESTING, parse_source
 from lumenloop.dsl.tokens import tokenize
+from lumenloop.dsl.validator import MAX_BRANCH_MERGES, validate, validate_strict
 from lumenloop.engine import SensorReading, run_simulation
-from lumenloop.errors import ParseError
+from lumenloop.errors import ParseError, ValidationError
+from lumenloop.loop.extraction import extract_program
 from lumenloop.scenario import builtin_scenario
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -106,7 +113,13 @@ DEEPEST = {
 
 
 def assert_source_is_generated(program: CompiledProgram) -> None:
-    for node in ast.walk(ast.parse(program.source)):
+    tree = ast.parse(program.source)
+    unpack, *body, result = tree.body[0].body
+    assert isinstance(unpack, ast.Assign) and isinstance(result, ast.Return)
+    for statement in body:  # one numpy call per line, nothing else
+        assert isinstance(statement, ast.Assign) and len(statement.targets) == 1, ast.dump(statement)
+        assert isinstance(statement.value, ast.Call), ast.dump(statement)
+    for node in ast.walk(tree):
         assert isinstance(node, SOURCE_NODES), ast.dump(node)
         if isinstance(node, ast.Name):
             assert GENERATED_NAME.fullmatch(node.id) or node.id in FUNCTIONS, node.id
@@ -169,7 +182,7 @@ def test_the_source_holds_only_generated_names_and_table_functions(source):
 
 
 def test_constants_reach_the_function_only_through_its_globals():
-    program = CompiledProgram(parse_source("mem.a = 0.125 light = mem.a + 0.5 * 3"))
+    program = CompiledProgram(parse_source("mem.a = 0.125 light = mem.a * signal + 0.5 * 3"))
     assert_source_is_generated(program)  # which allows no constant node
     constants = [value for name, value in inspect.unwrap(program._run).__globals__.items()
                  if re.fullmatch(r"k[0-9]+", name)]
@@ -206,3 +219,49 @@ def test_random_programs_compile_to_generated_source():
     rng = random.Random(14)
     for _ in range(50):
         assert_source_is_generated(CompiledProgram(rand_program(rng)))
+
+
+def merging(depth, targets, extra=""):
+    """``depth`` nested ifs whose conditions differ between poles around
+    ``targets`` memory writes, each a value of its own: ``depth * targets``
+    merges, then ``extra``."""
+    body = " ".join(f"mem.m{i} = signal + {i}" for i in range(targets))
+    return "if signal > 0.1 then " * depth + body + " end" * depth + extra
+
+
+AT_THE_BOUND = {"wide": merging(10, MAX_BRANCH_MERGES // 10),
+                "deep": merging(98, MAX_BRANCH_MERGES // 98)}
+# one merge more, and far fewer tokens than the token limit
+OVER_THE_BOUND = merging(10, MAX_BRANCH_MERGES // 10, " if motion then light = signal end")
+
+
+@pytest.mark.parametrize("name", AT_THE_BOUND)
+def test_a_program_at_the_merge_bound_compiles_to_bounded_source(name):
+    program = parse_source(AT_THE_BOUND[name])
+    assert validate(program) == []
+    lines = len(CompiledProgram(program).source.splitlines())
+    assert lines <= MAX_BRANCH_MERGES + 4 * len(tokenize(AT_THE_BOUND[name]))
+
+
+def test_a_program_over_the_merge_bound_is_rejected_without_compiling(capsys, monkeypatch,
+                                                                      tmp_path):
+    message = f"ifs write {MAX_BRANCH_MERGES + 1} targets"
+    with pytest.raises(ValidationError, match=message):
+        validate_strict(parse_source(OVER_THE_BOUND))
+    # the loop's repair path
+    with pytest.raises(ValidationError, match=message):
+        extract_program(f"```controller\n{OVER_THE_BOUND}\n```")
+
+    def never(program):
+        raise AssertionError("a rejected program was compiled")
+
+    monkeypatch.setattr(controllers, "CompiledProgram", never)
+    rules = tmp_path / "big.rules"
+    rules.write_text(OVER_THE_BOUND, encoding="utf-8")
+    code = main(["simulate", "--controller", str(rules),
+                 "--manifest", str(tmp_path / "manifest.json")])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: 1:1: error: "), lines
+    assert message in lines[0]
