@@ -63,6 +63,21 @@ def _require_nonempty(flag: str, value: str | None) -> None:
     _require(value != "", flag, "a non-empty name or path", "''")
 
 
+def _require_distinct(*outputs: tuple[str, str | None]) -> None:
+    """Reject two output flags that name one file, so neither overwrites
+    the other; ``outputs`` are (flag, path or None) pairs. Paths compare
+    resolved, as Path.resolve() does, but a symlink loop is left for the
+    write to report."""
+    seen: dict[str, str] = {}
+    for flag, value in outputs:
+        if value is None:
+            continue
+        path = os.path.realpath(value)
+        if path in seen:
+            raise SchemaError(f"{seen[path]} and {flag} name the same file: {value}")
+        seen[path] = flag
+
+
 def _write_manifest(path: str, command: str, config: dict, outputs: list[str]) -> None:
     doc = {
         "kind": "run-manifest",
@@ -99,6 +114,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for flag, value in (("--scenario", args.scenario), ("--controller", args.controller),
                         ("--trace", args.trace)):
         _require_nonempty(flag, value)
+    _require_distinct(("--trace", args.trace), ("--manifest", args.manifest))
     scenario = load_scenario(args.scenario)
     resolved = resolve_controller(args.controller)
     outputs = [args.trace] if args.trace else []
@@ -147,6 +163,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     for flag, value in (("--scenario", args.scenario), ("--out", args.out),
                         ("--log", args.log)):
         _require_nonempty(flag, value)
+    _require_distinct(("--out", args.out), ("--log", args.log), ("--manifest", args.manifest))
     scenario = load_scenario(args.scenario)
     config = EvolutionConfig(
         population_size=args.population,
@@ -235,6 +252,8 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
                         ("--stub-metrics", args.stub_metrics),
                         ("--transcript", args.transcript), ("--out", args.out)):
         _require_nonempty(flag, value)
+    _require_distinct(("--transcript", args.transcript), ("--out", args.out),
+                      ("--manifest", args.manifest))
     model = DEFAULT_MODEL if args.model is None else args.model
     scenario = load_scenario(args.scenario)
     if args.replay is None and not os.environ.get(ENV_API_KEY):

@@ -4,12 +4,12 @@ from .evolution import (
     EvolutionConfig,
     EvolutionResult,
     GenerationStat,
-    evaluate_population,
     evolve,
     init_population,
     mutate,
     one_point_crossover,
     run_evolution,
+    score_rows,
     tournament_select,
 )
 from .network import (
@@ -23,7 +23,6 @@ from .network import (
 __all__ = [
     "EvolutionConfig",
     "EvolutionResult",
-    "evaluate_population",
     "evolve",
     "GenerationStat",
     "Genome",
@@ -34,6 +33,7 @@ __all__ = [
     "one_point_crossover",
     "run_evolution",
     "save_genome",
+    "score_rows",
     "sigmoid",
     "tournament_select",
 ]

@@ -1,7 +1,10 @@
 """Generational GA over network genomes.
 
 Tournament selection, one-point crossover, per-gene Gaussian mutation,
-elitism. Deterministic for a given master seed: every generation draws from
+elitism. A generation is a (population_size, genome_length) genes array
+and its fitness vector; the next one starts with the ``elitism`` fittest
+rows, which keep their fitness, and only the children after them are
+scored. Deterministic for a given master seed: every generation draws from
 its own SeedSequence-derived stream, so results do not depend on worker
 count or Python hash order.
 
@@ -64,20 +67,15 @@ def rng_for(seed: int, *path: int) -> np.random.Generator:
 
 def init_population(
     config: EvolutionConfig, spec: NetworkSpec, rng: np.random.Generator
-) -> list[Genome]:
-    return [
-        Genome(genes=rng.normal(0.0, 1.0, size=spec.genome_length))
-        for _ in range(config.population_size)
-    ]
+) -> np.ndarray:
+    """A (population_size, genome_length) array of standard normal genes."""
+    return rng.normal(0.0, 1.0, size=(config.population_size, spec.genome_length))
 
 
-def tournament_select(
-    population: Sequence[Genome], rng: np.random.Generator, k: int
-) -> Genome:
-    """Best of k distinct contestants; ties go to the lower index."""
-    contestants = rng.choice(len(population), size=min(k, len(population)), replace=False)
-    best = min(contestants, key=lambda i: (-population[i].fitness, i))
-    return population[best]
+def tournament_select(fitness: np.ndarray, rng: np.random.Generator, k: int) -> int:
+    """Row of the best of k distinct contestants; ties go to the lower row."""
+    contestants = rng.choice(len(fitness), size=min(k, len(fitness)), replace=False)
+    return int(min(contestants, key=lambda i: (-fitness[i], i)))
 
 
 def one_point_crossover(
@@ -100,55 +98,42 @@ def mutate(
     return out
 
 
-def evaluate_population(
-    population: Sequence[Genome], objective: Objective, workers: int = 1
-) -> None:
-    """Fill in missing fitness values in place, with one objective call.
+def score_rows(genes: np.ndarray, objective: Objective, workers: int = 1) -> np.ndarray:
+    """Fitness of each row of ``genes``, from one objective call.
 
-    With ``workers`` > 1 the pending genomes are cut into that many
-    contiguous chunks, each scored by one objective call on its own thread.
+    With ``workers`` > 1 the rows are cut into that many contiguous chunks,
+    each scored by one objective call on its own thread. No rows, no call.
     """
-    pending = [g for g in population if g.fitness is None]
-    if not pending:
-        return
-    genes = np.stack([g.genes for g in pending])
+    if not len(genes):
+        return np.empty(0)
     if workers <= 1:
         values = objective(genes)
     else:
-        chunks = np.array_split(genes, min(workers, len(pending)))
+        chunks = np.array_split(genes, min(workers, len(genes)))
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             values = [v for chunk in pool.map(objective, chunks) for v in chunk]
-    for genome, value in zip(pending, values, strict=True):
-        genome.fitness = float(value)
+    fitness = np.asarray(values, dtype=float)
+    if fitness.shape != (len(genes),):
+        raise ValueError(f"objective gave {fitness.shape} values for {len(genes)} genomes")
+    return fitness
 
 
 def _breed(
-    population: list[Genome],
-    config: EvolutionConfig,
-    rng: np.random.Generator,
-) -> list[Genome]:
-    order = sorted(
-        range(len(population)), key=lambda i: (-population[i].fitness, i)
-    )
-    next_gen: list[Genome] = [
-        # Elites carry their evaluated fitness forward unchanged.
-        Genome(genes=population[i].genes.copy(), fitness=population[i].fitness)
-        for i in order[: config.elitism]
-    ]
-    while len(next_gen) < config.population_size:
-        pa = tournament_select(population, rng, config.tournament_size)
-        pb = tournament_select(population, rng, config.tournament_size)
+    genes: np.ndarray, fitness: np.ndarray, count: int,
+    config: EvolutionConfig, rng: np.random.Generator,
+) -> np.ndarray:
+    """``count`` children of tournament winners, two per pair of parents."""
+    children = np.empty((count, genes.shape[1]))
+    made = 0
+    while made < count:
+        a = genes[tournament_select(fitness, rng, config.tournament_size)]
+        b = genes[tournament_select(fitness, rng, config.tournament_size)]
         if rng.random() < config.crossover_rate:
-            ca, cb = one_point_crossover(pa.genes, pb.genes, rng)
-        else:
-            ca, cb = pa.genes.copy(), pb.genes.copy()
-        for child in (ca, cb):
-            if len(next_gen) >= config.population_size:
-                break
-            next_gen.append(
-                Genome(genes=mutate(child, rng, config.mutation_rate, config.mutation_sigma))
-            )
-    return next_gen
+            a, b = one_point_crossover(a, b, rng)
+        for child in (a, b)[: count - made]:
+            children[made] = mutate(child, rng, config.mutation_rate, config.mutation_sigma)
+            made += 1
+    return children
 
 
 def evolve(
@@ -159,25 +144,25 @@ def evolve(
     on_generation: Callable[[GenerationStat], None] | None = None,
 ) -> EvolutionResult:
     """Run the GA against an arbitrary objective (higher is better)."""
-    population = init_population(config, spec, rng_for(config.seed, 0))
+    genes = init_population(config, spec, rng_for(config.seed, 0))
+    fitness = score_rows(genes, objective, workers)
     history: list[GenerationStat] = []
     best: Genome | None = None
     for gen in range(1, config.generations + 1):
-        evaluate_population(population, objective, workers=workers)
-        fitnesses = [g.fitness for g in population]
-        top = min(range(len(population)), key=lambda i: (-fitnesses[i], i))
-        if best is None or fitnesses[top] > best.fitness:
-            best = Genome(genes=population[top].genes.copy(), fitness=fitnesses[top])
-        stat = GenerationStat(
-            generation=gen,
-            best_fitness=float(fitnesses[top]),
-            mean_fitness=float(np.mean(fitnesses)),
-        )
+        order = np.argsort(-fitness, kind="stable")  # ties: the lower row first
+        top = order[0]
+        if best is None or fitness[top] > best.fitness:
+            best = Genome(genes=genes[top].copy(), fitness=float(fitness[top]))
+        stat = GenerationStat(gen, float(fitness[top]), float(np.mean(fitness)))
         history.append(stat)
         if on_generation is not None:
             on_generation(stat)
         if gen < config.generations:
-            population = _breed(population, config, rng_for(config.seed, 1, gen))
+            elites = order[: config.elitism]
+            children = _breed(genes, fitness, len(genes) - len(elites), config,
+                              rng_for(config.seed, 1, gen))
+            genes = np.concatenate([genes[elites], children])
+            fitness = np.concatenate([fitness[elites], score_rows(children, objective, workers)])
     return EvolutionResult(best=best, history=history, spec=spec, config=config)
 
 

@@ -40,8 +40,10 @@ class NetworkSpec:
 DEFAULT_NETWORK = NetworkSpec()
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Genome:
+    """A genome file's value: the flat genes and the fitness they scored."""
+
     genes: np.ndarray
     fitness: float | None = None
 

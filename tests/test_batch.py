@@ -52,7 +52,7 @@ from lumenloop.engine import (
 )
 from lumenloop.errors import ControllerError
 from lumenloop.fitness import DEFAULT_WEIGHTS, FitnessWeights
-from lumenloop.neuro.evolution import evaluate_population, simulation_objective
+from lumenloop.neuro.evolution import score_rows, simulation_objective
 from lumenloop.neuro.network import (
     DEFAULT_NETWORK,
     Genome,
@@ -701,11 +701,10 @@ def test_threaded_chunks_equal_the_scalar_engine():
     # scenario object so that the threads race to build scenario.compiled
     scenario = builtin_scenario("scenario1")
     genes = random_genes(5, 24)
-    population = [Genome(genes=g) for g in genes]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        evaluate_population(population, simulation_objective(scenario), workers=8)
+        fitness = score_rows(genes, simulation_objective(scenario), workers=8)
     finally:
         sys.setswitchinterval(interval)
-    assert [g.fitness for g in population] == [m.fitness for m in oracle(SCENARIO1, genes)]
+    assert fitness.tolist() == [m.fitness for m in oracle(SCENARIO1, genes)]

@@ -449,6 +449,37 @@ def test_empty_output_paths_are_usage_errors(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flags, path", [
+    (["simulate", "--trace", "m.json", "--manifest", "m.json"], ("--trace", "--manifest"), "m.json"),
+    (["simulate", "--trace", "simulate-manifest.json"], ("--trace", "--manifest"),
+     "simulate-manifest.json"),
+    ([*EVOLVED, "--out", "x.json", "--log", "x.json"], ("--out", "--log"), "x.json"),
+    ([*EVOLVED, "--out", "x.json", "--manifest", "./sub/../x.json"], ("--out", "--manifest"),
+     "./sub/../x.json"),
+    ([*EVOLVED, "--log", "evolve-manifest.json"], ("--log", "--manifest"), "evolve-manifest.json"),
+    ([*REPLAYED, "--transcript", "t.txt", "--out", "t.txt"], ("--transcript", "--out"), "t.txt"),
+    ([*REPLAYED, "--transcript", "t.txt", "--manifest", "t.txt"], ("--transcript", "--manifest"),
+     "t.txt"),
+    ([*REPLAYED, "--out", "gpt-loop-manifest.json"], ("--out", "--manifest"),
+     "gpt-loop-manifest.json"),
+])
+def test_two_outputs_naming_one_file_are_usage_errors(capsys, tmp_path, argv, flags, path):
+    # evolve --out x --log x wrote the genome over the log and exited 0;
+    # simulate --trace m --manifest m left a trace where the manifest was
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {flags[0]} and {flags[1]} name the same file: {path}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_absolute_and_a_relative_path_to_one_file_collide(capsys, tmp_path):
+    argv = [*EVOLVED, "--out", "g.json", "--log", str(tmp_path / "g.json")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --out and --log name the same file")
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- fitness-check -----------------------------------------------------------
 
 

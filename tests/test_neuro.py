@@ -11,13 +11,13 @@ from lumenloop.engine import SensorReading
 from lumenloop.errors import LengthMismatch, SchemaError
 from lumenloop.neuro.evolution import (
     EvolutionConfig,
-    evaluate_population,
     evolve,
     init_population,
     mutate,
     one_point_crossover,
     rng_for,
     run_evolution,
+    score_rows,
     tournament_select,
 )
 from lumenloop.neuro.network import (
@@ -130,11 +130,12 @@ def test_genome_file_schema_errors(tmp_path):
 def test_init_population_deterministic():
     a = init_population(EvolutionConfig(population_size=5, seed=3), DEFAULT_NETWORK, rng_for(3, 0))
     b = init_population(EvolutionConfig(population_size=5, seed=3), DEFAULT_NETWORK, rng_for(3, 0))
-    assert len(a) == 5
-    assert all(g.genes.shape == (51,) for g in a)
-    assert all(g.fitness is None for g in a)
-    for ga, gb in zip(a, b):
-        assert np.array_equal(ga.genes, gb.genes)
+    assert a.shape == (5, 51)
+    assert np.array_equal(a, b)
+    # one draw for the whole array takes the stream's values in the same
+    # order as one draw per genome
+    rng = rng_for(3, 0)
+    assert np.array_equal(a, [rng.normal(0.0, 1.0, 51) for _ in range(5)])
 
 
 def test_crossover_swaps_prefix_suffix():
@@ -175,46 +176,23 @@ def test_mutate_rate_hits_expected_fraction():
 
 
 def test_tournament_selects_best_of_sample():
-    population = [Genome(genes=np.full(3, float(i)), fitness=float(i)) for i in range(3)]
+    fitness = np.array([0.0, 1.0, 2.0])
     rng = np.random.default_rng(0)
-    # tournament over the whole population must return the top genome
-    picked = tournament_select(population, rng, 3)
-    assert picked.fitness == 2.0
+    # tournament over the whole population must return the top row
+    assert tournament_select(fitness, rng, 3) == 2
 
 
 def test_tournament_tie_takes_lowest_index():
-    population = [Genome(genes=np.full(3, float(i)), fitness=5.0) for i in range(3)]
     rng = np.random.default_rng(0)
-    picked = tournament_select(population, rng, 3)
-    assert picked is population[0]
-
-
-def test_evaluate_population_fills_only_missing():
-    population = [
-        Genome(genes=np.zeros(3), fitness=None),
-        Genome(genes=np.ones(3), fitness=7.0),
-    ]
-    calls = []
-
-    def objective(genes):
-        calls.append(genes.copy())
-        return [1.0] * len(genes)
-
-    evaluate_population(population, objective)
-    assert population[0].fitness == 1.0
-    assert population[1].fitness == 7.0  # pre-scored elite untouched
-    assert len(calls) == 1
-    assert calls[0].tolist() == [[0.0, 0.0, 0.0]]  # one batch of the pending genomes
+    assert tournament_select(np.full(3, 5.0), rng, 3) == 0
 
 
 def test_parallel_evaluation_matches_sequential():
-    rng = np.random.default_rng(11)
-    seq = [Genome(genes=rng.normal(0, 1, 51)) for _ in range(16)]
-    par = [Genome(genes=g.genes.copy()) for g in seq]
+    genes = np.random.default_rng(11).normal(0, 1, (16, 51))
     objective = imitation_objective()
-    evaluate_population(seq, objective, workers=1)
-    evaluate_population(par, objective, workers=4)
-    assert [g.fitness for g in seq] == [g.fitness for g in par]
+    seq = score_rows(genes, objective, workers=1)
+    par = score_rows(genes, objective, workers=4)
+    assert seq.tolist() == par.tolist()
 
 
 # --- evolution loop ---
@@ -246,6 +224,62 @@ def test_generation_stats_shape():
     assert [s.generation for s in result.history] == [1, 2, 3]
     for stat in result.history:
         assert stat.mean_fitness <= stat.best_fitness
+
+
+def recording(*answers):
+    """An objective that keeps a copy of each batch it scores; call i
+    scores every row answers[min(i, len(answers) - 1)]."""
+    calls = []
+
+    def objective(genes):
+        calls.append(genes.copy())
+        return [answers[min(len(calls), len(answers)) - 1]] * len(genes)
+
+    return objective, calls
+
+
+def test_elite_tie_goes_to_the_lower_row():
+    # all four first-generation genomes tie, so the elite is row 0; with
+    # no crossover or mutation every tournament (over the whole
+    # population) copies its winner, so generation 3 is all the elite
+    objective, calls = recording(0.0, -1.0)
+    cfg = EvolutionConfig(population_size=4, generations=3, tournament_size=4,
+                          crossover_rate=0.0, mutation_rate=0.0, elitism=1)
+    evolve(cfg, DEFAULT_NETWORK, objective)
+    assert len(calls) == 3
+    assert all(np.array_equal(row, calls[0][0]) for row in calls[2])
+
+
+def test_best_so_far_needs_a_strictly_better_fitness():
+    objective, calls = recording(1.0)
+    cfg = EvolutionConfig(population_size=5, generations=3, mutation_rate=1.0, elitism=0)
+    result = evolve(cfg, DEFAULT_NETWORK, objective)
+    assert not any(np.array_equal(row, calls[0][0]) for row in calls[-1])
+    assert np.array_equal(result.best.genes, calls[0][0])
+    assert result.best.fitness == 1.0
+
+
+def test_a_population_of_elites_is_scored_once():
+    objective, calls = recording(1.0)
+    cfg = EvolutionConfig(population_size=4, generations=5, elitism=4)
+    result = evolve(cfg, DEFAULT_NETWORK, objective)
+    assert len(calls) == 1
+    assert len(result.history) == 5
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_only_the_children_after_the_elites_are_scored(workers):
+    objective, calls = recording(1.0, 0.0)
+    cfg = EvolutionConfig(population_size=7, generations=4, elitism=2)
+    result = evolve(cfg, DEFAULT_NETWORK, objective, workers=workers)
+    sizes = [len(genes) for genes in calls]
+    if workers == 1:
+        assert sizes == [7, 5, 5, 5]
+    else:  # each generation's rows, cut into three contiguous chunks
+        assert sizes == [3, 2, 2] + [2, 2, 1] * 3
+    # the two elites keep the 1.0 they scored in generation 1
+    assert [s.best_fitness for s in result.history] == [1.0] * 4
+    assert [s.mean_fitness for s in result.history[1:]] == [2.0 / 7.0] * 3
 
 
 def test_run_evolution_on_scenario():
