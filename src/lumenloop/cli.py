@@ -63,12 +63,21 @@ def _require_nonempty(flag: str, value: str | None) -> None:
     _require(value != "", flag, "a non-empty name or path", "''")
 
 
-def _require_distinct(*outputs: tuple[str, str | None]) -> None:
-    """Reject two output flags that name one file, so neither overwrites
-    the other; ``outputs`` are (flag, path or None) pairs. Paths compare
-    resolved, as Path.resolve() does, but a symlink loop is left for the
-    write to report."""
+def _require_paths(
+    inputs: list[tuple[str, str | None]], outputs: list[tuple[str, str | None]]
+) -> None:
+    """Check a command's (flag, path or None) pairs: no path is empty, and
+    no output names the file of an input or of another output, so no write
+    overwrites what the command reads or writes. Two inputs may name one
+    file, and a built-in name compares as the path it spells. Paths
+    compare resolved, as Path.resolve() does, but a symlink loop is left
+    for the write to report."""
+    for flag, value in inputs + outputs:
+        _require_nonempty(flag, value)
     seen: dict[str, str] = {}
+    for flag, value in inputs:
+        if value is not None:
+            seen.setdefault(os.path.realpath(value), flag)
     for flag, value in outputs:
         if value is None:
             continue
@@ -111,10 +120,8 @@ def _comparison_row(
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    for flag, value in (("--scenario", args.scenario), ("--controller", args.controller),
-                        ("--trace", args.trace)):
-        _require_nonempty(flag, value)
-    _require_distinct(("--trace", args.trace), ("--manifest", args.manifest))
+    _require_paths([("--scenario", args.scenario), ("--controller", args.controller)],
+                   [("--trace", args.trace), ("--manifest", args.manifest)])
     scenario = load_scenario(args.scenario)
     resolved = resolve_controller(args.controller)
     outputs = [args.trace] if args.trace else []
@@ -148,8 +155,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     for flag, value in (("--population", args.population),
                         ("--generations", args.generations),
-                        ("--tournament", args.tournament),
-                        ("--workers", args.workers)):
+                        ("--tournament", args.tournament)):
         _require(value >= 1, flag, ">= 1", value)
     _require(args.hidden >= 0, "--hidden", ">= 0", args.hidden)
     _require(args.seed >= 0, "--seed", ">= 0", args.seed)
@@ -160,10 +166,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         _require(0.0 <= value <= 1.0, flag, "in [0, 1]", value)
     _require(0.0 <= args.mutation_sigma < math.inf, "--mutation-sigma",
              "finite and >= 0", args.mutation_sigma)
-    for flag, value in (("--scenario", args.scenario), ("--out", args.out),
-                        ("--log", args.log)):
-        _require_nonempty(flag, value)
-    _require_distinct(("--out", args.out), ("--log", args.log), ("--manifest", args.manifest))
+    _require_paths([("--scenario", args.scenario)],
+                   [("--out", args.out), ("--log", args.log), ("--manifest", args.manifest)])
     scenario = load_scenario(args.scenario)
     config = EvolutionConfig(
         population_size=args.population,
@@ -183,7 +187,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             **asdict(config),
             "scenario": args.scenario,
             "n_hidden": spec.n_hidden,
-            "workers": args.workers,
             "weights": asdict(weights),
         },
         [args.out, args.log],
@@ -196,10 +199,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    result = run_evolution(
-        config, scenario, spec, weights=weights, workers=args.workers,
-        on_generation=progress,
-    )
+    result = run_evolution(config, scenario, spec, weights=weights, on_generation=progress)
     with Path(args.log).open("w", encoding="utf-8") as fh:
         fh.write("generation,best_fitness,mean_fitness\n")
         for stat in result.history:
@@ -248,12 +248,11 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
     _require(0.0 < args.timeout < math.inf, "--timeout", "finite and > 0", args.timeout)
     _require(0.0 <= args.temperature < math.inf, "--temperature", "finite and >= 0",
              args.temperature)
-    for flag, value in (("--scenario", args.scenario), ("--replay", args.replay),
-                        ("--stub-metrics", args.stub_metrics),
-                        ("--transcript", args.transcript), ("--out", args.out)):
-        _require_nonempty(flag, value)
-    _require_distinct(("--transcript", args.transcript), ("--out", args.out),
-                      ("--manifest", args.manifest))
+    _require_paths(
+        [("--scenario", args.scenario), ("--replay", args.replay),
+         ("--stub-metrics", args.stub_metrics)],
+        [("--transcript", args.transcript), ("--out", args.out), ("--manifest", args.manifest)],
+    )
     model = DEFAULT_MODEL if args.model is None else args.model
     scenario = load_scenario(args.scenario)
     if args.replay is None and not os.environ.get(ENV_API_KEY):
@@ -335,9 +334,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     scenario_refs = args.scenario or list(BUILTIN_SCENARIOS)
     controller_refs = args.controller or list(DEFAULT_COMPARE_CONTROLLERS)
-    for flag, refs in (("--scenario", scenario_refs), ("--controller", controller_refs)):
-        for ref in refs:
-            _require_nonempty(flag, ref)
+    _require_paths([*(("--scenario", ref) for ref in scenario_refs),
+                    *(("--controller", ref) for ref in controller_refs)],
+                   [("--manifest", args.manifest)])
     scenarios = [load_scenario(ref) for ref in scenario_refs]
     controllers = [resolve_controller(ref) for ref in controller_refs]
     _write_manifest(
@@ -391,7 +390,7 @@ def _load_check_table(path: str | None) -> list[tuple[str, float, float, float, 
 def cmd_fitness_check(args: argparse.Namespace) -> int:
     _require(0.0 <= args.tolerance < math.inf, "--tolerance", "finite and >= 0",
              args.tolerance)
-    _require_nonempty("--table", args.table)
+    _require_paths([("--table", args.table)], [("--manifest", args.manifest)])
     _write_manifest(
         args.manifest,
         "fitness-check",
@@ -472,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elitism", type=int, default=1)
     p.add_argument("--hidden", type=int, default=6, help="hidden layer width")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="genome.json", help="best genome path")
     p.add_argument("--log", default="evolution.csv", help="per-generation CSV")
     add_common(p, "evolve-manifest.json")

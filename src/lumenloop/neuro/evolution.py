@@ -5,8 +5,7 @@ elitism. A generation is a (population_size, genome_length) genes array
 and its fitness vector; the next one starts with the ``elitism`` fittest
 rows, which keep their fitness, and only the children after them are
 scored. Deterministic for a given master seed: every generation draws from
-its own SeedSequence-derived stream, so results do not depend on worker
-count or Python hash order.
+its own SeedSequence-derived stream.
 
 An objective scores a (k, genome_length) array of genomes at once and
 returns k fitness values; ``simulation_objective`` runs all k through one
@@ -15,7 +14,6 @@ returns k fitness values; ``simulation_objective`` runs all k through one
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,8 +26,8 @@ from ..scenario import ScenarioSpec
 from .network import DEFAULT_NETWORK, Genome, NetworkSpec, network_batch_step
 
 # (k, genome_length) genomes -> k fitness values. A genome's value must not
-# depend on the other rows, so that splitting the rows across workers
-# changes nothing.
+# depend on the other rows: elites keep the fitness they were scored with,
+# and later generations score only the children.
 Objective = Callable[[np.ndarray], Sequence[float]]
 
 
@@ -56,8 +54,6 @@ class GenerationStat:
 class EvolutionResult:
     best: Genome
     history: list[GenerationStat]
-    spec: NetworkSpec
-    config: EvolutionConfig
 
 
 def rng_for(seed: int, *path: int) -> np.random.Generator:
@@ -98,21 +94,11 @@ def mutate(
     return out
 
 
-def score_rows(genes: np.ndarray, objective: Objective, workers: int = 1) -> np.ndarray:
-    """Fitness of each row of ``genes``, from one objective call.
-
-    With ``workers`` > 1 the rows are cut into that many contiguous chunks,
-    each scored by one objective call on its own thread. No rows, no call.
-    """
+def score_rows(genes: np.ndarray, objective: Objective) -> np.ndarray:
+    """Fitness of each row of ``genes``, from one objective call; no rows, no call."""
     if not len(genes):
         return np.empty(0)
-    if workers <= 1:
-        values = objective(genes)
-    else:
-        chunks = np.array_split(genes, min(workers, len(genes)))
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            values = [v for chunk in pool.map(objective, chunks) for v in chunk]
-    fitness = np.asarray(values, dtype=float)
+    fitness = np.asarray(objective(genes), dtype=float)
     if fitness.shape != (len(genes),):
         raise ValueError(f"objective gave {fitness.shape} values for {len(genes)} genomes")
     return fitness
@@ -140,12 +126,11 @@ def evolve(
     config: EvolutionConfig,
     spec: NetworkSpec,
     objective: Objective,
-    workers: int = 1,
     on_generation: Callable[[GenerationStat], None] | None = None,
 ) -> EvolutionResult:
     """Run the GA against an arbitrary objective (higher is better)."""
     genes = init_population(config, spec, rng_for(config.seed, 0))
-    fitness = score_rows(genes, objective, workers)
+    fitness = score_rows(genes, objective)
     history: list[GenerationStat] = []
     best: Genome | None = None
     for gen in range(1, config.generations + 1):
@@ -162,8 +147,8 @@ def evolve(
             children = _breed(genes, fitness, len(genes) - len(elites), config,
                               rng_for(config.seed, 1, gen))
             genes = np.concatenate([genes[elites], children])
-            fitness = np.concatenate([fitness[elites], score_rows(children, objective, workers)])
-    return EvolutionResult(best=best, history=history, spec=spec, config=config)
+            fitness = np.concatenate([fitness[elites], score_rows(children, objective)])
+    return EvolutionResult(best=best, history=history)
 
 
 def simulation_objective(
@@ -186,11 +171,13 @@ def run_evolution(
     workers: int = 1,
     on_generation: Callable[[GenerationStat], None] | None = None,
 ) -> EvolutionResult:
-    """Evolve controllers for one scenario, scored by collective fitness."""
-    return evolve(
-        config,
-        spec,
-        simulation_objective(scenario, spec, weights),
-        workers=workers,
-        on_generation=on_generation,
-    )
+    """Evolve controllers for one scenario, scored by collective fitness.
+
+    ``workers`` must be 1: a generation is scored by one batch call on one
+    thread. The parameter goes when ROADMAP item 1 drops ``workers=1`` from
+    ``benchmarks/``.
+    """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
+    return evolve(config, spec, simulation_objective(scenario, spec, weights),
+                  on_generation=on_generation)

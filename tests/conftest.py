@@ -16,7 +16,7 @@ _CRITERIA = {
     3: "reference absolute metrics out of scope; structure asserted instead",
     4: "simulator properties (determinism, monotonicity, causality, feasibility)",
     5: "rule-language suite (round-trip corpus, totality fuzz, oracle match)",
-    6: "neuroevolution suite (monotone elitism, parallel parity, imitation)",
+    6: "neuroevolution suite (monotone elitism, imitation)",
     7: "three-iteration replay reaches threshold with verbatim feedback",
     8: "repair path records attempts and parse failures",
     9: "offline compare CSV is self-consistent end to end",

@@ -18,7 +18,6 @@ matter only through their order.
 
 import copy
 import random
-import sys
 from dataclasses import replace
 from math import inf, nan
 from pathlib import Path
@@ -693,18 +692,12 @@ def test_batch_step_equals_controller_act_per_pole(hidden, seed, inputs, ambient
                 assert command.broadcast == out_broadcast[lane, pole]
 
 
-# -- workers ---------------------------------------------------------------------
+# -- the GA's objective -----------------------------------------------------------
 
 
-def test_threaded_chunks_equal_the_scalar_engine():
-    # more threads than cores, frequent thread switches, and a fresh
-    # scenario object so that the threads race to build scenario.compiled
+def test_score_rows_equals_the_scalar_engine():
+    # a fresh scenario object, so that the objective builds scenario.compiled
     scenario = builtin_scenario("scenario1")
     genes = random_genes(5, 24)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        fitness = score_rows(genes, simulation_objective(scenario), workers=8)
-    finally:
-        sys.setswitchinterval(interval)
+    fitness = score_rows(genes, simulation_objective(scenario))
     assert fitness.tolist() == [m.fitness for m in oracle(SCENARIO1, genes)]

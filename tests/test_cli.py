@@ -16,6 +16,7 @@ from lumenloop.cli import (
 )
 from lumenloop.controllers import ResolvedController
 from lumenloop.fitness import DEFAULT_WEIGHTS
+from lumenloop.scenario import builtin_scenario_document
 
 
 @pytest.fixture(autouse=True)
@@ -121,8 +122,6 @@ def test_simulate_bad_weights(capsys):
             ("--mutation-sigma", "-0.1"),
             ("--mutation-sigma", "nan"),
             ("--mutation-sigma", "inf"),
-            ("--workers", "0"),
-            ("--workers", "-4"),
         ]
     ),
     *(
@@ -205,26 +204,13 @@ def test_evolve_small_run(capsys, tmp_path):
     assert (tmp_path / "genome.json").read_bytes() == first
 
 
-def test_evolve_outputs_do_not_depend_on_workers(capsys, tmp_path):
-    argv = [
-        "evolve", "--generations", "3", "--population", "9", "--seed", "4",
-        "--out", "genome.json", "--log", "log.csv",
-    ]
-    runs = []
-    for workers in ("1", "4"):
-        assert main([*argv, "--workers", workers]) == EXIT_OK
-        runs.append({
-            name: Path(name).read_bytes()
-            for name in ("genome.json", "log.csv", "evolve-manifest.json")
-        })
-    capsys.readouterr()
-    one, four = runs
-    assert one["genome.json"] == four["genome.json"]
-    assert one["log.csv"] == four["log.csv"]
-    # the manifest records the flag itself and nothing else that differs
-    assert one["evolve-manifest.json"] == four["evolve-manifest.json"].replace(
-        b'"workers": 4', b'"workers": 1'
-    )
+def test_evolve_has_no_workers_flag(capsys, tmp_path):
+    # a generation is scored by one batch call on one thread
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "--generations", "1", "--population", "2", "--workers", "2"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -478,6 +464,74 @@ def test_an_absolute_and_a_relative_path_to_one_file_collide(capsys, tmp_path):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: --out and --log name the same file")
     assert list(tmp_path.iterdir()) == []
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+INPUT_BYTES = {
+    "s.json": json.dumps(builtin_scenario_document("scenario1")).encode(),
+    "c.rules": b"light = 0.5\n",
+    "r.jsonl": (FIXTURES / "three_iter.jsonl").read_bytes(),
+    "m.json": (FIXTURES / "calibration_stub.json").read_bytes(),
+    "t.csv": (FIXTURES / "reference_scores.csv").read_bytes(),
+}
+
+
+@pytest.mark.parametrize("argv, flags, name", [
+    (["simulate", "--scenario", "s.json", "--manifest", "s.json"],
+     ("--scenario", "--manifest"), "s.json"),
+    (["simulate", "--controller", "c.rules", "--trace", "./c.rules"],
+     ("--controller", "--trace"), "c.rules"),
+    ([*EVOLVED, "--scenario", "s.json", "--out", "s.json"], ("--scenario", "--out"), "s.json"),
+    ([*EVOLVED, "--scenario", "s.json", "--log", "s.json"], ("--scenario", "--log"), "s.json"),
+    (["gpt-loop", "--replay", "r.jsonl", "--transcript", "r.jsonl"],
+     ("--replay", "--transcript"), "r.jsonl"),
+    (["gpt-loop", "--scenario", "s.json", "--replay", str(FIXTURES / "three_iter.jsonl"),
+      "--out", "s.json"], ("--scenario", "--out"), "s.json"),
+    (["gpt-loop", "--replay", str(FIXTURES / "three_iter.jsonl"), "--stub-metrics", "m.json",
+      "--manifest", "m.json"], ("--stub-metrics", "--manifest"), "m.json"),
+    (["compare", "--scenario", "scenario1", "--scenario", "s.json", "--manifest", "s.json"],
+     ("--scenario", "--manifest"), "s.json"),
+    (["compare", "--controller", "always_on", "--controller", "c.rules",
+      "--manifest", "c.rules"], ("--controller", "--manifest"), "c.rules"),
+    (["fitness-check", "--table", "t.csv", "--manifest", "t.csv"],
+     ("--table", "--manifest"), "t.csv"),
+])
+def test_an_output_naming_an_input_file_is_a_usage_error(capsys, tmp_path, argv, flags, name):
+    # simulate --scenario s.json --manifest s.json wrote the manifest over
+    # the scenario and exited 0, so the rerun from that manifest exited 2
+    Path(name).write_bytes(INPUT_BYTES[name])
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {flags[0]} and {flags[1]} name the same file: {argv[-1]}"]
+    assert Path(name).read_bytes() == INPUT_BYTES[name]
+    assert list(tmp_path.iterdir()) == [tmp_path / name]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["simulate", "--trace", "always_on"], ("--controller", "--trace")),
+    (["simulate", "--manifest", "scenario1"], ("--scenario", "--manifest")),
+    ([*EVOLVED, "--log", "scenario1"], ("--scenario", "--log")),
+    (["compare", "--manifest", "iteration2"], ("--controller", "--manifest")),
+])
+def test_a_builtin_name_compares_as_a_path(capsys, tmp_path, argv, flags):
+    # the check does not know which names are built-ins, so a built-in
+    # name is compared as the path it spells; a flag's default counts
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flags[0]} and {flags[1]} name the same file: {argv[-1]}"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_two_inputs_may_name_one_file(capsys):
+    Path("s.json").write_bytes(INPUT_BYTES["s.json"])
+    argv = ["compare", "--scenario", "s.json", "--scenario", "./s.json",
+            "--controller", "always_on"]
+    assert main(argv) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2 and rows[0] == rows[1]
+    assert Path("s.json").read_bytes() == INPUT_BYTES["s.json"]
 
 
 # -- fitness-check -----------------------------------------------------------

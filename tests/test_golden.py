@@ -40,7 +40,6 @@ CONFIGS = {
             "seed": 1,
             "tournament_size": 3,
             "weights": WEIGHTS,
-            "workers": 1,
         },
     ),
     "gpt-loop": (

@@ -37,3 +37,10 @@ def test_only_a_live_provider_imports_requests(module):
     loaded = modules_after_import(module)
     assert module in loaded
     assert "requests" not in loaded
+
+
+@pytest.mark.parametrize("module", ["lumenloop.cli", "lumenloop.neuro"])
+def test_evolution_runs_without_a_thread_pool(module):
+    loaded = modules_after_import(module)
+    assert module in loaded
+    assert sorted(m for m in loaded if m.startswith("concurrent")) == []
