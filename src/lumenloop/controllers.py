@@ -6,8 +6,9 @@ A controller source is one of:
   * a path to a genome JSON file (an object with a "genes" list); any
     file named ``*.json``, or whose text starts with ``{``, is read as one.
 
-Builtin names win unless the string is an explicit path (contains a
-separator or names an existing file).
+A builtin name always means the builtin, even where a file of that name
+exists (as ``load_scenario`` treats scenario names); to run such a file,
+name it as a path, such as ``./iteration1``.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def resolve_controller(source: str) -> ResolvedController:
     Raises UnknownBaseline, SchemaError, LexError, ParseError,
     ValidationError, or OSError depending on what goes wrong.
     """
-    if source in BUILTIN_PROGRAM_SOURCES and not _looks_like_path(source):
+    if source in BUILTIN_PROGRAM_SOURCES:
         return ResolvedController(
             label=source, factory=program_factory(builtin_program(source))
         )

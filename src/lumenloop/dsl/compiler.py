@@ -278,11 +278,6 @@ class _ProgramStep:
         self._values = (0.0,) * (len(names) - 3) + (0.0, True, 0.0)
 
     @property
-    def values(self) -> dict:
-        """The values by name: ``mem.<name>``, light, listen, broadcast."""
-        return dict(zip(self._names, self._values))
-
-    @property
     def memory(self) -> dict:
         """The memory slots' values by name (``mem.`` left off)."""
         return {name[4:]: value for name, value in zip(self._names, self._values)

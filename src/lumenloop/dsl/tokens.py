@@ -8,10 +8,16 @@ from ..errors import LexError
 
 KEYWORDS = frozenset({"if", "then", "else", "end", "and", "or", "not"})
 
-# Longest match first so "<=" is not split into "<", "=".
 _COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
 _OPERATORS = ("+", "-", "*", "/", "=")
 _PUNCTUATION = ("(", ")", ".")
+# symbol -> token kind; tokenize tries two characters before one, so "<="
+# is not split into "<", "="
+_SYMBOLS = {
+    **dict.fromkeys(_COMPARATORS, "comparator"),
+    **dict.fromkeys(_OPERATORS, "operator"),
+    **dict.fromkeys(_PUNCTUATION, "punct"),
+}
 
 
 @dataclass(frozen=True)
@@ -38,67 +44,43 @@ def tokenize(source: str) -> list[Token]:
     """
     tokens: list[Token] = []
     line = 1
-    col = 1
+    line_start = 0  # index of the line's first character
     i = 0
     n = len(source)
     while i < n:
         ch = source[i]
         if ch == "\n":
             line += 1
-            col = 1
             i += 1
+            line_start = i
             continue
         if ch in " \t\r":
             i += 1
-            col += 1
             continue
         if ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
             continue
+        start, col = i, i - line_start + 1
         if ch.isdecimal():
-            start = i
-            start_col = col
             while i < n and source[i].isdecimal():
                 i += 1
             if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdecimal():
                 i += 1
                 while i < n and source[i].isdecimal():
                     i += 1
-            lexeme = source[start:i]
-            col += len(lexeme)
-            tokens.append(Token("number", lexeme, line, start_col))
+            tokens.append(Token("number", source[start:i], line, col))
             continue
         if _is_ident_start(ch):
-            start = i
-            start_col = col
             while i < n and _is_ident_char(source[i]):
                 i += 1
             lexeme = source[start:i]
-            col += len(lexeme)
             kind = "keyword" if lexeme in KEYWORDS else "identifier"
-            tokens.append(Token(kind, lexeme, line, start_col))
+            tokens.append(Token(kind, lexeme, line, col))
             continue
-        two = source[i : i + 2]
-        if two in _COMPARATORS:
-            tokens.append(Token("comparator", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ("<", ">"):
-            tokens.append(Token("comparator", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(Token("operator", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCTUATION:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", line=line, column=col)
+        symbol = source[i : i + 2] if source[i : i + 2] in _SYMBOLS else ch
+        if symbol not in _SYMBOLS:
+            raise LexError(f"unexpected character {ch!r}", line=line, column=col)
+        tokens.append(Token(_SYMBOLS[symbol], symbol, line, col))
+        i += len(symbol)
     return tokens

@@ -14,16 +14,19 @@ every tick from the start tick through the arrival tick (inclusive) counts
 toward trip time. The listen decision made at tick t governs whether the
 pole hears its neighbors' broadcasts at tick t+1.
 
-One tick loop implements these rules. ``run_batch`` runs many independent
-copies of a scenario at once (one lane per copy) over (lanes, poles)
-arrays, stepping every pole of every lane with one batch step per tick:
-``network_batch_step`` for a population of networks, ``controller_step``
-for one controller factory per lane. ``controller_step`` stacks one step
-per lane: the factory's own batch step where it offers one (a rule
-program compiled by ``dsl.compiler``, or a network), else one
-``factory()`` per pole stepped through ``act``. ``run_simulation`` is one
-lane of it and can trace every tick from the loop's arrays. Routes,
-neighbours and ambient levels come from ``scenario.compiled``.
+One tick loop implements these rules, ``run_batch``, and every run enters
+it there. It runs many independent copies of a scenario at once (one lane
+per copy) over (lanes, poles) arrays, stepping every pole of every lane
+with one batch step per tick: ``network_batch_step`` for a population of
+networks, ``controller_step`` for one controller factory per lane.
+``controller_step`` stacks one step per lane: the factory's own batch step
+where it offers one (a rule program compiled by ``dsl.compiler``, or a
+network), else one ``factory()`` per pole stepped through ``act``. After
+each tick the loop hands its arrays to an optional ``on_tick``, and at the
+end it scores each lane with ``compute_metrics``. ``run_simulation`` is a
+one-lane ``run_batch`` call whose ``on_tick``, when asked for a trace,
+records every tick. Routes, neighbours and ambient levels come from
+``scenario.compiled``.
 
 A tick costs about as many microseconds as it makes numpy calls, however
 many lanes it holds, so the loop makes few. A person's state is where
@@ -156,29 +159,28 @@ def write_trace(path: str | Path, traces: list[TickTrace]) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-@dataclass(frozen=True)
-class RawTotals:
-    """Accumulated counters from a completed run."""
-
-    light_sum: float
-    finished_count: int
-    trip_tick_sum: int
-
-
-def compute_metrics(raw: RawTotals, scenario: ScenarioSpec) -> SimulationMetrics:
-    """Turn raw totals into percentages (fitness left unset).
+def compute_metrics(
+    scenario: ScenarioSpec,
+    light_sum: float,
+    finished: int,
+    trip_ticks: int,
+    weights: FitnessWeights = DEFAULT_WEIGHTS,
+) -> SimulationMetrics:
+    """Score a run's totals: the light summed over poles and ticks, the
+    people who reached their destination and the ticks they spent walking.
 
     Zero-people scenarios define people_pct = 100 and trip_pct = 0.
     """
     n_poles = len(scenario.poles)
     n_people = len(scenario.people)
-    energy_pct = 100.0 * raw.light_sum / (n_poles * scenario.max_ticks)
+    energy_pct = 100.0 * light_sum / (n_poles * scenario.max_ticks)
     if n_people == 0:
         people_pct, trip_pct = 100.0, 0.0
     else:
-        people_pct = 100.0 * raw.finished_count / n_people
-        trip_pct = 100.0 * raw.trip_tick_sum / (n_people * scenario.max_ticks)
-    return SimulationMetrics(energy_pct, people_pct, trip_pct)
+        people_pct = 100.0 * finished / n_people
+        trip_pct = 100.0 * trip_ticks / (n_people * scenario.max_ticks)
+    metrics = SimulationMetrics(energy_pct, people_pct, trip_pct)
+    return replace(metrics, fitness=compute_fitness(metrics, weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,18 +342,24 @@ def _lane_array(out, shape: tuple[int, int]) -> np.ndarray:
     return np.broadcast_to(out, shape)
 
 
-def _run_lanes(
+def run_batch(
     scenario: ScenarioSpec,
     step: BatchStep,
     lanes: int,
-    weights: FitnessWeights,
+    weights: FitnessWeights = DEFAULT_WEIGHTS,
     on_tick: Callable[[int, tuple, tuple, tuple], None] | None = None,
 ) -> list[SimulationMetrics]:
-    """The tick loop. After each tick it calls ``on_tick(tick, sensors,
-    commands, people)``, if given: ``sensors`` is (ambient, motion, signal,
-    light) as passed to the step, ``commands`` the step's (light, listen,
-    broadcast) as (lanes, poles) arrays, and ``people`` (position, moved,
-    finished) as (lanes, people) arrays of pole columns and flags."""
+    """The tick loop: run ``lanes`` independent copies of the scenario and
+    score each.
+
+    Every pole of every lane is stepped by one call of ``step`` per tick;
+    see the module docstring for the parity contract. After each tick it
+    calls ``on_tick(tick, sensors, commands, people)``, if given:
+    ``sensors`` is (ambient, motion, signal, light) as passed to the step,
+    ``commands`` the step's (light, listen, broadcast) as (lanes, poles)
+    arrays, and ``people`` (position, moved, finished) as (lanes, people)
+    arrays of pole columns and flags.
+    """
     plan = scenario.compiled
     n_poles = len(scenario.poles)
     shape = (lanes, n_poles)
@@ -429,22 +437,7 @@ def _run_lanes(
     totals = zip(
         light_sum.tolist(), finished.sum(axis=1).tolist(), trip_ticks.sum(axis=1).tolist()
     )
-    metrics = [compute_metrics(RawTotals(*raw), scenario) for raw in totals]
-    return [replace(m, fitness=compute_fitness(m, weights)) for m in metrics]
-
-
-def run_batch(
-    scenario: ScenarioSpec,
-    step: BatchStep,
-    lanes: int,
-    weights: FitnessWeights = DEFAULT_WEIGHTS,
-) -> list[SimulationMetrics]:
-    """Run ``lanes`` independent copies of the scenario and score each.
-
-    Every pole of every lane is stepped by one call of ``step`` per tick;
-    see the module docstring for the parity contract.
-    """
-    return _run_lanes(scenario, step, lanes, weights)
+    return [compute_metrics(scenario, *raw, weights) for raw in totals]
 
 
 def run_simulation(
@@ -455,15 +448,12 @@ def run_simulation(
 ):
     """Run the scenario with one ``controller_factory()`` per pole and score it.
 
-    The run is one lane of ``controller_step``, so a factory that offers a
-    batch step runs through it. Returns SimulationMetrics, or
+    The run is one ``run_batch`` lane of ``controller_step``, so a factory
+    that offers a batch step runs through it. Returns SimulationMetrics, or
     (SimulationMetrics, list[TickTrace]) when ``trace`` is true; the trace
-    is read from the loop's arrays, whatever the step. Identical inputs
-    produce bit-identical outputs.
+    is recorded by the loop's ``on_tick`` from its arrays, whatever the
+    step. Identical inputs produce bit-identical outputs.
     """
-    step = controller_step(scenario, [controller_factory])
-    if not trace:
-        return _run_lanes(scenario, step, 1, weights)[0]
     pole_ids = [pole.id for pole in scenario.poles]
     traces: list[TickTrace] = []
     since = TICKS_SINCE_MOTION_CAP
@@ -480,5 +470,6 @@ def run_simulation(
              for p, c, m, f in zip(scenario.people, position, moved, finished)},
         ))
 
-    (metrics,) = _run_lanes(scenario, step, 1, weights, record)
-    return metrics, traces
+    step = controller_step(scenario, [controller_factory])
+    (metrics,) = run_batch(scenario, step, 1, weights, record if trace else None)
+    return (metrics, traces) if trace else metrics

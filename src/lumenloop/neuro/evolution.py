@@ -108,18 +108,24 @@ def _breed(
     genes: np.ndarray, fitness: np.ndarray, count: int,
     config: EvolutionConfig, rng: np.random.Generator,
 ) -> np.ndarray:
-    """``count`` children of tournament winners, two per pair of parents."""
+    """``count`` children of tournament winners, two per pair of parents.
+
+    A gene that a mutation carries past the float range is held at the
+    range's edge, so every gene stays finite (an infinite weight times a
+    zero input is NaN)."""
     children = np.empty((count, genes.shape[1]))
     made = 0
-    while made < count:
-        a = genes[tournament_select(fitness, rng, config.tournament_size)]
-        b = genes[tournament_select(fitness, rng, config.tournament_size)]
-        if rng.random() < config.crossover_rate:
-            a, b = one_point_crossover(a, b, rng)
-        for child in (a, b)[: count - made]:
-            children[made] = mutate(child, rng, config.mutation_rate, config.mutation_sigma)
-            made += 1
-    return children
+    with np.errstate(over="ignore"):
+        while made < count:
+            a = genes[tournament_select(fitness, rng, config.tournament_size)]
+            b = genes[tournament_select(fitness, rng, config.tournament_size)]
+            if rng.random() < config.crossover_rate:
+                a, b = one_point_crossover(a, b, rng)
+            for child in (a, b)[: count - made]:
+                children[made] = mutate(child, rng, config.mutation_rate, config.mutation_sigma)
+                made += 1
+    edge = np.finfo(float).max
+    return np.clip(children, -edge, edge, out=children)
 
 
 def evolve(

@@ -9,20 +9,17 @@ what ``run_simulation`` here returns, traces included;
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from lumenloop.engine import (
     TICKS_SINCE_MOTION_CAP,
     ActuatorCommand,
     ControllerFactory,
     PersonTrace,
-    RawTotals,
     SensorReading,
     TickTrace,
     compute_metrics,
 )
 from lumenloop.errors import ControllerError
-from lumenloop.fitness import DEFAULT_WEIGHTS, FitnessWeights, compute_fitness
+from lumenloop.fitness import DEFAULT_WEIGHTS, FitnessWeights
 from lumenloop.scenario import ScenarioSpec, shortest_path
 
 
@@ -133,7 +130,6 @@ def run_simulation(
         if trace:
             traces.append(TickTrace(tick, readings, dict(commands), person_traces))
 
-    raw = RawTotals(light_sum, sum(1 for p in people if p.finished), trip_ticks)
-    metrics = compute_metrics(raw, scenario)
-    metrics = replace(metrics, fitness=compute_fitness(metrics, weights))
+    finished = sum(1 for p in people if p.finished)
+    metrics = compute_metrics(scenario, light_sum, finished, trip_ticks, weights)
     return (metrics, traces) if trace else metrics

@@ -32,6 +32,7 @@ import scalar_engine
 from genprog import rand_program
 from interpreter import InterpreterController, interpreter_factory
 from network_controller import NetworkController
+from lumenloop import engine
 from lumenloop.controllers import (
     DslController,
     network_factory,
@@ -44,7 +45,6 @@ from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import (
     ActuatorCommand,
     SensorReading,
-    _run_lanes,
     controller_step,
     run_batch,
     run_simulation,
@@ -301,9 +301,24 @@ def test_the_loop_never_writes_into_what_it_hands_out(scenario, steps):
     def on_tick(tick, sensors, commands, people):
         keeper.keep(*sensors, *commands, *people)
 
-    _run_lanes(scenario, kept_by(keeper, step), lanes, DEFAULT_WEIGHTS, on_tick)
+    run_batch(scenario, kept_by(keeper, step), lanes, on_tick=on_tick)
     assert len(keeper.kept) == 17 * scenario.max_ticks  # 7 to and from the step, 10 to on_tick
     assert keeper.changed() == []
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_run_simulation_enters_the_loop_through_one_run_batch_call(monkeypatch, trace):
+    calls = []
+
+    def counting(scenario, step, lanes, *args, **kwargs):
+        calls.append(lanes)
+        return run_batch(scenario, step, lanes, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_batch", counting)
+    program = builtin_program("iteration3")
+    got = run_simulation(SCENARIO1, program_factory(program), trace=trace)
+    assert calls == [1]
+    assert got == scalar_engine.run_simulation(SCENARIO1, interpreter_factory(program), trace=trace)
 
 
 # -- compiled rule programs ------------------------------------------------------

@@ -61,6 +61,15 @@ def test_simulate_rule_file(capsys, tmp_path):
     assert row.startswith("scenario1,dimmer,50.00,")
 
 
+def test_a_builtin_name_wins_over_a_file_of_that_name(capsys, tmp_path):
+    # as for scenarios: the file runs only when named as a path
+    (tmp_path / "iteration1").write_text("light = 0.25\n")
+    assert main(["simulate", "--controller", "iteration1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("scenario1,iteration1,95.70,")
+    assert main(["simulate", "--controller", "./iteration1"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].startswith("scenario1,iteration1,25.00,")
+
+
 def test_simulate_parse_error_positions(capsys, tmp_path):
     rules = tmp_path / "broken.rules"
     rules.write_text("light = = 1\n")

@@ -7,11 +7,11 @@ import pytest
 from lumenloop.controllers import resolve_controller
 from lumenloop.engine import (
     ActuatorCommand,
-    RawTotals,
     compute_metrics,
     run_simulation,
 )
 from lumenloop.errors import ControllerError
+from lumenloop.fitness import FitnessWeights, compute_fitness
 from lumenloop.scenario import builtin_scenario, parse_scenario
 
 
@@ -255,8 +255,10 @@ def test_compute_metrics_formulas():
         {"id": 0, "origin": 0, "destination": 1, "start_tick": 0},
         {"id": 1, "origin": 1, "destination": 0, "start_tick": 0},
     ], max_ticks=10)
-    m = compute_metrics(RawTotals(light_sum=3.0, finished_count=1, trip_tick_sum=13), sc)
+    m = compute_metrics(sc, light_sum=3.0, finished=1, trip_ticks=13)
     assert m.energy_pct == pytest.approx(15.0)
     assert m.people_pct == 50.0
     assert m.trip_pct == pytest.approx(65.0)
-    assert m.fitness is None
+    assert m.fitness == compute_fitness(m)
+    weights = FitnessWeights(2.0, 0.5, 0.25)
+    assert compute_metrics(sc, 3.0, 1, 13, weights).fitness == compute_fitness(m, weights)

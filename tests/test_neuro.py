@@ -291,6 +291,26 @@ def test_a_generation_is_scored_on_one_thread():
         score_rows(np.zeros((2, 51)), sphere, workers=1)
 
 
+def test_a_mutation_past_the_float_range_leaves_every_gene_finite(tmp_path):
+    # a sigma of 1e308 carries genes past the float range; the GA holds
+    # them at its edge, as an infinite weight times a zero input is NaN
+    cfg = EvolutionConfig(population_size=4, generations=3, seed=0,
+                          mutation_rate=1.0, mutation_sigma=1e308)
+    result = run_evolution(cfg, builtin_scenario("scenario1"))
+    assert np.isfinite([(s.best_fitness, s.mean_fitness) for s in result.history]).all()
+    path = tmp_path / "wide.json"
+    save_genome(path, result.best)
+    _, genome = load_genome(path)
+    assert np.array_equal(genome.genes, result.best.genes)
+    assert genome.fitness == result.best.fitness
+
+    scored = []
+    evolve(cfg, DEFAULT_NETWORK, lambda genes: scored.append(genes) or [0.0] * len(genes))
+    children = np.concatenate(scored[1:])
+    assert np.isfinite(children).all()
+    assert (np.abs(children) == np.finfo(float).max).any()
+
+
 def test_imitation_learns_motion_rule():
     objective = imitation_objective()
     cfg = EvolutionConfig(population_size=30, generations=20, seed=0)
