@@ -25,8 +25,8 @@ network), else one ``factory()`` per pole stepped through ``act``. After
 each tick the loop hands its arrays to an optional ``on_tick``, and at the
 end it scores each lane with ``compute_metrics``. ``run_simulation`` is a
 one-lane ``run_batch`` call whose ``on_tick``, when asked for a trace,
-records every tick. Routes, neighbours and ambient levels come from
-``scenario.compiled``.
+records every tick. Routes (``scenario.next_hops``), neighbours and
+ambient levels come from ``scenario.compiled``.
 
 A tick costs about as many microseconds as it makes numpy calls, however
 many lanes it holds, so the loop makes few. A person's state is where
@@ -70,7 +70,8 @@ import numpy as np
 
 from .errors import ControllerError
 from .fitness import DEFAULT_WEIGHTS, FitnessWeights, SimulationMetrics, compute_fitness
-from .scenario import ScenarioSpec, shortest_path
+from .scenario import ScenarioSpec, next_hops
+from .scenario import shortest_path  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
 TICKS_SINCE_MOTION_CAP = 255
 
@@ -219,16 +220,21 @@ def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
             neighbor_index[:, j] = row + row[:1] * (width - len(row))
 
     next_hop = np.full((len(scenario.people), n_poles), -1, dtype=np.intp)
-    for m, person in enumerate(scenario.people):
-        path = shortest_path(scenario, person.origin, person.destination)
-        for here, there in zip(path, path[1:]):
-            next_hop[m, column[here]] = column[there]
+    # people in destination order: one search per destination, one held at a time
+    searched, hops = None, {}
+    for m, person in sorted(enumerate(scenario.people), key=lambda row: row[1].destination):
+        if person.destination != searched:
+            searched, hops = person.destination, next_hops(scenario, person.destination)
+        here = person.origin
+        while here != person.destination:
+            next_hop[m, column[here]] = column[hops[here]]
+            here = hops[here]
 
     def columns(field: str) -> np.ndarray:
         return np.array([column[getattr(p, field)] for p in scenario.people], dtype=np.intp)
 
-    # scenario.ambient_at per tick in one walk: like ambient_at, the walk
-    # reaches an entry only once it has passed every earlier one
+    # the ambient level per tick (0 before the first entry) in one walk: an
+    # entry is reached only once the walk has passed every earlier one
     ambient, level = [], 0.0
     for entry in scenario.ambient_schedule:
         ambient += [level] * (min(entry.from_tick, scenario.max_ticks) - len(ambient))

@@ -5,12 +5,13 @@ A scenario document is UTF-8 JSON with exactly the top-level keys
 people``. Unknown keys are rejected (SchemaError); semantic violations
 raise ValidationError with the offending field path. ``rng_seed`` is a
 reserved integer key: it is required and type-checked, but the dynamics are
-deterministic and ignore it.
+deterministic and ignore it. Routes are fixed at load time by ``next_hops``,
+one search per destination; loading checks reachability with one search per
+connected component.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -63,16 +64,6 @@ class ScenarioSpec:
 
     def neighbor_map(self) -> dict[int, tuple[int, ...]]:
         return {p.id: p.neighbors for p in self.poles}
-
-    def ambient_at(self, tick: int) -> float:
-        """Ambient level at ``tick``: last schedule entry in effect, else 0."""
-        level = 0.0
-        for entry in self.ambient_schedule:
-            if entry.from_tick <= tick:
-                level = entry.level
-            else:
-                break
-        return level
 
 
 # The engine builds per-tick tables, so a run's length needs a stated
@@ -207,6 +198,12 @@ def _validate(spec: ScenarioSpec) -> None:
                     path=f"poles[{i}].neighbors",
                 )
 
+    # each pole's component, named by its first pole; the graph is symmetric
+    component: dict[int, int] = {}
+    for pole in spec.poles:
+        if pole.id not in component:
+            component.update(dict.fromkeys(next_hops(spec, pole.id), pole.id))
+
     person_ids = [p.id for p in spec.people]
     if len(set(person_ids)) != len(person_ids):
         raise ValidationError("duplicate person ids", path="people")
@@ -223,42 +220,39 @@ def _validate(spec: ScenarioSpec) -> None:
                 f"person {person.id}: start_tick must satisfy 0 <= t < max_ticks",
                 path=f"people[{i}].start_tick",
             )
-        if distances_to(spec, person.destination).get(person.origin) is None:
+        if component[person.origin] != component[person.destination]:
             raise ValidationError(
                 f"person {person.id}: no path from {person.origin} to {person.destination}",
                 path=f"people[{i}].destination",
             )
 
 
-def distances_to(spec: ScenarioSpec, target: int) -> dict[int, int]:
-    """BFS hop counts from every reachable pole to ``target``."""
+def next_hops(spec: ScenarioSpec, destination: int) -> dict[int, int]:
+    """Next pole on a fewest-hop route to ``destination`` from each pole that
+    reaches it (the destination maps to itself). Levels are visited in
+    ascending id order, so a pole steps to its lowest-id neighbour one hop nearer."""
     neighbors = spec.neighbor_map()
-    dist = {target: 0}
-    queue = deque([target])
-    while queue:
-        node = queue.popleft()
-        for n in sorted(neighbors[node]):
-            if n not in dist:
-                dist[n] = dist[node] + 1
-                queue.append(n)
-    return dist
+    hops = {destination: destination}
+    level = [destination]
+    while level:
+        reached = []
+        for node in sorted(level):
+            for n in neighbors[node]:
+                if n not in hops:
+                    hops[n] = node
+                    reached.append(n)
+        level = reached
+    return hops
 
 
 def shortest_path(spec: ScenarioSpec, origin: int, destination: int) -> list[int]:
-    """Shortest path origin..destination; ties broken by lowest neighbor id.
-
-    At each step the walk moves to the lowest-id neighbor that reduces the
-    BFS distance to the destination.
-    """
-    dist = distances_to(spec, destination)
-    if origin not in dist:
+    """The route origin..destination that ``next_hops`` fixes."""
+    hops = next_hops(spec, destination)
+    if origin not in hops:
         raise ValidationError(f"no path from {origin} to {destination}")
-    neighbors = spec.neighbor_map()
     path = [origin]
-    current = origin
-    while current != destination:
-        current = min(n for n in neighbors[current] if dist.get(n) == dist[current] - 1)
-        path.append(current)
+    while path[-1] != destination:
+        path.append(hops[path[-1]])
     return path
 
 

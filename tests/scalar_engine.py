@@ -5,9 +5,15 @@ tick, following the phase order in the ``lumenloop.engine`` docstring. The
 engine's ``run_simulation`` and ``run_batch`` must return exactly (``==``)
 what ``run_simulation`` here returns, traces included;
 ``assert_same_ticks`` compares two trace lists sign for sign.
+
+Routes, reachability and ambient levels are restated here too, one search
+per person and one schedule scan per tick, so that the loop shares nothing
+with ``scenario.next_hops`` or ``engine.compile_scenario``.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from lumenloop.engine import (
     TICKS_SINCE_MOTION_CAP,
@@ -18,9 +24,9 @@ from lumenloop.engine import (
     TickTrace,
     compute_metrics,
 )
-from lumenloop.errors import ControllerError
+from lumenloop.errors import ControllerError, ValidationError
 from lumenloop.fitness import DEFAULT_WEIGHTS, FitnessWeights
-from lumenloop.scenario import ScenarioSpec, shortest_path
+from lumenloop.scenario import ScenarioSpec
 
 
 class _Person:
@@ -31,6 +37,74 @@ class _Person:
         self.position = spec.origin
         self.finished = False
         self.path_next = path_next
+
+
+def distances_to(scenario: ScenarioSpec, target: int) -> dict[int, int]:
+    """BFS hop counts from every reachable pole to ``target``."""
+    neighbors = scenario.neighbor_map()
+    dist = {target: 0}
+    queue = deque([target])
+    while queue:
+        node = queue.popleft()
+        for n in sorted(neighbors[node]):
+            if n not in dist:
+                dist[n] = dist[node] + 1
+                queue.append(n)
+    return dist
+
+
+def shortest_path(scenario: ScenarioSpec, origin: int, destination: int) -> list[int]:
+    """Shortest path origin..destination; ties broken by lowest neighbor id.
+
+    At each step the walk moves to the lowest-id neighbor that reduces the
+    BFS distance to the destination.
+    """
+    dist = distances_to(scenario, destination)
+    if origin not in dist:
+        raise ValidationError(f"no path from {origin} to {destination}")
+    neighbors = scenario.neighbor_map()
+    path = [origin]
+    current = origin
+    while current != destination:
+        current = min(n for n in neighbors[current] if dist.get(n) == dist[current] - 1)
+        path.append(current)
+    return path
+
+
+def first_bad_person(scenario: ScenarioSpec) -> ValidationError | None:
+    """The error scenario validation gives for the first bad person, checked
+    field by field (origin, destination, start tick, then reachability), or
+    None if every person is good. Pole and person ids are taken as valid."""
+    pole_ids = {pole.id for pole in scenario.poles}
+    for i, person in enumerate(scenario.people):
+        for field in ("origin", "destination"):
+            value = getattr(person, field)
+            if value not in pole_ids:
+                return ValidationError(
+                    f"person {person.id}: unknown pole id {value}", path=f"people[{i}].{field}"
+                )
+        if not 0 <= person.start_tick < scenario.max_ticks:
+            return ValidationError(
+                f"person {person.id}: start_tick must satisfy 0 <= t < max_ticks",
+                path=f"people[{i}].start_tick",
+            )
+        if distances_to(scenario, person.destination).get(person.origin) is None:
+            return ValidationError(
+                f"person {person.id}: no path from {person.origin} to {person.destination}",
+                path=f"people[{i}].destination",
+            )
+    return None
+
+
+def ambient_at(scenario: ScenarioSpec, tick: int) -> float:
+    """Ambient level at ``tick``: last schedule entry in effect, else 0."""
+    level = 0.0
+    for entry in scenario.ambient_schedule:
+        if entry.from_tick <= tick:
+            level = entry.level
+        else:
+            break
+    return level
 
 
 def _route(scenario: ScenarioSpec, person) -> dict[int, int]:
@@ -70,7 +144,7 @@ def run_simulation(
     traces: list[TickTrace] = []
 
     for tick in range(scenario.max_ticks):
-        ambient = scenario.ambient_at(tick)
+        ambient = ambient_at(scenario, tick)
         occupied = {p.position for p in people if p.spec.start_tick <= tick and not p.finished}
 
         readings: dict[int, SensorReading] = {}

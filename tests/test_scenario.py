@@ -3,19 +3,24 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_engine
+from lumenloop import engine, scenario
 from lumenloop.engine import compile_scenario
 from lumenloop.errors import SchemaError, ValidationError
 from lumenloop.scenario import (
     BUILTIN_SCENARIOS,
     MAX_TICKS,
     AmbientEntry,
+    PersonSpec,
+    PoleSpec,
+    ScenarioSpec,
     builtin_scenario,
     builtin_scenario_document,
-    distances_to,
     load_scenario,
     parse_scenario,
     shortest_path,
@@ -211,12 +216,12 @@ def test_ambient_at_steps():
         {"from_tick": 10, "level": 0.8},
     ]
     spec = parse_scenario(doc)
-    assert spec.ambient_at(0) == 0.0
-    assert spec.ambient_at(4) == 0.0
-    assert spec.ambient_at(5) == 0.3
-    assert spec.ambient_at(9) == 0.3
-    assert spec.ambient_at(10) == 0.8
-    assert spec.ambient_at(59) == 0.8
+    assert scalar_engine.ambient_at(spec, 0) == 0.0
+    assert scalar_engine.ambient_at(spec, 4) == 0.0
+    assert scalar_engine.ambient_at(spec, 5) == 0.3
+    assert scalar_engine.ambient_at(spec, 9) == 0.3
+    assert scalar_engine.ambient_at(spec, 10) == 0.8
+    assert scalar_engine.ambient_at(spec, 59) == 0.8
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -228,21 +233,22 @@ def test_ambient_at_steps():
     ordered=st.booleans(),
 )
 def test_compiled_ambient_equals_ambient_at(max_ticks, schedule, ordered):
-    # ambient_at defines the level per tick; the engine's table is built in
-    # one walk. Unordered and repeated from_ticks, which validation
-    # rejects, are checked too: the walk must stop where ambient_at stops.
+    # the oracle's ambient_at scans the schedule per tick; the engine's
+    # table is built in one walk. Unordered and repeated from_ticks, which
+    # validation rejects, are checked too: the walk must stop where
+    # ambient_at stops.
     if ordered:
         schedule.sort(key=lambda entry: entry.from_tick)
     spec = replace(builtin_scenario("scenario1"), max_ticks=max_ticks,
                    ambient_schedule=tuple(schedule))
     assert compile_scenario(spec).ambient == tuple(
-        spec.ambient_at(tick) for tick in range(max_ticks)
+        scalar_engine.ambient_at(spec, tick) for tick in range(max_ticks)
     )
 
 
 def test_distances_and_paths():
     spec = builtin_scenario("scenario1")
-    dist = distances_to(spec, 8)
+    dist = scalar_engine.distances_to(spec, 8)
     assert dist[8] == 0
     assert dist[0] == 4
     assert dist[4] == 2
@@ -259,6 +265,126 @@ def test_shortest_path_unreachable():
     spec = parse_scenario(doc)
     with pytest.raises(ValidationError, match="no path"):
         shortest_path(spec, 0, 100)
+
+
+@st.composite
+def routed_documents(draw):
+    """A scenario document over a random symmetric graph with ids that are
+    not contiguous, often in several components and with isolated poles,
+    and people whose origins, destinations and start ticks may be bad."""
+    ids = draw(st.lists(st.integers(-20, 60), min_size=1, max_size=12, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=16))
+    adjacency = {pid: set() for pid in ids}
+    for a, b in pairs:
+        if a != b:
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+    poles = [{"id": pid, "neighbors": draw(st.permutations(sorted(adjacency[pid])))}
+             for pid in draw(st.permutations(ids))]
+
+    def reach(pid):
+        seen, todo = {pid}, [pid]
+        while todo:
+            for n in adjacency[todo.pop()] - seen:
+                seen.add(n)
+                todo.append(n)
+        return sorted(seen)
+
+    # most people are good, so that most documents compile; the rest draw
+    # each field from a range with bad values in it
+    people = []
+    for person_id in draw(st.permutations(range(draw(st.integers(0, 6))))):
+        if draw(st.integers(0, 4)):
+            destination = draw(st.sampled_from(ids))
+            origin = draw(st.sampled_from(reach(destination)))
+            start_tick = draw(st.integers(0, 29))
+        else:
+            origin, destination = draw(st.lists(st.sampled_from(ids + [max(ids) + 1]),
+                                                min_size=2, max_size=2))
+            start_tick = draw(st.integers(-1, 30))
+        people.append({"id": person_id, "origin": origin, "destination": destination,
+                       "start_tick": start_tick})
+    doc = builtin_scenario_document("scenario1")
+    doc.update(max_ticks=30, poles=poles, people=people)
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=routed_documents())
+def test_routes_and_verdicts_equal_the_per_person_oracle(doc):
+    # the oracle searches once per person; the package once per component
+    # to validate and once per destination to compile
+    spec = ScenarioSpec(
+        name=doc["name"], max_ticks=doc["max_ticks"], movement_threshold=0.5,
+        ambient_schedule=(),
+        poles=tuple(PoleSpec(p["id"], tuple(p["neighbors"])) for p in doc["poles"]),
+        people=tuple(PersonSpec(p["id"], p["origin"], p["destination"], p["start_tick"])
+                     for p in doc["people"]),
+    )
+    want = scalar_engine.first_bad_person(spec)
+    if want is not None:
+        with pytest.raises(ValidationError) as excinfo:
+            parse_scenario(doc)
+        assert (str(excinfo.value), excinfo.value.path) == (str(want), want.path)
+    else:
+        parsed = parse_scenario(doc)
+        column = {pole.id: j for j, pole in enumerate(spec.poles)}
+        table = np.full((len(spec.people), len(spec.poles)), -1, dtype=np.intp)
+        for m, person in enumerate(spec.people):
+            path = scalar_engine.shortest_path(spec, person.origin, person.destination)
+            for here, there in zip(path, path[1:]):
+                table[m, column[here]] = column[there]
+        assert np.array_equal(compile_scenario(parsed).next_hop, table)
+
+    for destination in (pole.id for pole in spec.poles):
+        reach = scalar_engine.distances_to(spec, destination)
+        for origin in (pole.id for pole in spec.poles):
+            if origin in reach:
+                assert shortest_path(spec, origin, destination) == scalar_engine.shortest_path(
+                    spec, origin, destination
+                )
+            else:
+                with pytest.raises(ValidationError, match="no path"):
+                    shortest_path(spec, origin, destination)
+
+
+def test_one_search_per_component_and_per_destination(monkeypatch):
+    searched = []
+    search = scenario.next_hops
+
+    def counting(spec, destination):
+        searched.append(destination)
+        return search(spec, destination)
+
+    monkeypatch.setattr(scenario, "next_hops", counting)
+    monkeypatch.setattr(engine, "next_hops", counting)
+
+    # a connected grid, six people
+    parse_scenario(builtin_scenario_document("scenario2"))
+    assert len(searched) == 1
+
+    # the 3x3 grid, a pair and two isolated poles: four components
+    doc = doc1()
+    doc["poles"] += [
+        {"id": 100, "neighbors": [101]},
+        {"id": 101, "neighbors": [100]},
+        {"id": 200, "neighbors": []},
+        {"id": -5, "neighbors": []},
+    ]
+    doc["people"] += [
+        {"id": 3, "origin": 101, "destination": 100, "start_tick": 0},
+        {"id": 4, "origin": 200, "destination": 200, "start_tick": 0},
+        {"id": 5, "origin": 4, "destination": 8, "start_tick": 1},
+        {"id": 6, "origin": 6, "destination": 0, "start_tick": 2},
+    ]
+    searched.clear()
+    spec = parse_scenario(doc)
+    assert len(searched) == 4
+
+    # seven people going to five distinct destinations
+    searched.clear()
+    compile_scenario(spec)
+    assert sorted(searched) == [0, 6, 8, 100, 200]
 
 
 def test_load_scenario_sources(tmp_path):
