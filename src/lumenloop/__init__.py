@@ -9,15 +9,6 @@ and a prompt-refinement loop against a chat-completion provider.
 
 __version__ = "0.1.0"
 
-from .engine import (
-    ActuatorCommand,
-    Controller,
-    ControllerFactory,
-    SensorReading,
-    TickTrace,
-    compute_metrics,
-    run_simulation,
-)
 from .errors import LumenloopError
 from .fitness import (
     DEFAULT_WEIGHTS,
@@ -57,3 +48,23 @@ __all__ = [
     "TickTrace",
     "__version__",
 ]
+
+# The engine loads numpy, so its names load on first use (PEP 562): the
+# scenario, rule-language and loop modules import without it.
+_ENGINE_NAMES = frozenset({
+    "ActuatorCommand",
+    "Controller",
+    "ControllerFactory",
+    "SensorReading",
+    "TickTrace",
+    "compute_metrics",
+    "run_simulation",
+})
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import engine
+
+        return getattr(engine, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

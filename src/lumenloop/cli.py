@@ -30,7 +30,7 @@ from .fitness import (
     SimulationMetrics,
     compute_fitness,
 )
-from .neuro import EvolutionConfig, NetworkSpec, run_evolution, save_genome
+from .neuro import NetworkSpec, save_genome
 from .scenario import BUILTIN_SCENARIOS, load_scenario
 
 EXIT_OK = 0
@@ -152,6 +152,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    # Only this command runs the GA, so only it imports it.
+    from .neuro.evolution import EvolutionConfig, run_evolution
+
     weights = _parse_weights(args.weights)
     for flag, value in (("--population", args.population),
                         ("--generations", args.generations),

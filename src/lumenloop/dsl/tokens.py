@@ -36,6 +36,16 @@ def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
+def is_identifier(text: str) -> bool:
+    """Whether ``text`` lexes as exactly one identifier token."""
+    return (
+        text != ""
+        and _is_ident_start(text[0])
+        and all(_is_ident_char(ch) for ch in text[1:])
+        and text not in KEYWORDS
+    )
+
+
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens.
 

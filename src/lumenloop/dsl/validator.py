@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ValidationError
+from ..errors import LexError, ValidationError
 from .formatter import format_program
 from .nodes import (
     ACTUATOR_NAMES,
@@ -31,7 +31,7 @@ from .nodes import (
     Ref,
     Statement,
 )
-from .tokens import tokenize
+from .tokens import is_identifier, tokenize
 
 MAX_EXPR_DEPTH = 64
 MAX_PROGRAM_TOKENS = 10_000
@@ -93,7 +93,15 @@ class _Checker:
             return depth
         if isinstance(node, Ref) and node.name not in _SENSOR_SET:
             self.report("error", f"unknown identifier '{node.name}'", node)
+        elif isinstance(node, MemRef):
+            self.check_mem_name(node.name, node)
         return 1
+
+    def check_mem_name(self, name: str, node) -> None:
+        # The parser only builds names the lexer reads as one identifier,
+        # so any other name has no source text that parses back to it.
+        if not is_identifier(name):
+            self.report("error", f"memory name '{name}' is not an identifier", node)
 
     def check_cond(self, node: Cond) -> None:
         if isinstance(node, Comparison):
@@ -112,7 +120,7 @@ class _Checker:
         if isinstance(node, Assignment):
             target = node.target
             if target.startswith("mem."):
-                pass
+                self.check_mem_name(target[len("mem."):], node)
             elif target in READ_ONLY_NAMES:
                 self.report("error", f"cannot assign to sensor '{target}'", node)
             elif target not in _ACTUATOR_SET:
@@ -148,7 +156,15 @@ def validate(program: Program, canonical: str | None = None) -> list[Diagnostic]
     # gamed with comments or whitespace.
     if canonical is None:
         canonical = format_program(program)
-    token_count = len(tokenize(canonical))
+    try:
+        token_count = len(tokenize(canonical))
+    except LexError as exc:
+        # Only a hand-built AST gets here: a name or operator holds a
+        # character that no token can start with.
+        checker.diagnostics.append(
+            Diagnostic("error", f"canonical text does not lex: {exc}", 1, 1)
+        )
+        token_count = 0
     if token_count > MAX_PROGRAM_TOKENS:
         checker.diagnostics.append(
             Diagnostic(

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateSystem
 
 
@@ -61,6 +59,8 @@ def derive_fitness_weights(rows) -> tuple[FitnessWeights, float]:
 
     Raises DegenerateSystem when the rows do not pin down all three weights.
     """
+    import numpy as np  # the only array code here; scoring a run needs none
+
     rows = list(rows)
     design = np.array([[p, -e, -t] for e, p, t, _ in rows], dtype=float)
     target = np.array([f for *_, f in rows], dtype=float)

@@ -17,7 +17,6 @@ replayed run writes byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,7 +25,6 @@ from typing import Callable, TextIO
 from ..documents import as_number, parse_json, read_text
 from ..dsl.formatter import format_program
 from ..dsl.parser import parse_source
-from ..engine import run_simulation
 from ..errors import (
     LexError,
     MissingMetrics,
@@ -151,6 +149,7 @@ def simulation_evaluator(
     scenario: ScenarioSpec, weights: FitnessWeights = DEFAULT_WEIGHTS
 ) -> Evaluator:
     from ..controllers import program_factory
+    from ..engine import run_simulation
 
     def evaluate(extraction: Extraction) -> SimulationMetrics:
         return run_simulation(scenario, program_factory(extraction.program), weights=weights)
@@ -318,6 +317,8 @@ def stub_evaluator(bindings: dict[str, SimulationMetrics]) -> Evaluator:
         try:
             return bindings[key]
         except KeyError:
+            import hashlib  # only a miss needs it, so a session never pays for it
+
             digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:12]
             first_line = key.split("\n", 1)[0]
             raise MissingMetrics(
@@ -326,3 +327,14 @@ def stub_evaluator(bindings: dict[str, SimulationMetrics]) -> Evaluator:
             ) from None
 
     return evaluate
+
+
+def __getattr__(name: str):
+    # Only benchmarks/tracing.py reads this name: it wraps the engine where
+    # each caller names it. The engine loads numpy, so nothing here imports
+    # it before a simulation runs.
+    if name == "run_simulation":
+        from ..engine import run_simulation
+
+        return run_simulation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,17 +1,5 @@
 """Feedforward controller networks and the generational GA that tunes them."""
 
-from .evolution import (
-    EvolutionConfig,
-    EvolutionResult,
-    GenerationStat,
-    evolve,
-    init_population,
-    mutate,
-    one_point_crossover,
-    run_evolution,
-    score_rows,
-    tournament_select,
-)
 from .network import (
     Genome,
     NetworkSpec,
@@ -37,3 +25,26 @@ __all__ = [
     "sigmoid",
     "tournament_select",
 ]
+
+# Running a network needs no GA, so the GA's names load on first use
+# (PEP 562): controllers, simulate and compare import without it.
+_EVOLUTION_NAMES = frozenset({
+    "EvolutionConfig",
+    "EvolutionResult",
+    "GenerationStat",
+    "evolve",
+    "init_population",
+    "mutate",
+    "one_point_crossover",
+    "run_evolution",
+    "score_rows",
+    "tournament_select",
+})
+
+
+def __getattr__(name: str):
+    if name in _EVOLUTION_NAMES:
+        from . import evolution
+
+        return getattr(evolution, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,6 +16,8 @@ from lumenloop.dsl.nodes import (
     Neg,
     Not,
     Number,
+    Pos,
+    Program,
     Ref,
 )
 from lumenloop.dsl.parser import MAX_NESTING, parse_source
@@ -274,6 +276,34 @@ def test_unknown_ref_is_error():
 
 def test_mem_names_are_free():
     assert d_strings("mem.anything = mem.other + 1") == []
+
+
+BAD_MEM_NAMES = ["a$", "x y", "if", "", "1a"]
+
+
+@pytest.mark.parametrize("name", BAD_MEM_NAMES)
+def test_a_mem_name_that_is_not_one_identifier_is_an_error(name):
+    read = MemRef(name, pos=Pos(2, 9))
+    write = Assignment(f"mem.{name}", Number(1.0), pos=Pos(1, 1))
+    for program, where in [(Program((Assignment("light", read),)), "2:9"),
+                           (Program((write,)), "1:1")]:
+        got = [str(d) for d in validate(program)]
+        assert f"{where}: error: memory name '{name}' is not an identifier" in got
+        with pytest.raises(ValidationError) as raised:
+            validate_strict(program)
+        assert list(raised.value.diagnostics) == got
+
+
+def test_a_name_that_does_not_lex_is_a_diagnostic_not_a_lex_error():
+    program = Program((Assignment("light", Ref("a$", pos=Pos(1, 9))),))
+    want = [
+        "1:1: error: canonical text does not lex: line 1, column 10: unexpected character '$'",
+        "1:9: error: unknown identifier 'a$'",
+    ]
+    assert [str(d) for d in validate(program)] == want
+    with pytest.raises(ValidationError) as raised:
+        validate_strict(program)
+    assert list(raised.value.diagnostics) == want
 
 
 def test_out_of_range_literal_warns():

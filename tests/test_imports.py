@@ -16,12 +16,15 @@ import lumenloop
 PACKAGE_ROOT = str(Path(lumenloop.__file__).resolve().parent.parent)
 
 
-def modules_after_import(module: str) -> set[str]:
+def modules_after_import(module: str, then: str = "") -> set[str]:
+    """The modules loaded once ``module`` is imported and the statements
+    ``then`` have run in the same fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    code = f"import sys, {module}; print('\\n'.join(sys.modules))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    code = f"import sys, {module}\n{then}\nprint('\\n'.join(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
     return set(result.stdout.split())
 
 
@@ -44,3 +47,64 @@ def test_evolution_runs_without_a_thread_pool(module):
     loaded = modules_after_import(module)
     assert module in loaded
     assert sorted(m for m in loaded if m.startswith("concurrent")) == []
+
+
+@pytest.mark.parametrize("module", [
+    "lumenloop", "lumenloop.scenario", "lumenloop.dsl", "lumenloop.fitness", "lumenloop.loop",
+])
+def test_the_rule_language_scenarios_and_the_loop_load_without_numpy(module):
+    loaded = modules_after_import(module)
+    assert module in loaded
+    assert "numpy" not in loaded
+    assert "lumenloop.engine" not in loaded
+
+
+@pytest.mark.parametrize("module", ["lumenloop.cli", "lumenloop.controllers"])
+def test_only_evolve_loads_the_ga(module):
+    loaded = modules_after_import(module)
+    assert module in loaded
+    assert "lumenloop.neuro.network" in loaded
+    assert "lumenloop.neuro.evolution" not in loaded
+
+
+def test_a_stub_scored_session_runs_without_numpy():
+    fixtures = Path(__file__).parent / "fixtures"
+    session = f"""
+from lumenloop.scenario import builtin_scenario
+provider = lumenloop.loop.load_replay_script({str(fixtures / "three_iter.jsonl")!r})
+stub = lumenloop.loop.load_calibration({str(fixtures / "calibration_stub.json")!r})
+transcript = lumenloop.loop.run_loop(lumenloop.loop.LoopConfig(), provider,
+                                     builtin_scenario("scenario1"),
+                                     evaluator=lumenloop.loop.stub_evaluator(stub))
+assert transcript.status == lumenloop.loop.STATUS_THRESHOLD_MET, transcript.status
+"""
+    loaded = modules_after_import("lumenloop.loop", then=session)
+    assert "lumenloop.loop.runner" in loaded
+    assert "numpy" not in loaded
+
+
+# Each package's names are resolved before its submodules are imported
+# here, so a name that loads on first use is resolved through that path.
+EXPORTS_RESOLVE = """
+import importlib
+for package, homes in [
+    ("lumenloop", ["engine", "errors", "fitness", "scenario"]),
+    ("lumenloop.neuro", ["evolution", "network"]),
+]:
+    pkg = importlib.import_module(package)
+    got = {name: getattr(pkg, name) for name in pkg.__all__ if name != "__version__"}
+    homes = [importlib.import_module(f"{package}.{home}") for home in homes]
+    for name, obj in got.items():
+        owners = [home for home in homes if name in vars(home)]
+        assert owners and all(vars(home)[name] is obj for home in owners), name
+    try:
+        pkg.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError(f"{package}.no_such_name resolved")
+"""
+
+
+def test_every_exported_name_is_its_defining_modules_object():
+    modules_after_import("lumenloop", then=EXPORTS_RESOLVE)
