@@ -1,49 +1,52 @@
-"""Lexer for the rule language."""
+"""Lexer for the rule language.
+
+One compiled pattern reads one token per match, after skipping the blanks
+and the comment before it. In Python's ``re``, ``\\d`` is exactly
+``str.isdecimal`` and ``\\w`` exactly ``str.isalnum`` or ``_``, so a word
+is an identifier's characters; it must also start with an ``isalpha``
+character or ``_``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import LexError
 
 KEYWORDS = frozenset({"if", "then", "else", "end", "and", "or", "not"})
+# Two characters before one: the pattern tries its alternatives in order,
+# so "<=" is not split into "<", "=".
+COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
 
-_COMPARATORS = ("<=", ">=", "==", "!=", "<", ">")
-_OPERATORS = ("+", "-", "*", "/", "=")
-_PUNCTUATION = ("(", ")", ".")
-# symbol -> token kind; tokenize tries two characters before one, so "<="
-# is not split into "<", "="
-_SYMBOLS = {
-    **dict.fromkeys(_COMPARATORS, "comparator"),
-    **dict.fromkeys(_OPERATORS, "operator"),
-    **dict.fromkeys(_PUNCTUATION, "punct"),
-}
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:#[^\n]*)?"  # blanks and a comment, skipped
+    r"(?:(?P<newline>\n)"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<word>\w+)"
+    rf"|(?P<comparator>{'|'.join(COMPARATORS)})"
+    r"|(?P<operator>[-+*/=])"
+    r"|(?P<punct>[().]))?"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | identifier | number | comparator | operator | punct
     lexeme: str
     line: int
     column: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+_new_tuple = tuple.__new__
 
 
 def is_identifier(text: str) -> bool:
     """Whether ``text`` lexes as exactly one identifier token."""
-    return (
-        text != ""
-        and _is_ident_start(text[0])
-        and all(_is_ident_char(ch) for ch in text[1:])
-        and text not in KEYWORDS
-    )
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return False
+    return len(tokens) == 1 and tokens[0].kind == "identifier" and tokens[0].lexeme == text
 
 
 def tokenize(source: str) -> list[Token]:
@@ -53,44 +56,37 @@ def tokenize(source: str) -> list[Token]:
     Raises LexError at the first character that cannot start a token.
     """
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
     line_start = 0  # index of the line's first character
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    # The pattern matches, maybe empty, wherever the last match ended, so
+    # the matches tile the source and the first without a token ends it.
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
+            end = m.end()
+            if end < len(source):
+                raise LexError(
+                    f"unexpected character {source[end]!r}",
+                    line=line, column=end - line_start + 1,
+                )
+            break
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start, col = i, i - line_start + 1
-        if ch.isdecimal():
-            while i < n and source[i].isdecimal():
-                i += 1
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdecimal():
-                i += 1
-                while i < n and source[i].isdecimal():
-                    i += 1
-            tokens.append(Token("number", source[start:i], line, col))
-            continue
-        if _is_ident_start(ch):
-            while i < n and _is_ident_char(source[i]):
-                i += 1
-            lexeme = source[start:i]
-            kind = "keyword" if lexeme in KEYWORDS else "identifier"
-            tokens.append(Token(kind, lexeme, line, col))
-            continue
-        symbol = source[i : i + 2] if source[i : i + 2] in _SYMBOLS else ch
-        if symbol not in _SYMBOLS:
-            raise LexError(f"unexpected character {ch!r}", line=line, column=col)
-        tokens.append(Token(_SYMBOLS[symbol], symbol, line, col))
-        i += len(symbol)
+        start, end = m.span(kind)
+        lexeme = source[start:end]
+        if kind == "word":
+            if lexeme in KEYWORDS:
+                kind = "keyword"
+            elif lexeme[0].isalpha() or lexeme[0] == "_":
+                kind = "identifier"
+            else:  # a digit that is not decimal, such as '²', starts no token
+                raise LexError(
+                    f"unexpected character {lexeme[0]!r}",
+                    line=line, column=start - line_start + 1,
+                )
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        append(_new_tuple(Token, (kind, lexeme, line, start - line_start + 1)))
     return tokens

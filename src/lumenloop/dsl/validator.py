@@ -14,6 +14,8 @@ from ..errors import LexError, ValidationError
 from .formatter import format_program
 from .nodes import (
     ACTUATOR_NAMES,
+    COND_LEVELS,
+    EXPR_LEVELS,
     READ_ONLY_NAMES,
     SENSOR_NAMES,
     Assignment,
@@ -31,7 +33,7 @@ from .nodes import (
     Ref,
     Statement,
 )
-from .tokens import is_identifier, tokenize
+from .tokens import COMPARATORS, is_identifier, tokenize
 
 MAX_EXPR_DEPTH = 64
 MAX_PROGRAM_TOKENS = 10_000
@@ -41,6 +43,9 @@ MAX_BRANCH_MERGES = 10_000
 
 _SENSOR_SET = frozenset(SENSOR_NAMES)
 _ACTUATOR_SET = frozenset(ACTUATOR_NAMES)
+_COMPARISON_OPS = frozenset(COMPARATORS)
+_ARITHMETIC_OPS = frozenset(op for ops in EXPR_LEVELS for op in ops)
+_BOOLEAN_OPS = frozenset(op for ops in COND_LEVELS for op in ops)
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,19 @@ class _Checker:
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []
         self.merges = 0  # distinct slots written beneath each if, summed
+        self.unknown_op = False  # then the program has no canonical text
 
     def report(self, severity: str, message: str, node) -> None:
         self.diagnostics.append(
             Diagnostic(severity, message, node.pos.line, node.pos.column)
         )
+
+    def check_op(self, node, known: frozenset[str]) -> None:
+        # The parser only builds operators of the grammar; format_program
+        # cannot render any other, and the compiler cannot lower it.
+        if node.op not in known:
+            self.report("error", f"unknown operator {node.op!r}", node)
+            self.unknown_op = True
 
     def check_root_expr(self, node: Expr) -> None:
         if self.check_expr(node) > MAX_EXPR_DEPTH:
@@ -85,6 +98,7 @@ class _Checker:
         if isinstance(node, Neg):
             return 1 + self.check_expr(node.operand)
         if isinstance(node, BinOp):
+            self.check_op(node, _ARITHMETIC_OPS)
             depth = 1 + max(self.check_expr(node.left), self.check_expr(node.right))
             if node.op == "/" and _literal_value(node.right) == 0:
                 self.report(
@@ -105,9 +119,11 @@ class _Checker:
 
     def check_cond(self, node: Cond) -> None:
         if isinstance(node, Comparison):
+            self.check_op(node, _COMPARISON_OPS)
             self.check_root_expr(node.left)
             self.check_root_expr(node.right)
         elif isinstance(node, BoolOp):
+            self.check_op(node, _BOOLEAN_OPS)
             self.check_cond(node.left)
             self.check_cond(node.right)
         elif isinstance(node, Not):
@@ -154,17 +170,18 @@ def validate(program: Program, canonical: str | None = None) -> list[Diagnostic]
         checker.check_statement(stmt)
     # Size limit is measured over the canonical rendering so it cannot be
     # gamed with comments or whitespace.
-    if canonical is None:
-        canonical = format_program(program)
-    try:
-        token_count = len(tokenize(canonical))
-    except LexError as exc:
-        # Only a hand-built AST gets here: a name or operator holds a
-        # character that no token can start with.
-        checker.diagnostics.append(
-            Diagnostic("error", f"canonical text does not lex: {exc}", 1, 1)
-        )
-        token_count = 0
+    token_count = 0
+    if not checker.unknown_op:
+        if canonical is None:
+            canonical = format_program(program)
+        try:
+            token_count = len(tokenize(canonical))
+        except LexError as exc:
+            # Only a hand-built AST gets here: a name holds a character
+            # that no token can start with.
+            checker.diagnostics.append(
+                Diagnostic("error", f"canonical text does not lex: {exc}", 1, 1)
+            )
     if token_count > MAX_PROGRAM_TOKENS:
         checker.diagnostics.append(
             Diagnostic(

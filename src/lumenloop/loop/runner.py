@@ -18,7 +18,7 @@ replayed run writes byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -104,6 +104,13 @@ class Transcript:
         return best
 
 
+def _record_line(record: IterationRecord) -> dict:
+    # vars() is shallow, where asdict deep-copies every leaf of a record
+    # that is only serialised; the metrics are its one nested dataclass.
+    metrics = record.metrics
+    return {**vars(record), "metrics": None if metrics is None else vars(metrics)}
+
+
 class _TranscriptWriter:
     def __init__(self, path: str | Path | None):
         self._fh: TextIO | None = None
@@ -186,7 +193,7 @@ def run_loop(
             {
                 "kind": "loop-transcript",
                 "version": 1,
-                "config": asdict(config),
+                "config": {**vars(config), "weights": vars(config.weights)},
                 # Each exchange resends the problem statement plus only the
                 # latest program/metrics; no conversation history.
                 "context_mode": "problem-plus-latest-feedback",
@@ -233,7 +240,7 @@ def run_loop(
                     diagnostics=diagnostics,
                 )
                 transcript.records.append(record)
-                writer.write(asdict(record))
+                writer.write(_record_line(record))
                 # Nothing was scored; the next iteration falls back to the
                 # last scored record, or starts over from the top.
                 continue
@@ -250,7 +257,7 @@ def run_loop(
                 outcome=OUTCOME_ACCEPTED if accepted else OUTCOME_BELOW_THRESHOLD,
             )
             transcript.records.append(record)
-            writer.write(asdict(record))
+            writer.write(_record_line(record))
             if accepted:
                 transcript.status = STATUS_THRESHOLD_MET
                 break

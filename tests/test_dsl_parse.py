@@ -306,6 +306,40 @@ def test_a_name_that_does_not_lex_is_a_diagnostic_not_a_lex_error():
     assert list(raised.value.diagnostics) == want
 
 
+def unknown_operator_diagnostics(program):
+    """validate's diagnostics, which validate_strict raises as one error."""
+    got = [str(d) for d in validate(program)]
+    with pytest.raises(ValidationError) as raised:
+        validate_strict(program)
+    assert list(raised.value.diagnostics) == got
+    return got
+
+
+def test_an_unknown_comparator_is_an_error():
+    # "=" is an operator, so "if 1 = 2 then" has no comparator to parse
+    cond = Comparison("=", Number(1.0), Number(2.0), pos=Pos(1, 6))
+    program = Program((If(cond, (Assignment("light", Number(1.0)),), None),))
+    with pytest.raises(ParseError, match="expected a comparator"):
+        parse_source(format_program(program))
+    assert unknown_operator_diagnostics(program) == ["1:6: error: unknown operator '='"]
+
+
+def test_an_unknown_arithmetic_operator_is_an_error():
+    value = BinOp("%", Ref("signal"), BinOp("^", Number(2.0), Number(0.0), pos=Pos(1, 26)),
+                  pos=Pos(1, 16))
+    program = Program((Assignment("light", value, pos=Pos(1, 1)),))
+    assert unknown_operator_diagnostics(program) == [
+        "1:16: error: unknown operator '%'",
+        "1:26: error: unknown operator '^'",
+    ]
+
+
+def test_an_unknown_boolean_operator_is_an_error():
+    cond = BoolOp("xor", MotionCond(), Not(MotionCond()), pos=Pos(1, 11))
+    program = Program((If(cond, (Assignment("light", Number(1.0)),), None),))
+    assert unknown_operator_diagnostics(program) == ["1:11: error: unknown operator 'xor'"]
+
+
 def test_out_of_range_literal_warns():
     msgs = d_strings("light = 2")
     assert msgs == ["1:1: warning: constant 2 assigned to 'light' will be clamped to [0, 1]"]

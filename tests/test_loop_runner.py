@@ -1,6 +1,7 @@
 """run_loop control flow, transcripts, and the calibration stub."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -237,6 +238,26 @@ def test_transcript_file_roundtrip(fixture_dir, tmp_path):
     assert trailer["best_fitness"] == 62.44
     assert trailer["provider_calls"] == 3
     assert trailer["failure"] is None
+
+
+def test_transcript_lines_are_the_records_asdict_would_give(tmp_path):
+    # one record of each outcome, the parse-failed one with no metrics
+    provider = ReplayProvider([
+        wrap(ITERATION_1_SOURCE), BAD_RESPONSE, BAD_RESPONSE, wrap(ITERATION_2_SOURCE),
+    ])
+    config = LoopConfig(fitness_threshold=60.0, max_iterations=3, max_repair_attempts=1)
+    path = tmp_path / "t.jsonl"
+    transcript = run_loop(
+        config, provider, SCENARIO1,
+        evaluator=stub_evaluator(load_calibration_from_sources()),
+        transcript_path=path,
+    )
+    records = transcript.records
+    assert [r.outcome for r in records] == ["below-threshold", "parse-failed", "accepted"]
+    assert records[1].metrics is None and records[1].diagnostics
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1:-1] == [json.dumps(asdict(r), sort_keys=True) for r in records]
+    assert json.loads(lines[0])["config"] == asdict(config)
 
 
 def test_transcript_bytes_reproducible(fixture_dir, tmp_path):
