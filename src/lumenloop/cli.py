@@ -26,6 +26,7 @@ from .errors import LumenloopError, SchemaError
 from .fitness import (
     DEFAULT_WEIGHTS,
     FitnessWeights,
+    MAX_WEIGHT,
     REFERENCE_RESULTS,
     SimulationMetrics,
     compute_fitness,
@@ -49,6 +50,9 @@ def _parse_weights(text: str) -> FitnessWeights:
         p, e, t = (as_number(float(x), "--weights") for x in parts)
     except ValueError as exc:
         raise SchemaError(f"--weights: {exc}") from exc
+    # past this a fitness could overflow to inf, or to nan
+    _require(max(abs(p), abs(e), abs(t)) <= MAX_WEIGHT, "--weights",
+             f"within +-{MAX_WEIGHT:g} per component", text)
     return FitnessWeights(w_people=p, w_energy=e, w_trip=t)
 
 

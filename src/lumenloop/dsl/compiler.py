@@ -11,21 +11,26 @@ tuple of the program's state: the ``mem.*`` slots and the light, listen
 and broadcast written so far. The function unpacks it into parameters
 and returns each slot's final value. ``CompiledProgram.batch_step`` gives
 an ``engine.run_batch`` step in which every pole of every lane runs the
-program over (lanes, poles) arrays; ``controllers.DslController`` runs
-the same function on one pole's scalar readings. Both go through
-``_ProgramStep.run``.
+program over (lanes, poles) arrays, called straight from
+``_ProgramStep.__call__`` inside ``run_batch``, whose run has numpy's
+warnings off throughout; ``controllers.DslController`` runs the same
+function on one pole's scalar readings through ``_ProgramStep.run``,
+which turns them off around each call itself. Either way inf and NaN are
+values of the language, never warnings.
 
 The generator tracks each slot's current value, a constant or a local,
 as SSA construction does: an assignment emits no line, it only rebinds
 the slot. An ``if`` generates its then branch, restores the slots, generates
 its else branch, and emits one ``np.where(taken, then_value, else_value)``
 per slot whose value differs between the two: it adds only its merges,
-which the validator bounds (``MAX_BRANCH_MERGES``). Every operation is
-elementwise and expressions have no side effects, so a pole's merged
-value is exactly what the branch it takes computes for it, also when the
-condition is one value for every pole, and evaluating both sides of
-``and``/``or`` changes nothing. A condition folded to a constant at
-compile time emits only the branch it takes. The language's rules:
+which the validator bounds (``MAX_BRANCH_MERGES``). A merge of two
+constant listen flags needs no ``where``: the slot takes the condition
+itself when the then branch sets True, else its ``logical_not``. Every
+operation is elementwise and expressions have no side effects, so a
+pole's merged value is exactly what the branch it takes computes for it,
+also when the condition is one value for every pole, and evaluating both
+sides of ``and``/``or`` changes nothing. A condition folded to a constant
+at compile time emits only the branch it takes. The language's rules:
 division by zero gives 0, a non-finite result collapses to 0 at each
 arithmetic operator and at each assignment (a value already known to be
 finite, an arithmetic result or a memory read, skips the check there),
@@ -219,8 +224,14 @@ class _Generator:
         then, self.slot = self.slot, before
         self.block(node.else_body or ())
         for name, value in then.items():
-            if value is not self.slot[name]:  # written in a branch
-                self.slot[name] = self.call("where", taken, value, self.slot[name])
+            other = self.slot[name]
+            if value is other:  # written in neither branch
+                continue
+            if isinstance(value, np.bool_) and isinstance(other, np.bool_):
+                # listen set to a constant in each branch, so they differ
+                self.slot[name] = taken if value else self.call("logical_not", taken)
+            else:
+                self.slot[name] = self.call("where", taken, value, other)
 
 
 class CompiledProgram:
@@ -250,8 +261,7 @@ class CompiledProgram:
         ]) + "\n"
         namespace = {"__builtins__": {}, **_FUNCTIONS, **generator.constants}
         exec(compile(self.source, "<rule program>", "exec"), namespace)
-        # inf and NaN are values of the language, never warnings
-        self._run = np.errstate(all="ignore")(namespace["run"])
+        self._run = namespace["run"]
 
     def batch_step(self) -> BatchStep:
         """A fresh step: every pole starts with no memory, lamp off,
@@ -290,13 +300,18 @@ class _ProgramStep:
             since = self._since.astype(float)
         tick = float(self._tick)
         self._tick += 1
-        return self.run(ambient, motion, signal, light, since, tick)
+        # run_batch has numpy's warnings off for the whole run
+        values = self._values = self._run(
+            ambient, motion, signal, light, since, tick, self._values
+        )
+        return values[-3:]
 
     def run(self, ambient, motion, signal, light, ticks_since_motion, tick):
         """Run the program once on these sensors (floats, or float arrays
         of one shape; motion is 0.0 or 1.0) and return the (light, listen,
         broadcast) values that hold after it."""
-        values = self._values = self._run(
-            ambient, motion, signal, light, ticks_since_motion, tick, self._values
-        )
+        with np.errstate(all="ignore"):  # inf and NaN are values of the language
+            values = self._values = self._run(
+                ambient, motion, signal, light, ticks_since_motion, tick, self._values
+            )
         return values[-3:]

@@ -42,7 +42,15 @@ Once every person of every lane is home the loop skips the people phase
 (occupancy, movement and trip time), whose outcome is then known: no
 motion and no moves. The loop never writes into an array once it has
 passed it to the step or to ``on_tick``: a step may keep references to
-its sensors and outputs.
+its sensors and outputs. The whole run is one ``np.errstate(all="ignore")``
+block, so every step runs with numpy's floating-point warnings off (a rule
+program's inf and NaN are values of the language, a network's sums may
+overflow), and so does every ``act`` of a Python-API controller that
+``controller_step`` runs pole by pole; the caller's state comes back when
+the run ends or raises. A person moves when ambient + light, clamped to
+[0, 1], reaches the movement threshold; the loop folds the clamp into the
+threshold, once per run, and compares the unclamped sum (``run_batch``
+shows why that is exact for every float, NaN and infinities included).
 
 Parity contract: a lane's metrics do not depend on the other lanes and are
 equal (``==``) to those of the per-pole scalar loop kept as the tests'
@@ -54,22 +62,22 @@ operations of the tests' tree-walking interpreter, ``tests/interpreter.py``,
 with numpy's float64 ones, on a lane or on one pole's ``DslController``). Signal is
 Python's ``max`` over the neighbours in document order (the first value,
 replaced only by a strictly greater one, which ``np.maximum`` is not for
-NaN and signed zeros), the light clamp and threshold are the same
-comparisons, and the energy sum adds the poles of a tick left to right,
-then the ticks in order.
+NaN and signed zeros), the folded threshold decides every move as the
+clamp and threshold do, and the energy sum adds the poles of a tick left
+to right, then the ticks in order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
 import numpy as np
 
 from .errors import ControllerError
-from .fitness import DEFAULT_WEIGHTS, FitnessWeights, SimulationMetrics, compute_fitness
+from .fitness import DEFAULT_WEIGHTS, FitnessWeights, SimulationMetrics
 from .scenario import ScenarioSpec, next_hops
 from .scenario import shortest_path  # noqa: F401  (benchmarks/tracing.py wraps this name)
 
@@ -180,8 +188,8 @@ def compute_metrics(
     else:
         people_pct = 100.0 * finished / n_people
         trip_pct = 100.0 * trip_ticks / (n_people * scenario.max_ticks)
-    metrics = SimulationMetrics(energy_pct, people_pct, trip_pct)
-    return replace(metrics, fitness=compute_fitness(metrics, weights))
+    fitness = weights.score(people_pct, energy_pct, trip_pct)
+    return SimulationMetrics(energy_pct, people_pct, trip_pct, fitness)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,10 +340,10 @@ def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) 
     def step(ambient, motion, signal, light):
         outputs = (np.empty(light.shape), np.empty(light.shape, dtype=bool),
                    np.empty(light.shape))
-        for i, lane in enumerate(lanes):
-            row = slice(i, i + 1)
-            for out, value in zip(outputs, lane(ambient, motion[row], signal[row], light[row])):
-                out[row] = value
+        # (1, poles) views of each lane's row, in and out
+        rows = (array[:, None] for array in (motion, signal, light, *outputs))
+        for lane, *sensors, lit, listening, sent in zip(lanes, *rows):
+            lit[...], listening[...], sent[...] = lane(ambient, *sensors)
         return outputs
 
     return step
@@ -390,54 +398,68 @@ def run_batch(
     no_motion = np.zeros(shape)
     no_moves = np.zeros(position.shape, dtype=bool)
     everyone_home = not len(scenario.people)
+    # A person moves when the lamp's level, ambient + light clamped to
+    # [0, 1] with NaN kept, is >= the threshold; the clamp is folded into
+    # the threshold. NaN fails every test either way. A threshold <= 0
+    # (-0.0 too) passes every clamped level, as every non-NaN sum, -inf
+    # included, is >= -inf. One in (0, 1] is passed by a clamped level
+    # exactly when by the sum: a sum >= 1 clamps to 1 >= threshold, a
+    # sum <= 0 to 0 < threshold, and one in between is unchanged. One
+    # above 1, or NaN, passes no clamped level, and no sum is >= nan.
+    threshold = scenario.movement_threshold
+    move_at = -np.inf if threshold <= 0 else threshold if threshold <= 1 else np.nan
 
-    for tick, ambient in enumerate(plan.ambient):
-        people_phase = not everyone_home
-        if people_phase:
-            if tick in start_ticks:
-                started = plan.start_tick <= tick
-                walking = started & away
-                # a zero-length route shows motion at its start tick
-                active = walking | (plan.start_tick == tick)
+    # Steps run with numpy's floating-point warnings off: a rule program's
+    # inf and NaN are values of the language, and a network's sums may
+    # overflow. The with block restores the caller's state on a raise too.
+    with np.errstate(all="ignore"):
+        for tick, ambient in enumerate(plan.ambient):
+            people_phase = not everyone_home
+            if people_phase:
+                if tick in start_ticks:
+                    started = plan.start_tick <= tick
+                    walking = started & away
+                    # a zero-length route shows motion at its start tick
+                    active = walking | (plan.start_tick == tick)
+                else:
+                    walking = active = started & away
+                here = position + lane_base
+                motion = np.zeros(shape)
+                motion.put(here[active], 1.0)
             else:
-                walking = active = started & away
-            here = position + lane_base
-            motion = np.zeros(shape)
-            np.put(motion, here[active], 1.0)
-        else:
-            motion = no_motion
+                motion = no_motion
 
-        # Python's max over the neighbours: the first value, replaced by
-        # each later one only when strictly greater.
-        neighbors = heard[:, plan.neighbor_index]
-        signal = neighbors[:, 0]
-        for k in range(1, len(plan.neighbor_index)):
-            other = neighbors[:, k]
-            np.copyto(signal, other, where=other > signal)
-        signal = np.where(listen, signal, 0.0)
+            # Python's max over the neighbours: the first value, replaced by
+            # each later one only when strictly greater.
+            neighbors = heard[:, plan.neighbor_index]
+            signal = neighbors[:, 0]
+            for k in range(1, len(plan.neighbor_index)):
+                other = neighbors[:, k]
+                np.copyto(signal, other, where=other > signal)
+            signal = np.where(listen, signal, 0.0)
 
-        sensors = (ambient, motion, signal, light)
-        light, listen, broadcast = step(*sensors)
-        light = _lane_array(light, shape)
-        listen = _lane_array(listen, shape)
-        broadcast = _lane_array(broadcast, shape)
-        heard[:, :n_poles] = broadcast
+            sensors = (ambient, motion, signal, light)
+            light, listen, broadcast = step(*sensors)
+            light = _lane_array(light, shape)
+            listen = _lane_array(listen, shape)
+            broadcast = _lane_array(broadcast, shape)
+            heard[:, :n_poles] = broadcast
 
-        if people_phase:
-            trip_ticks += walking
-            lit = np.minimum(np.maximum(ambient + np.take(light, here), 0.0), 1.0)
-            moves = walking & (lit >= scenario.movement_threshold)
-            position = np.where(moves, np.take(plan.next_hop, hop_base + position), position)
-            away = position != plan.destination
-            everyone_home = tick >= last_start and not away.any()
-        else:
-            moves = no_moves
+            if people_phase:
+                trip_ticks += walking
+                moves = walking & (ambient + light.take(here) >= move_at)
+                position = np.where(moves, plan.next_hop.take(hop_base + position), position)
+                away = position != plan.destination
+                everyone_home = tick >= last_start and not away.any()
+            else:
+                moves = no_moves
 
-        # accumulate adds left to right; the built-in sum() of floats
-        # compensates rounding from Python 3.12 on
-        light_sum += np.add.accumulate(light, axis=1)[:, -1]
-        if on_tick is not None:
-            on_tick(tick, sensors, (light, listen, broadcast), (position, moves, started & ~away))
+            # accumulate adds left to right; the built-in sum() of floats
+            # compensates rounding from Python 3.12 on
+            light_sum += np.add.accumulate(light, axis=1)[:, -1]
+            if on_tick is not None:
+                people = (position, moves, started & ~away)
+                on_tick(tick, sensors, (light, listen, broadcast), people)
 
     finished = started & ~away
     totals = zip(

@@ -23,8 +23,19 @@ class FitnessWeights:
     w_energy: float = 0.4
     w_trip: float = 0.6
 
+    def score(self, people_pct: float, energy_pct: float, trip_pct: float) -> float:
+        return (
+            self.w_people * people_pct
+            - self.w_energy * energy_pct
+            - self.w_trip * trip_pct
+        )
+
 
 DEFAULT_WEIGHTS = FitnessWeights()
+
+# The largest |weight| a command line accepts. Each percentage is in
+# [0, 100], so a fitness is at most 3 * 100 * MAX_WEIGHT in size: finite.
+MAX_WEIGHT = 1e300
 
 
 @dataclass(frozen=True)
@@ -43,11 +54,7 @@ class SimulationMetrics:
 
 
 def compute_fitness(m: SimulationMetrics, weights: FitnessWeights = DEFAULT_WEIGHTS) -> float:
-    return (
-        weights.w_people * m.people_pct
-        - weights.w_energy * m.energy_pct
-        - weights.w_trip * m.trip_pct
-    )
+    return weights.score(m.people_pct, m.energy_pct, m.trip_pct)
 
 
 def derive_fitness_weights(rows) -> tuple[FitnessWeights, float]:

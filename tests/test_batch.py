@@ -586,6 +586,78 @@ def test_light_is_clamped_before_the_threshold_for_any_step(level):
         assert run_batch(scenario, step, 2) == [want, want]
 
 
+class CyclingLight:
+    """Lamp levels on each side of the clamp and the threshold, one per
+    tick, from a place in the cycle given per pole."""
+
+    LEVELS = (-1.0, -0.0, 0.0, 0.3, 1.0, 2.5, inf, -inf, nan)
+
+    def __init__(self, offset):
+        self.offset = offset
+
+    def act(self, reading):
+        return ActuatorCommand(light=self.LEVELS[(reading.tick + self.offset) % len(self.LEVELS)])
+
+
+def cycling_lights():
+    offsets = iter(range(1000))
+    return lambda: CyclingLight(next(offsets))
+
+
+@pytest.mark.parametrize("threshold", [0.0, -0.0, 0.25, 1.0, -0.5, 1.5])
+def test_the_folded_threshold_equals_clamping_the_light(threshold):
+    # the loop tests ambient + light against a threshold with the clamp to
+    # [0, 1] folded in; a scenario file may not hold -0.5 or 1.5, so every
+    # threshold is set on a parsed spec by hand
+    scenario = replace(
+        scenario_from([(0, 8, 0), (2, 6, 3), (6, 2, 1), (8, 0, 5), (4, 4, 2)],
+                      ambient=((0, 0.0), (9, 0.2), (18, 1.0))),
+        movement_threshold=threshold,
+    )
+    want = scalar_engine.run_simulation(scenario, cycling_lights(), trace=True)
+    got = run_simulation(scenario, cycling_lights(), trace=True)
+    assert repr(got[0]) == repr(want[0])
+    scalar_engine.assert_same_ticks(got[1], want[1])
+    assert any(p.moved for t in want[1] for p in t.people.values()) == (threshold <= 1)
+
+
+UNUSUAL_ERRORS = {"divide": "raise", "over": "warn", "under": "print", "invalid": "raise"}
+NO_WARNINGS = dict.fromkeys(UNUSUAL_ERRORS, "ignore")
+
+
+def test_steps_run_without_warnings_and_the_error_state_comes_back():
+    # the whole run is one errstate block, left as it was entered also
+    # when a step or a per-pole act raises
+    seen = []
+
+    def step(ambient, motion, signal, light):
+        seen.append(np.geterr())
+        return light, True, 0.0
+
+    def failing_step(ambient, motion, signal, light):
+        seen.append(np.geterr())
+        raise LookupError("a step failed")
+
+    class FailsAtTick2:
+        def act(self, reading):
+            seen.append(np.geterr())
+            if reading.tick == 2:
+                raise ValueError("bad weights")
+            return ActuatorCommand()
+
+    with np.errstate(**UNUSUAL_ERRORS):
+        run_batch(SCENARIO1, step, 1)
+        assert np.geterr() == UNUSUAL_ERRORS
+        with pytest.raises(ControllerError, match="^tick 2, pole 0: bad weights$"):
+            run_batch(SCENARIO1, controller_step(SCENARIO1, [FailsAtTick2]), 1)
+        assert np.geterr() == UNUSUAL_ERRORS
+        with pytest.raises(LookupError, match="a step failed"):
+            run_batch(SCENARIO1, failing_step, 1)
+        assert np.geterr() == UNUSUAL_ERRORS
+    assert len(seen) == SCENARIO1.max_ticks + 2 * len(SCENARIO1.poles) + 2
+    assert all(state == NO_WARNINGS for state in seen)
+
+
 def test_a_step_may_return_nested_lists():
     # a step's outputs need only be broadcastable to (lanes, poles); lists
     # of the full shape reach the next tick and the trace as arrays

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv), including exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from lumenloop.cli import (
     main,
 )
 from lumenloop.controllers import ResolvedController
-from lumenloop.fitness import DEFAULT_WEIGHTS
+from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
 from lumenloop.scenario import builtin_scenario_document
 
 
@@ -112,9 +113,17 @@ def test_simulate_bad_weights(capsys):
     assert "three comma-separated" in capsys.readouterr().err
 
 
+REPLAY = str(Path(__file__).parent / "fixtures" / "three_iter.jsonl")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--weights", "nan,0.4,0.6"],
     ["simulate", "--weights", "1,inf,0"],
+    # finite, but past the ceiling a fitness may overflow to -inf or nan
+    ["simulate", "--weights", "1e308,1e308,1e308"],
+    ["compare", "--weights", "1,-1.0000001e300,0"],
+    ["evolve", "--generations", "1", "--population", "2", "--weights", "0,0,1e301"],
+    ["gpt-loop", "--replay", REPLAY, "--weights", "1,-1e308,0.6"],
     *(
         # a one-generation, two-genome run would finish if the value passed
         ["evolve", "--generations", "1", "--population", "2", flag, value]
@@ -135,8 +144,7 @@ def test_simulate_bad_weights(capsys):
     ),
     *(
         # the replayed session would run to its end if the value passed
-        ["gpt-loop", "--replay", str(Path(__file__).parent / "fixtures" / "three_iter.jsonl"),
-         flag, value]
+        ["gpt-loop", "--replay", REPLAY, flag, value]
         for flag, value in [
             ("--threshold", "nan"),
             ("--max-iterations", "0"),
@@ -161,6 +169,21 @@ def test_out_of_range_numbers_are_usage_errors(capsys, monkeypatch, tmp_path, ar
     assert argv[-2] in err[0]
     # checked before any work starts: no manifest or other output
     assert list(tmp_path.iterdir()) == []
+
+
+def test_weights_at_the_ceiling_give_finite_fitness(capsys, tmp_path):
+    # each term as large as it gets, all three of one sign
+    worst = FitnessWeights(MAX_WEIGHT, -MAX_WEIGHT, -MAX_WEIGHT)
+    assert math.isfinite(worst.score(100.0, 100.0, 100.0))
+    at_ceiling = f"{MAX_WEIGHT!r},{-MAX_WEIGHT!r},{-MAX_WEIGHT!r}"
+    assert main(["simulate", "--controller", "always_on", "--weights", at_ceiling]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert math.isfinite(float(row.split(",")[-1]))
+    argv = ["evolve", "--generations", "2", "--population", "4", "--weights", at_ceiling,
+            "--out", str(tmp_path / "genome.json"), "--log", str(tmp_path / "log.csv")]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert math.isfinite(json.loads((tmp_path / "genome.json").read_text())["fitness"])
 
 
 def test_a_faulting_controller_is_a_usage_error(capsys, monkeypatch):

@@ -221,6 +221,37 @@ def test_random_programs_compile_to_generated_source():
         assert_source_is_generated(CompiledProgram(rand_program(rng)))
 
 
+def where_calls_of_two_bools(program: CompiledProgram) -> list[str]:
+    constants = inspect.unwrap(program._run).__globals__
+    return [
+        ast.unparse(node) for node in ast.walk(ast.parse(program.source))
+        if isinstance(node, ast.Call) and node.func.id == "where"
+        and all(isinstance(constants.get(getattr(arg, "id", None)), (bool, np.bool_))
+                for arg in node.args[1:])
+    ]
+
+
+LISTEN_SET_IN_BOTH_BRANCHES = [
+    "if light < 0.5 then listen = 1 else listen = 0 end",
+    "if motion then listen = 0 else listen = 1 end",
+    "if signal > ambient then listen = 0.5 else listen = 0.25 end broadcast = signal",
+]
+
+
+def test_a_listen_merge_of_two_constants_is_its_condition():
+    # where(taken, True, False) is taken, and where(taken, False, True) is
+    # logical_not(taken): neither is generated
+    rng = random.Random(23)
+    programs = [rand_program(rng) for _ in range(300)]
+    programs += [parse_source(source) for source in LISTEN_SET_IN_BOTH_BRANCHES]
+    for program in programs:
+        assert where_calls_of_two_bools(CompiledProgram(program)) == []
+    for source in LISTEN_SET_IN_BOTH_BRANCHES:
+        assert_steps_equal_the_interpreter(parse_source(source))
+    iteration3 = CompiledProgram(controllers.builtin_program("iteration3")).source
+    assert iteration3.count(" = ") - 1 == 16  # one line unpacks the state
+
+
 def merging(depth, targets, extra=""):
     """``depth`` nested ifs whose conditions differ between poles around
     ``targets`` memory writes, each a value of its own: ``depth * targets``
