@@ -45,7 +45,6 @@ __all__ = [
     "ScenarioSpec",
     "SensorReading",
     "SimulationMetrics",
-    "TickTrace",
     "__version__",
 ]
 
@@ -56,7 +55,6 @@ _ENGINE_NAMES = frozenset({
     "Controller",
     "ControllerFactory",
     "SensorReading",
-    "TickTrace",
     "compute_metrics",
     "run_simulation",
 })

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .controllers import resolve_controller
 from .documents import as_number, read_text
-from .engine import controller_step, run_batch, run_simulation, write_trace
+from .engine import controller_step, run_batch, run_simulation, trace_writer
 from .errors import LumenloopError, SchemaError
 from .fitness import (
     DEFAULT_WEIGHTS,
@@ -141,10 +141,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         outputs,
     )
     if args.trace:
-        metrics, traces = run_simulation(
-            scenario, resolved.factory, trace=True, weights=weights
-        )
-        write_trace(args.trace, traces)
+        # opened before the run, which streams each tick into it
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            metrics = run_simulation(scenario, resolved.factory, weights,
+                                     trace_writer(fh, scenario))
     else:
         metrics = run_simulation(scenario, resolved.factory, weights=weights)
     print(CSV_HEADER)

@@ -24,9 +24,11 @@ where it offers one (a rule program compiled by ``dsl.compiler``, or a
 network), else one ``factory()`` per pole stepped through ``act``. After
 each tick the loop hands its arrays to an optional ``on_tick``, and at the
 end it scores each lane with ``compute_metrics``. ``run_simulation`` is a
-one-lane ``run_batch`` call whose ``on_tick``, when asked for a trace,
-records every tick. Routes (``scenario.next_hops``), neighbours and
-ambient levels come from ``scenario.compiled``.
+one-lane ``run_batch`` call and passes its ``on_tick`` on; ``simulate
+--trace`` passes ``trace_writer``'s, which writes each tick as one JSON
+line as the tick ends, so the trace is never held whole. Routes
+(``scenario.next_hops``), neighbours and ambient levels come from
+``scenario.compiled``.
 
 A tick costs about as many microseconds as it makes numpy calls, however
 many lanes it holds, so the loop makes few. A person's state is where
@@ -71,8 +73,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Protocol, TextIO
 
 import numpy as np
 
@@ -116,56 +117,6 @@ ControllerFactory = Callable[[], Controller]
 BatchStep for one lane, which ``controller_step`` prefers. A genome's
 factory offers only that; a rule program's is also callable, with the
 same outputs, until ``benchmarks/tracing.py`` stops timing ``act``."""
-
-
-@dataclass(frozen=True)
-class PersonTrace:
-    position: int
-    moved: bool
-    finished: bool
-
-
-@dataclass(frozen=True)
-class TickTrace:
-    tick: int
-    readings: dict[int, SensorReading]
-    commands: dict[int, ActuatorCommand]
-    people: dict[int, PersonTrace]
-
-
-def write_trace(path: str | Path, traces: list[TickTrace]) -> None:
-    """Write one JSON object per tick (JSONL), keys sorted."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for tick in traces:
-            obj = {
-                "tick": tick.tick,
-                "poles": {
-                    str(pid): {
-                        "reading": {
-                            "ambient": reading.ambient,
-                            "motion": reading.motion,
-                            "signal": reading.signal,
-                            "light": reading.current_light,
-                            "ticks_since_motion": reading.ticks_since_motion,
-                        },
-                        "command": {
-                            "light": tick.commands[pid].light,
-                            "listen": tick.commands[pid].listen,
-                            "broadcast": tick.commands[pid].broadcast,
-                        },
-                    }
-                    for pid, reading in tick.readings.items()
-                },
-                "people": {
-                    str(pid): {
-                        "position": person.position,
-                        "moved": person.moved,
-                        "finished": person.finished,
-                    }
-                    for pid, person in tick.people.items()
-                },
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def compute_metrics(
@@ -471,33 +422,62 @@ def run_batch(
 def run_simulation(
     scenario: ScenarioSpec,
     controller_factory: ControllerFactory,
-    trace: bool = False,
     weights: FitnessWeights = DEFAULT_WEIGHTS,
-):
+    on_tick: Callable[[int, tuple, tuple, tuple], None] | None = None,
+) -> SimulationMetrics:
     """Run the scenario with one ``controller_factory()`` per pole and score it.
 
     The run is one ``run_batch`` lane of ``controller_step``, so a factory
-    that offers a batch step runs through it. Returns SimulationMetrics, or
-    (SimulationMetrics, list[TickTrace]) when ``trace`` is true; the trace
-    is recorded by the loop's ``on_tick`` from its arrays, whatever the
-    step. Identical inputs produce bit-identical outputs.
+    that offers a batch step runs through it; ``on_tick`` goes to that
+    ``run_batch`` call. Identical inputs produce bit-identical outputs.
     """
+    step = controller_step(scenario, [controller_factory])
+    (metrics,) = run_batch(scenario, step, 1, weights, on_tick)
+    return metrics
+
+
+def trace_writer(fh: TextIO, scenario: ScenarioSpec) -> Callable[[int, tuple, tuple, tuple], None]:
+    """An ``on_tick`` for ``run_batch`` that writes lane 0's tick to ``fh``
+    as one JSON object per line (JSONL), keys sorted, floats by ``repr``:
+    each pole's reading and command, keyed by pole id, and each person's
+    position (a pole id), moved and finished flags, keyed by person id.
+
+    Each line is written as its tick ends, so a run that raises leaves the
+    ticks before the fault. Between ticks it holds only the poles'
+    ticks_since_motion counts.
+    """
+    pole_keys = [str(pole.id) for pole in scenario.poles]
     pole_ids = [pole.id for pole in scenario.poles]
-    traces: list[TickTrace] = []
+    person_keys = [str(person.id) for person in scenario.people]
     since = TICKS_SINCE_MOTION_CAP
 
-    def record(tick, sensors, commands, people):
+    def write(tick, sensors, commands, people):
         nonlocal since
-        since = count_since_motion(since, sensors[1])
+        ambient, motion, signal, light = sensors
+        since = count_since_motion(since, motion)
+        readings = zip(*(a[0].tolist() for a in (motion, signal, light, since)))
         position, moved, finished = (a[0].tolist() for a in people)
-        traces.append(TickTrace(
-            tick,
-            dict(zip(pole_ids, _lane_readings(tick, sensors, since))),
-            dict(zip(pole_ids, map(ActuatorCommand, *(a[0].tolist() for a in commands)))),
-            {p.id: PersonTrace(pole_ids[c], m, f)
-             for p, c, m, f in zip(scenario.people, position, moved, finished)},
-        ))
+        obj = {
+            "tick": tick,
+            "poles": {
+                key: {
+                    "reading": {
+                        "ambient": ambient,
+                        "motion": moving == 1.0,
+                        "signal": heard,
+                        "light": lit,
+                        "ticks_since_motion": count,
+                    },
+                    "command": {"light": new_light, "listen": listening, "broadcast": sent},
+                }
+                for key, (moving, heard, lit, count), new_light, listening, sent
+                in zip(pole_keys, readings, *(a[0].tolist() for a in commands))
+            },
+            "people": {
+                key: {"position": pole_ids[column], "moved": m, "finished": f}
+                for key, column, m, f in zip(person_keys, position, moved, finished)
+            },
+        }
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
-    step = controller_step(scenario, [controller_factory])
-    (metrics,) = run_batch(scenario, step, 1, weights, record if trace else None)
-    return (metrics, traces) if trace else metrics
+    return write

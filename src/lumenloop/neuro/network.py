@@ -158,9 +158,11 @@ def genome_document(
 def save_genome(
     path: str | Path, genome: Genome, spec: NetworkSpec = DEFAULT_NETWORK
 ) -> None:
-    Path(path).write_text(
-        json.dumps(genome_document(genome, spec), indent=2) + "\n", encoding="utf-8"
-    )
+    """Write the genome document, which ``load_genome`` reads back. A gene
+    or fitness that is not finite raises SchemaError, and nothing is written."""
+    doc = genome_document(genome, spec)
+    parse_genome_document(doc)
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def parse_genome_document(doc: dict) -> tuple[NetworkSpec, Genome]:

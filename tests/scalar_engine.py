@@ -3,8 +3,11 @@
 One controller object per pole, one Python loop over poles and people per
 tick, following the phase order in the ``lumenloop.engine`` docstring. The
 engine's ``run_simulation`` and ``run_batch`` must return exactly (``==``)
-what ``run_simulation`` here returns, traces included;
-``assert_same_ticks`` compares two trace lists sign for sign.
+the metrics that ``run_simulation`` here returns, and ``traced_run``, which
+records the engine's ticks through ``run_simulation``'s ``on_tick``, the
+traces too; ``assert_same_ticks`` compares two trace lists sign for sign.
+``trace_lines`` is the ``simulate --trace`` format written from a trace
+list, the oracle of ``engine.trace_writer``.
 
 Routes, reachability and ambient levels are restated here too, one search
 per person and one schedule scan per tick, so that the loop shares nothing
@@ -13,20 +16,100 @@ with ``scenario.next_hops`` or ``engine.compile_scenario``.
 
 from __future__ import annotations
 
+import json
 from collections import deque
+from dataclasses import dataclass
 
+from lumenloop import engine
 from lumenloop.engine import (
     TICKS_SINCE_MOTION_CAP,
     ActuatorCommand,
     ControllerFactory,
-    PersonTrace,
     SensorReading,
-    TickTrace,
     compute_metrics,
+    count_since_motion,
 )
 from lumenloop.errors import ControllerError, ValidationError
 from lumenloop.fitness import DEFAULT_WEIGHTS, FitnessWeights
 from lumenloop.scenario import ScenarioSpec
+
+
+@dataclass(frozen=True)
+class PersonTrace:
+    position: int
+    moved: bool
+    finished: bool
+
+
+@dataclass(frozen=True)
+class TickTrace:
+    tick: int
+    readings: dict[int, SensorReading]
+    commands: dict[int, ActuatorCommand]
+    people: dict[int, PersonTrace]
+
+
+def traced_run(
+    scenario: ScenarioSpec,
+    controller_factory: ControllerFactory,
+    weights: FitnessWeights = DEFAULT_WEIGHTS,
+) -> tuple:
+    """(SimulationMetrics, list[TickTrace]) of the engine's
+    ``run_simulation``, each tick recorded by its ``on_tick`` from the
+    loop's arrays, whatever the step."""
+    pole_ids = [pole.id for pole in scenario.poles]
+    traces: list[TickTrace] = []
+    since = TICKS_SINCE_MOTION_CAP
+
+    def record(tick, sensors, commands, people):
+        nonlocal since
+        since = count_since_motion(since, sensors[1])
+        position, moved, finished = (a[0].tolist() for a in people)
+        traces.append(TickTrace(
+            tick,
+            dict(zip(pole_ids, engine._lane_readings(tick, sensors, since))),
+            dict(zip(pole_ids, map(ActuatorCommand, *(a[0].tolist() for a in commands)))),
+            {p.id: PersonTrace(pole_ids[c], m, f)
+             for p, c, m, f in zip(scenario.people, position, moved, finished)},
+        ))
+
+    metrics = engine.run_simulation(scenario, controller_factory, weights, on_tick=record)
+    return metrics, traces
+
+
+def trace_lines(traces: list[TickTrace]):
+    """The ``simulate --trace`` lines of a trace list: one JSON object per
+    tick, keys sorted."""
+    for tick in traces:
+        obj = {
+            "tick": tick.tick,
+            "poles": {
+                str(pid): {
+                    "reading": {
+                        "ambient": reading.ambient,
+                        "motion": reading.motion,
+                        "signal": reading.signal,
+                        "light": reading.current_light,
+                        "ticks_since_motion": reading.ticks_since_motion,
+                    },
+                    "command": {
+                        "light": tick.commands[pid].light,
+                        "listen": tick.commands[pid].listen,
+                        "broadcast": tick.commands[pid].broadcast,
+                    },
+                }
+                for pid, reading in tick.readings.items()
+            },
+            "people": {
+                str(pid): {
+                    "position": person.position,
+                    "moved": person.moved,
+                    "finished": person.finished,
+                }
+                for pid, person in tick.people.items()
+            },
+        }
+        yield json.dumps(obj, sort_keys=True) + "\n"
 
 
 class _Person:

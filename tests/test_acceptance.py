@@ -14,6 +14,7 @@ from dslcases import CORPUS
 from genprog import rand_program, rand_reading
 from imitation import imitation_objective
 from oracles import ORACLES
+from scalar_engine import traced_run
 
 from lumenloop.cli import CSV_HEADER, main
 from lumenloop.controllers import program_factory, resolve_controller
@@ -134,8 +135,8 @@ def test_criterion_4_simulator_properties():
 
     # determinism: identical runs, identical metrics and traces
     factory = resolve_controller("iteration1").factory
-    m1, t1 = run_simulation(SCENARIO1, factory, trace=True)
-    m2, t2 = run_simulation(SCENARIO1, factory, trace=True)
+    m1, t1 = traced_run(SCENARIO1, factory)
+    m2, t2 = traced_run(SCENARIO1, factory)
     assert m1 == m2
     assert t1 == t2
 
@@ -160,9 +161,9 @@ def test_criterion_4_simulator_properties():
             )
 
     sc = _line_scenario(3, [])
-    _, traces = run_simulation(sc, lambda: Beacon(True), trace=True)
+    _, traces = traced_run(sc, lambda: Beacon(True))
     assert [traces[t].readings[1].signal for t in range(6)] == [0, 0, 0, 1, 0, 0]
-    _, traces = run_simulation(sc, lambda: Beacon(False), trace=True)
+    _, traces = traced_run(sc, lambda: Beacon(False))
     assert all(traces[t].readings[1].signal == 0.0 for t in range(10))
 
     # with every lamp at full the population always gets home

@@ -17,6 +17,7 @@ matter only through their order.
 """
 
 import copy
+import io
 import random
 from dataclasses import replace
 from math import inf, nan
@@ -244,7 +245,7 @@ def test_idle_ticks_equal_the_oracle(scenario, controller):
         oracle_factory = interpreter_factory(COUNTS_TICKS_SINCE_MOTION)
     # == on the traces compares every reading, command and person flag
     want = scalar_engine.run_simulation(scenario, oracle_factory, trace=True)
-    assert run_simulation(scenario, factory, trace=True) == want
+    assert scalar_engine.traced_run(scenario, factory) == want
     assert run_batch(scenario, controller_step(scenario, [factory] * 3), 3) == [want[0]] * 3
 
 
@@ -308,6 +309,7 @@ def test_the_loop_never_writes_into_what_it_hands_out(scenario, steps):
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_run_simulation_enters_the_loop_through_one_run_batch_call(monkeypatch, trace):
+    run = scalar_engine.traced_run if trace else run_simulation
     calls = []
 
     def counting(scenario, step, lanes, *args, **kwargs):
@@ -316,9 +318,32 @@ def test_run_simulation_enters_the_loop_through_one_run_batch_call(monkeypatch, 
 
     monkeypatch.setattr(engine, "run_batch", counting)
     program = builtin_program("iteration3")
-    got = run_simulation(SCENARIO1, program_factory(program), trace=trace)
+    got = run(SCENARIO1, program_factory(program))
     assert calls == [1]
     assert got == scalar_engine.run_simulation(SCENARIO1, interpreter_factory(program), trace=trace)
+
+
+GENOME_SPEC, GENOME = load_genome(Path(__file__).parent / "fixtures" / "genome.json")
+
+
+@fixed(30)
+@given(scenario=small_scenarios(), seed=st.integers(0, 2**32 - 1))
+@example(scenario=SCENARIO1, seed=0)
+def test_the_trace_writer_writes_the_scalar_loops_lines(scenario, seed):
+    # the bytes against the scalar loop's own traces, not against
+    # traced_run, which reads the same arrays as the writer
+    program = rand_program(random.Random(seed))
+    runs = [
+        (program_factory(program), interpreter_factory(program)),
+        (network_factory(GENOME.genes, GENOME_SPEC),
+         lambda: NetworkController(GENOME.genes, GENOME_SPEC)),
+    ]
+    for factory, oracle_factory in runs:
+        fh = io.StringIO()
+        metrics = run_simulation(scenario, factory, on_tick=engine.trace_writer(fh, scenario))
+        want, traces = scalar_engine.run_simulation(scenario, oracle_factory, trace=True)
+        assert fh.getvalue() == "".join(scalar_engine.trace_lines(traces))
+        assert metrics == want
 
 
 # -- compiled rule programs ------------------------------------------------------
@@ -333,7 +358,7 @@ def test_rule_programs_equal_the_scalar_engine(scenario, seed):
     factories = [program_factory(p) for p in programs]
     want = [scalar_engine.run_simulation(scenario, interpreter_factory(p), trace=True)
             for p in programs]
-    assert [run_simulation(scenario, f, trace=True) for f in factories] == want
+    assert [scalar_engine.traced_run(scenario, f) for f in factories] == want
     lanes = run_batch(scenario, controller_step(scenario, factories), len(factories))
     assert lanes == [metrics for metrics, _ in want]
 
@@ -441,7 +466,7 @@ end
 def test_edge_programs_equal_the_interpreter_sign_for_sign(program, scenario):
     # repr tells -0.0 from 0.0, which == does not
     want = scalar_engine.run_simulation(scenario, interpreter_factory(program), trace=True)
-    got = run_simulation(scenario, program_factory(program), trace=True)
+    got = scalar_engine.traced_run(scenario, program_factory(program))
     assert repr(got[0]) == repr(want[0])
     scalar_engine.assert_same_ticks(got[1], want[1])
 
@@ -485,7 +510,7 @@ def test_a_saturating_genome_runs_without_warnings(tmp_path):
     save_genome(path, Genome(genes=genes))
     factory = resolve_controller(str(path)).factory
     want = scalar_engine.run_simulation(SCENARIO2, lambda: NetworkController(genes), trace=True)
-    assert run_simulation(SCENARIO2, factory, trace=True) == want
+    assert scalar_engine.traced_run(SCENARIO2, factory) == want
     lights = {c.light for t in want[1] for c in t.commands.values()}
     assert lights == {0.0, 1.0}
 
@@ -495,8 +520,8 @@ def test_dsl_controllers_through_act_equal_the_compiled_step():
     # DslController.act through controller_step's per-pole adapter
     program = parse_source(EDGE_PROGRAMS["nested-if-memory"])
     factory = program_factory(program)
-    per_pole = run_simulation(SCENARIO2, lambda: factory(), trace=True)
-    assert per_pole == run_simulation(SCENARIO2, factory, trace=True)
+    per_pole = scalar_engine.traced_run(SCENARIO2, lambda: factory())
+    assert per_pole == scalar_engine.traced_run(SCENARIO2, factory)
     assert per_pole == scalar_engine.run_simulation(
         SCENARIO2, interpreter_factory(program), trace=True
     )
@@ -508,7 +533,7 @@ def test_rule_programs_never_run_through_act(monkeypatch):
 
     monkeypatch.setattr(DslController, "act", act)
     factory = resolve_controller("iteration1").factory
-    assert run_simulation(SCENARIO1, factory, trace=True)[0] == run_simulation(
+    assert scalar_engine.traced_run(SCENARIO1, factory)[0] == run_simulation(
         SCENARIO1, factory
     )
     run_batch(SCENARIO1, controller_step(SCENARIO1, [factory, factory]), 2)
@@ -567,7 +592,7 @@ def test_signal_is_pythons_max_for_nan_and_signed_zero_broadcasts():
     want = scalar_engine.run_simulation(SCENARIO1, factory(), trace=True)
     heard = [repr(r.signal) for r in want[1][1].readings.values()]
     assert heard == ["-0.0", "nan", "-0.0", "nan", "-0.0", "0.75", "0.0", "0.75", "-0.0"]
-    got = run_simulation(SCENARIO1, factory(), trace=True)
+    got = scalar_engine.traced_run(SCENARIO1, factory())
     scalar_engine.assert_same_ticks(got[1], want[1])
     assert repr(got[0]) == repr(want[0])
 
@@ -615,7 +640,7 @@ def test_the_folded_threshold_equals_clamping_the_light(threshold):
         movement_threshold=threshold,
     )
     want = scalar_engine.run_simulation(scenario, cycling_lights(), trace=True)
-    got = run_simulation(scenario, cycling_lights(), trace=True)
+    got = scalar_engine.traced_run(scenario, cycling_lights())
     assert repr(got[0]) == repr(want[0])
     scalar_engine.assert_same_ticks(got[1], want[1])
     assert any(p.moved for t in want[1] for p in t.people.values()) == (threshold <= 1)
@@ -670,7 +695,7 @@ def test_a_step_may_return_nested_lists():
             return step
 
     want = scalar_engine.run_simulation(SCENARIO1, lambda: Broadcasts(0.25), trace=True)
-    assert run_simulation(SCENARIO1, ListFactory(), trace=True) == want
+    assert scalar_engine.traced_run(SCENARIO1, ListFactory()) == want
     assert run_batch(SCENARIO1, ListFactory().batch_step(), 2) == [want[0]] * 2
 
 

@@ -16,6 +16,7 @@ from lumenloop.cli import (
     main,
 )
 from lumenloop.controllers import ResolvedController
+from lumenloop.engine import ActuatorCommand
 from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
 from lumenloop.scenario import builtin_scenario_document
 
@@ -199,6 +200,35 @@ def test_a_faulting_controller_is_a_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tick 0, pole 0: bad weights\n"
+
+
+def test_a_fault_leaves_the_ticks_before_it_in_the_trace(capsys, monkeypatch, tmp_path):
+    # the trace is written tick by tick, so a controller that raises at
+    # tick 3 leaves exactly the complete lines of ticks 0-2
+    class FailsAtTick3:
+        def act(self, reading):
+            if reading.tick == 3:
+                raise ArithmeticError("bad weights")
+            return ActuatorCommand(light=0.5)
+
+    monkeypatch.setattr("lumenloop.cli.resolve_controller",
+                        lambda ref: ResolvedController("faulty", FailsAtTick3))
+    assert main(["simulate", "--trace", "trace.jsonl"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tick 3, pole 0: bad weights\n"
+    text = (tmp_path / "trace.jsonl").read_text()
+    assert text.endswith("\n")
+    assert [json.loads(line)["tick"] for line in text.splitlines()] == [0, 1, 2]
+
+
+def test_a_trace_naming_a_directory_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / "out").mkdir()
+    assert main(["simulate", "--trace", "out"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # -- evolve ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from lumenloop.dsl.nodes import SENSOR_NAMES
 from lumenloop.dsl.parser import MAX_NESTING, parse_source
 from lumenloop.dsl.tokens import tokenize
 from lumenloop.dsl.validator import MAX_BRANCH_MERGES, validate, validate_strict
-from lumenloop.engine import SensorReading, run_simulation
+from lumenloop.engine import SensorReading
 from lumenloop.errors import ParseError, ValidationError
 from lumenloop.loop.extraction import extract_program
 from lumenloop.scenario import builtin_scenario
@@ -167,7 +167,7 @@ def test_adversarial_memory_names_are_slots_of_their_own():
     assert_steps_equal_the_interpreter(program)
     scenario = builtin_scenario("scenario1")
     want = scalar_engine.run_simulation(scenario, interpreter_factory(program), trace=True)
-    got = run_simulation(scenario, program_factory(program), trace=True)
+    got = scalar_engine.traced_run(scenario, program_factory(program))
     assert repr(got[0]) == repr(want[0])
     scalar_engine.assert_same_ticks(got[1], want[1])
 

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from scalar_engine import traced_run
 
 from lumenloop.controllers import resolve_controller
 from lumenloop.engine import (
@@ -91,7 +92,7 @@ def test_ambient_alone_can_move_people():
 
 def test_delayed_start_tick():
     sc = line_scenario(2, [{"id": 0, "origin": 0, "destination": 1, "start_tick": 3}])
-    m, traces = run_simulation(sc, const_factory(light=1.0), trace=True)
+    m, traces = traced_run(sc, const_factory(light=1.0))
     assert m.trip_pct == 10.0
     assert not traces[2].people[0].moved
     assert traces[3].people[0].moved and traces[3].people[0].finished
@@ -132,8 +133,8 @@ def test_documented_trip_example():
 def test_two_runs_bit_identical():
     sc = builtin_scenario("scenario1")
     factory = resolve_controller("iteration3").factory
-    m1, t1 = run_simulation(sc, factory, trace=True)
-    m2, t2 = run_simulation(sc, factory, trace=True)
+    m1, t1 = traced_run(sc, factory)
+    m2, t2 = traced_run(sc, factory)
     assert m1 == m2
     assert t1 == t2
 
@@ -155,7 +156,7 @@ def test_signal_arrives_one_tick_late():
             )
 
     sc = line_scenario(3, [])
-    _, traces = run_simulation(sc, Beacon, trace=True)
+    _, traces = traced_run(sc, Beacon)
     mid = [traces[t].readings[1].signal for t in range(6)]
     # broadcast sent during tick 2 becomes visible in tick 3's reading only
     assert mid == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
@@ -169,7 +170,7 @@ def test_signal_gated_by_previous_listen():
             )
 
     sc = line_scenario(3, [])
-    _, traces = run_simulation(sc, DeafBeacon, trace=True)
+    _, traces = traced_run(sc, DeafBeacon)
     # the tick-2 broadcast is inaudible because listen was off from tick 0 on
     assert all(traces[t].readings[1].signal == 0.0 for t in range(6))
 
@@ -186,7 +187,7 @@ def test_signal_is_max_over_neighbors():
             return ActuatorCommand(light=0.0, listen=True, broadcast=level)
 
     sc = line_scenario(3, [])
-    _, traces = run_simulation(sc, lambda: Two(next(ids)), trace=True)
+    _, traces = traced_run(sc, lambda: Two(next(ids)))
     assert traces[1].readings[1].signal == 0.7
     assert traces[1].readings[0].signal == 0.0  # pole 1 broadcasts nothing
 
@@ -210,7 +211,7 @@ def test_ticks_since_motion_trace():
             return ActuatorCommand(light=1.0 if r.tick >= 3 else 0.0, listen=True)
 
     sc = line_scenario(2, [{"id": 0, "origin": 0, "destination": 1, "start_tick": 0}])
-    _, traces = run_simulation(sc, LateLight, trace=True)
+    _, traces = traced_run(sc, LateLight)
     # pole 0: occupied (motion) until the person leaves during tick 3
     assert [traces[t].readings[0].ticks_since_motion for t in range(6)] == [0, 0, 0, 0, 1, 2]
     assert [traces[t].readings[0].motion for t in range(5)] == [True, True, True, True, False]
@@ -222,7 +223,7 @@ def test_ticks_since_motion_trace():
 
 def test_person_not_present_before_start_tick():
     sc = line_scenario(2, [{"id": 0, "origin": 0, "destination": 1, "start_tick": 5}])
-    _, traces = run_simulation(sc, const_factory(light=0.0), trace=True)
+    _, traces = traced_run(sc, const_factory(light=0.0))
     assert [traces[t].readings[0].motion for t in (3, 4, 5, 6)] == [False, False, True, True]
     assert traces[4].readings[0].ticks_since_motion == 255
     assert traces[5].readings[0].ticks_since_motion == 0

@@ -1,6 +1,7 @@
 """Network encoding, GA operators, and evolution behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from imitation import imitation_objective
 from network_controller import NetworkController, reading_to_inputs
 from lumenloop.engine import SensorReading
 from lumenloop.errors import LengthMismatch, SchemaError
+from lumenloop.fitness import FitnessWeights
 from lumenloop.neuro.evolution import (
     EvolutionConfig,
     evolve,
@@ -289,6 +291,23 @@ def test_a_generation_is_scored_on_one_thread():
         evolve(cfg, DEFAULT_NETWORK, sphere, workers=1)
     with pytest.raises(TypeError):
         score_rows(np.zeros((2, 51)), sphere, workers=1)
+
+
+def test_a_non_finite_fitness_or_gene_is_not_saved(tmp_path):
+    # weights near the float's edge overflow the fitness to -inf, which
+    # save_genome wrote as -Infinity, a genome no command could then load
+    huge = FitnessWeights(1e308, 1e308, 1e308)
+    result = run_evolution(EvolutionConfig(generations=2, population_size=4),
+                           builtin_scenario("scenario1"), weights=huge)
+    assert result.best.fitness == -math.inf
+    path = tmp_path / "g.json"
+    with pytest.raises(SchemaError, match="^fitness: expected a finite number, got -inf"):
+        save_genome(path, result.best)
+    genes = np.zeros(DEFAULT_NETWORK.genome_length)
+    genes[7] = math.nan
+    with pytest.raises(SchemaError, match=r"^genes\[7\]: expected a finite number, got nan"):
+        save_genome(path, Genome(genes=genes))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_mutation_past_the_float_range_leaves_every_gene_finite(tmp_path):
