@@ -42,6 +42,10 @@ EXIT_BUDGET_EXHAUSTED = 4
 
 CSV_HEADER = "scenario,solution,energy,people,trip,fitness"
 
+# evolve's size ceilings, measured in README's "Size ceilings"
+MAX_HIDDEN = 1_000
+MAX_GENES = 200_000  # population x genome length
+
 def _parse_weights(text: str) -> FitnessWeights:
     parts = text.split(",")
     if len(parts) != 3:
@@ -109,12 +113,9 @@ def _comparison_row(
 ) -> str:
     # The printed fitness is recomputed from the printed (2-decimal)
     # metrics so the CSV is self-consistent within 1e-9.
-    energy = f"{metrics.energy_pct:.2f}"
-    people = f"{metrics.people_pct:.2f}"
-    trip = f"{metrics.trip_pct:.2f}"
-    printed = SimulationMetrics(
-        energy_pct=float(energy), people_pct=float(people), trip_pct=float(trip)
-    )
+    percents = (metrics.energy_pct, metrics.people_pct, metrics.trip_pct)
+    energy, people, trip = (f"{percent:.2f}" for percent in percents)
+    printed = SimulationMetrics(float(energy), float(people), float(trip))
     fitness = compute_fitness(printed, weights)
     return f"{scenario_name},{label},{energy},{people},{trip},{fitness:.12g}"
 
@@ -164,7 +165,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                         ("--generations", args.generations),
                         ("--tournament", args.tournament)):
         _require(value >= 1, flag, ">= 1", value)
-    _require(args.hidden >= 0, "--hidden", ">= 0", args.hidden)
+    _require(0 <= args.hidden <= MAX_HIDDEN, "--hidden", f"in [0, {MAX_HIDDEN}]", args.hidden)
+    spec = NetworkSpec(n_hidden=args.hidden)
+    _require(args.population * spec.genome_length <= MAX_GENES, "--population",
+             f"at most {MAX_GENES // spec.genome_length} at --hidden {args.hidden}",
+             args.population)
     _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     _require(0 <= args.elitism <= args.population, "--elitism",
              "between 0 and --population", args.elitism)
@@ -186,7 +191,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         elitism=args.elitism,
         seed=args.seed,
     )
-    spec = NetworkSpec(n_hidden=args.hidden)
     _write_manifest(
         args.manifest,
         "evolve",
@@ -200,20 +204,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     )
 
     def progress(stat) -> None:
-        print(
-            f"generation {stat.generation}: best {stat.best_fitness:.4f} "
-            f"mean {stat.mean_fitness:.4f}",
-            file=sys.stderr,
-        )
+        print(f"generation {stat.generation}: best {stat.best_fitness:.4f} "
+              f"mean {stat.mean_fitness:.4f}", file=sys.stderr)
 
     result = run_evolution(config, scenario, spec, weights=weights, on_generation=progress)
     with Path(args.log).open("w", encoding="utf-8") as fh:
         fh.write("generation,best_fitness,mean_fitness\n")
-        for stat in result.history:
-            fh.write(
-                f"{stat.generation},{stat.best_fitness:.12g},"
-                f"{stat.mean_fitness:.12g}\n"
-            )
+        fh.writelines(f"{stat.generation},{stat.best_fitness:.12g},{stat.mean_fitness:.12g}\n"
+                      for stat in result.history)
     save_genome(args.out, result.best, spec)
     print(
         json.dumps(

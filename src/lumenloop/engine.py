@@ -26,16 +26,16 @@ each tick the loop hands its arrays to an optional ``on_tick``, and at the
 end it scores each lane with ``compute_metrics``. ``run_simulation`` is a
 one-lane ``run_batch`` call and passes its ``on_tick`` on; ``simulate
 --trace`` passes ``trace_writer``'s, which writes each tick as one JSON
-line as the tick ends, so the trace is never held whole. Routes
-(``scenario.next_hops``), neighbours and ambient levels come from
-``scenario.compiled``.
+line as the tick ends, so the trace is never held whole. Routes (those of
+``scenario.next_hops``, end to end in one array of pole columns),
+neighbours and ambient levels come from ``scenario.compiled``.
 
 A tick costs about as many microseconds as it makes numpy calls, however
-many lanes it holds, so the loop makes few. A person's state is where
-they stand, whether they have started, recomputed only on a tick that is
-someone's start tick, and whether they are away from their destination,
-computed once per tick after the moves. A person is home exactly when
-started and not away: a walker stops at the destination, and a
+many lanes it holds, so the loop makes few. A person's state is their
+place on their route, whether they have started, recomputed only on a
+tick that is someone's start tick, and whether they are away from the
+route's end, computed once per tick after the moves. A person is home
+exactly when started and not away: a walker stops at the destination, and a
 zero-length route is home from its start tick on. So no per-person
 ``finished`` flag is kept: the people who walk are the started ones who
 are away, and on a start tick those who start there also show motion,
@@ -147,20 +147,20 @@ def compute_metrics(
 class CompiledScenario:
     """What the tick loop reads from a scenario; see ``compile_scenario``.
 
-    Array columns follow ``scenario.poles`` order, rows of the per-person
-    arrays follow ``scenario.people``.
+    Pole columns follow ``scenario.poles`` order, the per-person arrays
+    ``scenario.people``.
     """
 
     ambient: tuple[float, ...]  # ambient level per tick
     neighbor_index: np.ndarray  # (max degree, poles) columns, see compile_scenario
-    next_hop: np.ndarray  # (people, poles) next column on the person's route, -1 off it
-    origin: np.ndarray  # (people,) columns
-    destination: np.ndarray  # (people,) columns
+    path: np.ndarray  # every person's route, origin to destination, as pole columns
+    path_start: np.ndarray  # (people,) where the person's route begins in path
+    hops: np.ndarray  # (people,) moves on the route: it ends at path_start + hops
     start_tick: np.ndarray  # (people,)
 
 
 def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
-    """Route table, neighbour matrix and ambient per tick, in one pass.
+    """Routes, neighbour matrix and ambient per tick, in one pass.
 
     Use ``scenario.compiled``, which caches this per ScenarioSpec. Column j
     of ``neighbor_index`` lists pole j's neighbours; one shorter than the
@@ -178,19 +178,16 @@ def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
             row = [column[n] for n in pole.neighbors]
             neighbor_index[:, j] = row + row[:1] * (width - len(row))
 
-    next_hop = np.full((len(scenario.people), n_poles), -1, dtype=np.intp)
     # people in destination order: one search per destination, one held at a time
-    searched, hops = None, {}
+    routes, searched, toward = [None] * len(scenario.people), None, {}
     for m, person in sorted(enumerate(scenario.people), key=lambda row: row[1].destination):
         if person.destination != searched:
-            searched, hops = person.destination, next_hops(scenario, person.destination)
-        here = person.origin
-        while here != person.destination:
-            next_hop[m, column[here]] = column[hops[here]]
-            here = hops[here]
-
-    def columns(field: str) -> np.ndarray:
-        return np.array([column[getattr(p, field)] for p in scenario.people], dtype=np.intp)
+            searched, toward = person.destination, next_hops(scenario, person.destination)
+        route = [person.origin]
+        while route[-1] != person.destination:
+            route.append(toward[route[-1]])
+        routes[m] = [column[here] for here in route]
+    lengths = np.array([len(route) for route in routes], dtype=np.intp)
 
     # the ambient level per tick (0 before the first entry) in one walk: an
     # entry is reached only once the walk has passed every earlier one
@@ -202,9 +199,9 @@ def compile_scenario(scenario: ScenarioSpec) -> CompiledScenario:
     return CompiledScenario(
         ambient=tuple(ambient + [level] * (scenario.max_ticks - len(ambient))),
         neighbor_index=neighbor_index,
-        next_hop=next_hop,
-        origin=columns("origin"),
-        destination=columns("destination"),
+        path=np.array([j for route in routes for j in route], dtype=np.intp),
+        path_start=np.cumsum(lengths) - lengths,
+        hops=lengths - 1,
         start_tick=np.array([p.start_tick for p in scenario.people], dtype=np.int64),
     )
 
@@ -332,18 +329,19 @@ def run_batch(
     listen = np.ones(shape, dtype=bool)
     # the last broadcasts, and a zero column for poles without neighbours
     heard = np.zeros((lanes, n_poles + 1))
-    # flat indices: a pole column plus lane_base is its place in a
-    # (lanes, poles) array, plus hop_base its place in next_hop
+    # a pole column plus lane_base is its flat place in a (lanes, poles) array
     lane_base = np.arange(lanes)[:, None] * n_poles
-    hop_base = np.arange(len(scenario.people)) * n_poles
-    position = np.tile(plan.origin, (lanes, 1))
+    # each person's place in plan.path: a move adds one, the route ends at path_end
+    on_path = np.tile(plan.path_start, (lanes, 1))
+    path_end = plan.path_start + plan.hops
+    position = plan.path.take(on_path)
     trip_ticks = np.zeros(position.shape, dtype=np.int64)
     light_sum = np.zeros(lanes)
     # home is started & ~away (module docstring): no finished flag is kept
     start_ticks = set(plan.start_tick.tolist())
     last_start = max(start_ticks, default=0)  # everyone has started from here on
     started = np.zeros(len(scenario.people), dtype=bool)
-    away = position != plan.destination
+    away = on_path != path_end
     # No one moves once everyone is home; those ticks skip the people
     # phase and share these arrays.
     no_motion = np.zeros(shape)
@@ -399,8 +397,9 @@ def run_batch(
             if people_phase:
                 trip_ticks += walking
                 moves = walking & (ambient + light.take(here) >= move_at)
-                position = np.where(moves, plan.next_hop.take(hop_base + position), position)
-                away = position != plan.destination
+                on_path += moves
+                position = plan.path.take(on_path)
+                away = on_path != path_end
                 everyone_home = tick >= last_start and not away.any()
             else:
                 moves = no_moves
@@ -425,11 +424,12 @@ def run_simulation(
     weights: FitnessWeights = DEFAULT_WEIGHTS,
     on_tick: Callable[[int, tuple, tuple, tuple], None] | None = None,
 ) -> SimulationMetrics:
-    """Run the scenario with one ``controller_factory()`` per pole and score it.
+    """Run the scenario with ``controller_factory`` on every pole and score it.
 
     The run is one ``run_batch`` lane of ``controller_step``, so a factory
-    that offers a batch step runs through it; ``on_tick`` goes to that
-    ``run_batch`` call. Identical inputs produce bit-identical outputs.
+    that offers a batch step runs through it, and any other is called once
+    per pole; ``on_tick`` goes to that ``run_batch`` call. Identical inputs
+    produce bit-identical outputs.
     """
     step = controller_step(scenario, [controller_factory])
     (metrics,) = run_batch(scenario, step, 1, weights, on_tick)

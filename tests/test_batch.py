@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -65,9 +65,13 @@ from lumenloop.scenario import PoleSpec, _grid_document, builtin_scenario, parse
 
 
 def fixed(max_examples):
-    """Fixed example order and no example database: every run checks the same cases."""
+    """Fixed example order and no example database: every run checks the same cases.
+
+    No shrinking: a failing generated scenario is reported as found, so a
+    broken engine fails in seconds, not minutes."""
     return settings(max_examples=max_examples, derandomize=True, database=None,
-                    deadline=None, suppress_health_check=[HealthCheck.too_slow])
+                    deadline=None, suppress_health_check=[HealthCheck.too_slow],
+                    phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 
 SCENARIO1 = builtin_scenario("scenario1")
@@ -331,7 +335,8 @@ GENOME_SPEC, GENOME = load_genome(Path(__file__).parent / "fixtures" / "genome.j
 @example(scenario=SCENARIO1, seed=0)
 def test_the_trace_writer_writes_the_scalar_loops_lines(scenario, seed):
     # the bytes against the scalar loop's own traces, not against
-    # traced_run, which reads the same arrays as the writer
+    # traced_run, which reads the same arrays as the writer; compared line
+    # by line, as pytest's diff of two whole traces takes minutes
     program = rand_program(random.Random(seed))
     runs = [
         (program_factory(program), interpreter_factory(program)),
@@ -342,7 +347,7 @@ def test_the_trace_writer_writes_the_scalar_loops_lines(scenario, seed):
         fh = io.StringIO()
         metrics = run_simulation(scenario, factory, on_tick=engine.trace_writer(fh, scenario))
         want, traces = scalar_engine.run_simulation(scenario, oracle_factory, trace=True)
-        assert fh.getvalue() == "".join(scalar_engine.trace_lines(traces))
+        assert fh.getvalue().splitlines(keepends=True) == list(scalar_engine.trace_lines(traces))
         assert metrics == want
 
 

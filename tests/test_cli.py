@@ -18,6 +18,7 @@ from lumenloop.cli import (
 from lumenloop.controllers import ResolvedController
 from lumenloop.engine import ActuatorCommand
 from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
+from lumenloop.neuro import NetworkSpec
 from lumenloop.scenario import builtin_scenario_document
 
 
@@ -133,6 +134,12 @@ REPLAY = str(Path(__file__).parent / "fixtures" / "three_iter.jsonl")
             ("--generations", "0"),
             ("--tournament", "0"),
             ("--hidden", "-1"),
+            # past the ceilings: at 1e9, numpy failed to allocate once the
+            # manifest was written; then one over each
+            ("--hidden", "1000000000"),
+            ("--hidden", "1001"),
+            ("--population", "1000000000"),
+            ("--population", "3922"),
             ("--seed", "-1"),
             ("--elitism", "-1"),
             ("--elitism", "3"),
@@ -170,6 +177,18 @@ def test_out_of_range_numbers_are_usage_errors(capsys, monkeypatch, tmp_path, ar
     assert argv[-2] in err[0]
     # checked before any work starts: no manifest or other output
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evolve_runs_at_its_size_ceilings(monkeypatch, tmp_path):
+    # lowered so that a run at them is quick: two genomes of the default width
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("lumenloop.cli.MAX_HIDDEN", 6)
+    monkeypatch.setattr("lumenloop.cli.MAX_GENES", 2 * NetworkSpec(6).genome_length)
+    assert main(["evolve", "--generations", "1", "--population", "2", "--hidden", "6"]) == EXIT_OK
+    for flag, value in [("--hidden", "7"), ("--population", "3")]:
+        argv = ["evolve", "--generations", "1", "--population", "2", flag, value]
+        assert main(argv + ["--manifest", "over.json"]) == EXIT_USAGE
+    assert not (tmp_path / "over.json").exists()
 
 
 def test_weights_at_the_ceiling_give_finite_fitness(capsys, tmp_path):

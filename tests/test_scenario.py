@@ -3,9 +3,8 @@
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_engine
@@ -309,8 +308,22 @@ def routed_documents(draw):
     return doc
 
 
+# two people bound for pole 8, the farther one first, and between them a
+# zero-length route (origin == destination)
+SHARED_AND_EMPTY = {
+    **builtin_scenario_document("scenario1"),
+    "max_ticks": 30,
+    "people": [
+        {"id": 0, "origin": 0, "destination": 8, "start_tick": 0},
+        {"id": 1, "origin": 4, "destination": 4, "start_tick": 3},
+        {"id": 2, "origin": 5, "destination": 8, "start_tick": 1},
+    ],
+}
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(doc=routed_documents())
+@example(doc=SHARED_AND_EMPTY)
 def test_routes_and_verdicts_equal_the_per_person_oracle(doc):
     # the oracle searches once per person; the package once per component
     # to validate and once per destination to compile
@@ -327,14 +340,17 @@ def test_routes_and_verdicts_equal_the_per_person_oracle(doc):
             parse_scenario(doc)
         assert (str(excinfo.value), excinfo.value.path) == (str(want), want.path)
     else:
-        parsed = parse_scenario(doc)
+        plan = compile_scenario(parse_scenario(doc))
         column = {pole.id: j for j, pole in enumerate(spec.poles)}
-        table = np.full((len(spec.people), len(spec.poles)), -1, dtype=np.intp)
+        cells = 0
         for m, person in enumerate(spec.people):
             path = scalar_engine.shortest_path(spec, person.origin, person.destination)
-            for here, there in zip(path, path[1:]):
-                table[m, column[here]] = column[there]
-        assert np.array_equal(compile_scenario(parsed).next_hop, table)
+            start, hops = plan.path_start[m], plan.hops[m]
+            assert hops == len(path) - 1
+            assert plan.path[start:start + hops + 1].tolist() == [column[p] for p in path]
+            cells += hops + 1
+        # the routes themselves, with no cell off a route
+        assert plan.path.shape == (cells,)
 
     for destination in (pole.id for pole in spec.poles):
         reach = scalar_engine.distances_to(spec, destination)
