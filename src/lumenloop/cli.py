@@ -42,9 +42,13 @@ EXIT_BUDGET_EXHAUSTED = 4
 
 CSV_HEADER = "scenario,solution,energy,people,trip,fitness"
 
-# evolve's size ceilings, measured in README's "Size ceilings"
+# evolve's size ceilings, measured in README's "Size ceilings". For each
+# genome, a generation holds about 2 x genome length + 40 floats per pole,
+# per person and once more: the weights laid out per pole, their products
+# with the inputs, the engine's state, and the genome itself.
 MAX_HIDDEN = 1_000
-MAX_GENES = 200_000  # population x genome length
+MAX_GENERATION_FLOATS = 40_000_000
+
 
 def _parse_weights(text: str) -> FitnessWeights:
     parts = text.split(",")
@@ -113,9 +117,12 @@ def _comparison_row(
 ) -> str:
     # The printed fitness is recomputed from the printed (2-decimal)
     # metrics so the CSV is self-consistent within 1e-9.
-    percents = (metrics.energy_pct, metrics.people_pct, metrics.trip_pct)
-    energy, people, trip = (f"{percent:.2f}" for percent in percents)
-    printed = SimulationMetrics(float(energy), float(people), float(trip))
+    energy = f"{metrics.energy_pct:.2f}"
+    people = f"{metrics.people_pct:.2f}"
+    trip = f"{metrics.trip_pct:.2f}"
+    printed = SimulationMetrics(
+        energy_pct=float(energy), people_pct=float(people), trip_pct=float(trip)
+    )
     fitness = compute_fitness(printed, weights)
     return f"{scenario_name},{label},{energy},{people},{trip},{fitness:.12g}"
 
@@ -166,10 +173,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                         ("--tournament", args.tournament)):
         _require(value >= 1, flag, ">= 1", value)
     _require(0 <= args.hidden <= MAX_HIDDEN, "--hidden", f"in [0, {MAX_HIDDEN}]", args.hidden)
-    spec = NetworkSpec(n_hidden=args.hidden)
-    _require(args.population * spec.genome_length <= MAX_GENES, "--population",
-             f"at most {MAX_GENES // spec.genome_length} at --hidden {args.hidden}",
-             args.population)
     _require(args.seed >= 0, "--seed", ">= 0", args.seed)
     _require(0 <= args.elitism <= args.population, "--elitism",
              "between 0 and --population", args.elitism)
@@ -181,6 +184,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _require_paths([("--scenario", args.scenario)],
                    [("--out", args.out), ("--log", args.log), ("--manifest", args.manifest)])
     scenario = load_scenario(args.scenario)
+    spec = NetworkSpec(n_hidden=args.hidden)
+    per_genome = (len(scenario.poles) + len(scenario.people) + 1) * (2 * spec.genome_length + 40)
+    _require(args.population * per_genome <= MAX_GENERATION_FLOATS, "--population",
+             f"at most {MAX_GENERATION_FLOATS // per_genome} for this scenario "
+             f"at --hidden {args.hidden}", args.population)
     config = EvolutionConfig(
         population_size=args.population,
         generations=args.generations,
@@ -204,14 +212,20 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     )
 
     def progress(stat) -> None:
-        print(f"generation {stat.generation}: best {stat.best_fitness:.4f} "
-              f"mean {stat.mean_fitness:.4f}", file=sys.stderr)
+        print(
+            f"generation {stat.generation}: best {stat.best_fitness:.4f} "
+            f"mean {stat.mean_fitness:.4f}",
+            file=sys.stderr,
+        )
 
     result = run_evolution(config, scenario, spec, weights=weights, on_generation=progress)
     with Path(args.log).open("w", encoding="utf-8") as fh:
         fh.write("generation,best_fitness,mean_fitness\n")
-        fh.writelines(f"{stat.generation},{stat.best_fitness:.12g},{stat.mean_fitness:.12g}\n"
-                      for stat in result.history)
+        for stat in result.history:
+            fh.write(
+                f"{stat.generation},{stat.best_fitness:.12g},"
+                f"{stat.mean_fitness:.12g}\n"
+            )
     save_genome(args.out, result.best, spec)
     print(
         json.dumps(

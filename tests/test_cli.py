@@ -19,7 +19,7 @@ from lumenloop.controllers import ResolvedController
 from lumenloop.engine import ActuatorCommand
 from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
 from lumenloop.neuro import NetworkSpec
-from lumenloop.scenario import builtin_scenario_document
+from lumenloop.scenario import _grid_document, builtin_scenario_document
 
 
 @pytest.fixture(autouse=True)
@@ -116,6 +116,8 @@ def test_simulate_bad_weights(capsys):
 
 
 REPLAY = str(Path(__file__).parent / "fixtures" / "three_iter.jsonl")
+# a side-40 grid (1,600 poles, no people), written beside the run's directory
+GRID40 = "../grid40.json"
 
 
 @pytest.mark.parametrize("argv", [
@@ -135,11 +137,11 @@ REPLAY = str(Path(__file__).parent / "fixtures" / "three_iter.jsonl")
             ("--tournament", "0"),
             ("--hidden", "-1"),
             # past the ceilings: at 1e9, numpy failed to allocate once the
-            # manifest was written; then one over each
+            # manifest was written; then one over each on scenario1
             ("--hidden", "1000000000"),
             ("--hidden", "1001"),
             ("--population", "1000000000"),
-            ("--population", "3922"),
+            ("--population", "21669"),
             ("--seed", "-1"),
             ("--elitism", "-1"),
             ("--elitism", "3"),
@@ -166,24 +168,37 @@ REPLAY = str(Path(__file__).parent / "fixtures" / "three_iter.jsonl")
             ("--temperature", "-0.5"),
         ]
     ),
+    # a generation's memory grows with the poles: 3,921 genomes, which
+    # scenario1 admits, wrote the manifest here and then died allocating
+    # 1.4 GiB; then one over
+    *(
+        ["evolve", "--scenario", GRID40, "--generations", "1", "--population", value]
+        for value in ["3921", "176"]
+    ),
     ["fitness-check", "--tolerance", "nan"],
     ["fitness-check", "--tolerance", "-1"],
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)
+    if GRID40 in argv:
+        (tmp_path / "grid40.json").write_text(json.dumps(_grid_document("grid40", 40, 60, [])))
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert argv[-2] in err[0]
     # checked before any work starts: no manifest or other output
-    assert list(tmp_path.iterdir()) == []
+    assert list(run.iterdir()) == []
 
 
 def test_evolve_runs_at_its_size_ceilings(monkeypatch, tmp_path):
-    # lowered so that a run at them is quick: two genomes of the default width
+    # lowered so that a run at them is quick: two genomes of the default
+    # width on scenario1's 9 poles and 3 people
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("lumenloop.cli.MAX_HIDDEN", 6)
-    monkeypatch.setattr("lumenloop.cli.MAX_GENES", 2 * NetworkSpec(6).genome_length)
+    per_genome = (9 + 3 + 1) * (2 * NetworkSpec(6).genome_length + 40)
+    monkeypatch.setattr("lumenloop.cli.MAX_GENERATION_FLOATS", 2 * per_genome)
     assert main(["evolve", "--generations", "1", "--population", "2", "--hidden", "6"]) == EXIT_OK
     for flag, value in [("--hidden", "7"), ("--population", "3")]:
         argv = ["evolve", "--generations", "1", "--population", "2", flag, value]
