@@ -42,12 +42,12 @@ EXIT_BUDGET_EXHAUSTED = 4
 
 CSV_HEADER = "scenario,solution,energy,people,trip,fitness"
 
-# evolve's size ceilings, measured in README's "Size ceilings". For each
-# genome, a generation holds about 2 x genome length + 40 floats per pole,
-# per person and once more: the weights laid out per pole, their products
-# with the inputs, the engine's state, and the genome itself.
+# evolve's size ceilings, measured in README's "Size ceilings". A generation
+# holds one block of lanes (BLOCK_FLOATS, or one lane if that is more) and,
+# per genome, three copies of its genes while the next is bred and about
+# 8 floats of fitness: a Python float from the objective and index arrays.
 MAX_HIDDEN = 1_000
-MAX_GENERATION_FLOATS = 40_000_000
+MAX_GENERATION_FLOATS = 30_000_000
 
 
 def _parse_weights(text: str) -> FitnessWeights:
@@ -165,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     # Only this command runs the GA, so only it imports it.
-    from .neuro.evolution import EvolutionConfig, run_evolution
+    from .neuro.evolution import BLOCK_FLOATS, EvolutionConfig, lane_floats, run_evolution
 
     weights = _parse_weights(args.weights)
     for flag, value in (("--population", args.population),
@@ -185,10 +185,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                    [("--out", args.out), ("--log", args.log), ("--manifest", args.manifest)])
     scenario = load_scenario(args.scenario)
     spec = NetworkSpec(n_hidden=args.hidden)
-    per_genome = (len(scenario.poles) + len(scenario.people) + 1) * (2 * spec.genome_length + 40)
-    _require(args.population * per_genome <= MAX_GENERATION_FLOATS, "--population",
-             f"at most {MAX_GENERATION_FLOATS // per_genome} for this scenario "
-             f"at --hidden {args.hidden}", args.population)
+    room = MAX_GENERATION_FLOATS - max(BLOCK_FLOATS, lane_floats(scenario, spec))
+    per_genome = 3 * spec.genome_length + 8
+    _require(room >= per_genome, "--hidden", "small enough that one genome's lane on "
+             f"this scenario fits in {MAX_GENERATION_FLOATS:,} floats", args.hidden)
+    _require(args.population * per_genome <= room, "--population",
+             f"at most {room // per_genome} at --hidden {args.hidden}", args.population)
     config = EvolutionConfig(
         population_size=args.population,
         generations=args.generations,

@@ -8,8 +8,8 @@ scored. Deterministic for a given master seed: every generation draws from
 its own SeedSequence-derived stream.
 
 An objective scores a (k, genome_length) array of genomes at once and
-returns k fitness values; ``simulation_objective`` runs all k through one
-``engine.run_batch`` call.
+returns k fitness values; ``simulation_objective`` runs them through
+``engine.run_batch`` in blocks of lanes, one call per block.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .network import DEFAULT_NETWORK, Genome, NetworkSpec, network_batch_step
 # depend on the other rows: elites keep the fitness they were scored with,
 # and later generations score only the children.
 Objective = Callable[[np.ndarray], Sequence[float]]
+
+# A block holds as many lanes as fit in this many floats, and at least one;
+# set from the timings in README's evolve section.
+BLOCK_FLOATS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -157,14 +161,23 @@ def evolve(
     return EvolutionResult(best=best, history=history)
 
 
+def lane_floats(scenario: ScenarioSpec, spec: NetworkSpec) -> int:
+    """About how many floats one genome's lane holds: per pole, per person and
+    once more, its weights per pole, their products and 40 of engine state."""
+    return (len(scenario.poles) + len(scenario.people) + 1) * (2 * spec.genome_length + 40)
+
+
 def simulation_objective(
     scenario: ScenarioSpec,
     spec: NetworkSpec = DEFAULT_NETWORK,
     weights: FitnessWeights = DEFAULT_WEIGHTS,
 ) -> Objective:
+    lanes = max(1, BLOCK_FLOATS // lane_floats(scenario, spec))
+
     def objective(genes: np.ndarray) -> list[float]:
-        step = network_batch_step(genes, spec)
-        return [m.fitness for m in run_batch(scenario, step, len(genes), weights)]
+        blocks = (genes[start:start + lanes] for start in range(0, len(genes), lanes))
+        return [m.fitness for block in blocks for m in
+                run_batch(scenario, network_batch_step(block, spec), len(block), weights)]
 
     return objective
 
@@ -179,7 +192,7 @@ def run_evolution(
 ) -> EvolutionResult:
     """Evolve controllers for one scenario, scored by collective fitness.
 
-    ``workers`` must be 1: a generation is scored by one batch call on one
+    ``workers`` must be 1: a generation is scored by batch calls on one
     thread. The parameter goes when ROADMAP item 1 drops ``workers=1`` from
     ``benchmarks/``.
     """

@@ -19,7 +19,8 @@ from lumenloop.controllers import ResolvedController
 from lumenloop.engine import ActuatorCommand
 from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
 from lumenloop.neuro import NetworkSpec
-from lumenloop.scenario import _grid_document, builtin_scenario_document
+from lumenloop.neuro.evolution import lane_floats
+from lumenloop.scenario import _grid_document, builtin_scenario, builtin_scenario_document
 
 
 @pytest.fixture(autouse=True)
@@ -116,8 +117,8 @@ def test_simulate_bad_weights(capsys):
 
 
 REPLAY = str(Path(__file__).parent / "fixtures" / "three_iter.jsonl")
-# a side-40 grid (1,600 poles, no people), written beside the run's directory
-GRID40 = "../grid40.json"
+# a side-50 grid (2,500 poles, no people), written beside the run's directory
+GRID50 = "../grid50.json"
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,7 +142,7 @@ GRID40 = "../grid40.json"
             ("--hidden", "1000000000"),
             ("--hidden", "1001"),
             ("--population", "1000000000"),
-            ("--population", "21669"),
+            ("--population", "173914"),
             ("--seed", "-1"),
             ("--elitism", "-1"),
             ("--elitism", "3"),
@@ -168,19 +169,19 @@ GRID40 = "../grid40.json"
             ("--temperature", "-0.5"),
         ]
     ),
-    # a generation's memory grows with the poles: 3,921 genomes, which
-    # scenario1 admits, wrote the manifest here and then died allocating
-    # 1.4 GiB; then one over
+    # a generation is scored in blocks, so the population bound is
+    # scenario1's; one genome's lane at --hidden 746 fits, at 747 it does not
     *(
-        ["evolve", "--scenario", GRID40, "--generations", "1", "--population", value]
-        for value in ["3921", "176"]
+        ["evolve", "--scenario", GRID50, "--generations", "1", flag, value]
+        for flag, value in [("--population", "173914"), ("--hidden", "747")]
     ),
     ["fitness-check", "--tolerance", "nan"],
     ["fitness-check", "--tolerance", "-1"],
+    ["simulate", "--weights", "a,b,c"],
 ])
 def test_out_of_range_numbers_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
-    if GRID40 in argv:
-        (tmp_path / "grid40.json").write_text(json.dumps(_grid_document("grid40", 40, 60, [])))
+    if GRID50 in argv:
+        (tmp_path / "grid50.json").write_text(json.dumps(_grid_document("grid50", 50, 60, [])))
     run = tmp_path / "run"
     run.mkdir()
     monkeypatch.chdir(run)
@@ -192,17 +193,24 @@ def test_out_of_range_numbers_are_usage_errors(capsys, monkeypatch, tmp_path, ar
     assert list(run.iterdir()) == []
 
 
-def test_evolve_runs_at_its_size_ceilings(monkeypatch, tmp_path):
+def test_evolve_runs_at_its_size_ceilings(capsys, monkeypatch, tmp_path):
     # lowered so that a run at them is quick: two genomes of the default
-    # width on scenario1's 9 poles and 3 people
+    # width on scenario1, in blocks of one lane
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("lumenloop.cli.MAX_HIDDEN", 6)
-    per_genome = (9 + 3 + 1) * (2 * NetworkSpec(6).genome_length + 40)
-    monkeypatch.setattr("lumenloop.cli.MAX_GENERATION_FLOATS", 2 * per_genome)
+    monkeypatch.setattr("lumenloop.cli.MAX_HIDDEN", 7)
+    spec = NetworkSpec(6)
+    lane = lane_floats(builtin_scenario("scenario1"), spec)
+    monkeypatch.setattr("lumenloop.neuro.evolution.BLOCK_FLOATS", lane)
+    per_genome = 3 * spec.genome_length + 8
+    monkeypatch.setattr("lumenloop.cli.MAX_GENERATION_FLOATS", lane + 2 * per_genome)
     assert main(["evolve", "--generations", "1", "--population", "2", "--hidden", "6"]) == EXIT_OK
-    for flag, value in [("--hidden", "7"), ("--population", "3")]:
+    capsys.readouterr()
+    for flag, value, rule in [("--hidden", "8", "in [0, 7]"),
+                              ("--hidden", "7", "small enough"),  # a lane wider than the block
+                              ("--population", "3", "at most 2")]:
         argv = ["evolve", "--generations", "1", "--population", "2", flag, value]
         assert main(argv + ["--manifest", "over.json"]) == EXIT_USAGE
+        assert f"{flag} must be {rule}" in capsys.readouterr().err
     assert not (tmp_path / "over.json").exists()
 
 
@@ -301,7 +309,7 @@ def test_evolve_small_run(capsys, tmp_path):
 
 
 def test_evolve_has_no_workers_flag(capsys, tmp_path):
-    # a generation is scored by one batch call on one thread
+    # a generation is scored on one thread
     with pytest.raises(SystemExit) as exc:
         main(["evolve", "--generations", "1", "--population", "2", "--workers", "2"])
     assert exc.value.code == EXIT_USAGE

@@ -18,6 +18,7 @@ from operator import getitem
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -208,3 +209,20 @@ def test_a_negative_hidden_width_is_named():
     genome = dumps(with_value(GENOME, ["network", "n_hidden"], -1))
     error = check_rejected("genome", genome.encode())
     assert error == "error: network.n_hidden: expected an integer >= 0, got -1"
+
+
+@pytest.mark.parametrize("kind, path, value, error", [
+    ("scenario", ["ambient_schedule"], {"x": 1}, "ambient_schedule: expected an array"),
+    ("scenario", ["poles"], "abc", "poles: expected an array"),
+    ("scenario", ["people"], 7, "people: expected an array"),
+    ("scenario", ["poles", 0, "neighbors"], {"x": 1}, "poles[0].neighbors: expected an array"),
+    ("scenario", ["ambient_schedule", 0, "from_tick"], -1,
+     "ambient_schedule[0].from_tick: must be >= 0"),
+    ("scenario", ["poles"], [], "poles: at least one pole required"),
+    ("scenario", ["poles", 0, "neighbors"], [1, 1], "poles[0].neighbors: duplicate neighbor ids"),
+    ("genome", ["network"], 7, "'network' must be an object"),
+])
+def test_each_malformed_field_is_named(kind, path, value, error):
+    # one value of a valid file replaced; each case reaches its own check
+    doc = dumps(with_value(JSON_DOCUMENTS[kind], path, value))
+    assert check_rejected(kind, doc.encode()) == f"error: {error}"

@@ -1,12 +1,15 @@
 """run_loop control flow, transcripts, and the calibration stub."""
 
+import errno
+import io
 import json
 from dataclasses import asdict
 
 import pytest
 
 from lumenloop.dsl.baselines import ITERATION_1_SOURCE, ITERATION_2_SOURCE
-from lumenloop.errors import MissingMetrics, SchemaError
+from lumenloop.cli import EXIT_USAGE, main
+from lumenloop.errors import MissingMetrics, SchemaError, TranscriptWriteError
 from lumenloop.dsl import validator
 from lumenloop.fitness import SimulationMetrics
 from lumenloop.loop import extraction, runner
@@ -308,6 +311,26 @@ def test_transcript_has_no_trailer_when_evaluator_raises(
     assert [line["index"] for line in lines[1:]] == list(range(1, scored_before_raise + 1))
     with pytest.raises(SchemaError):
         parse_transcript(path.read_text())
+
+
+def test_a_transcript_in_a_missing_directory_is_a_usage_error(capsys, fixture_dir, tmp_path):
+    argv = ["gpt-loop", "--replay", str(fixture_dir / "three_iter.jsonl"),
+            "--stub-metrics", str(fixture_dir / "calibration_stub.json"),
+            "--transcript", str(tmp_path / "missing" / "t.jsonl"),
+            "--out", str(tmp_path / "best.rules"), "--manifest", str(tmp_path / "m.json")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot open transcript: ")
+
+
+def test_a_failed_transcript_write_is_a_transcript_write_error(monkeypatch, tmp_path):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(runner.Path, "open", lambda self, *args, **kwargs: FullDisk())
+    with pytest.raises(TranscriptWriteError, match="cannot write transcript: .*No space left"):
+        run_loop(LoopConfig(), ReplayProvider([]), SCENARIO1, transcript_path=tmp_path / "t.jsonl")
 
 
 def test_parse_transcript_schema_errors():

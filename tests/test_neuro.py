@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imitation import imitation_objective
 from network_controller import NetworkController, reading_to_inputs
@@ -12,14 +14,17 @@ from lumenloop.engine import SensorReading
 from lumenloop.errors import LengthMismatch, SchemaError
 from lumenloop.fitness import FitnessWeights
 from lumenloop.neuro.evolution import (
+    BLOCK_FLOATS,
     EvolutionConfig,
     evolve,
     init_population,
+    lane_floats,
     mutate,
     one_point_crossover,
     rng_for,
     run_evolution,
     score_rows,
+    simulation_objective,
     tournament_select,
 )
 from lumenloop.neuro.network import (
@@ -291,6 +296,35 @@ def test_a_generation_is_scored_on_one_thread():
         evolve(cfg, DEFAULT_NETWORK, sphere, workers=1)
     with pytest.raises(TypeError):
         score_rows(np.zeros((2, 51)), sphere, workers=1)
+
+
+def test_an_objective_must_give_one_value_per_genome():
+    genes = np.zeros((3, DEFAULT_NETWORK.genome_length))
+    with pytest.raises(ValueError, match=r"objective gave \(2,\) values for 3 genomes"):
+        score_rows(genes, lambda rows: [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"objective gave \(3, 1\) values for 3 genomes"):
+        score_rows(genes, lambda rows: [[0.0]] * len(rows))
+
+
+SCENARIO2 = builtin_scenario("scenario2")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(population=st.integers(1, 12), lanes=st.integers(0, 14), seed=st.integers(0, 2**32 - 1))
+@example(population=12, lanes=1, seed=0)  # one lane per block
+@example(population=12, lanes=5, seed=0)  # a few, the last block short
+@example(population=12, lanes=12, seed=0)  # the whole generation
+def test_a_generation_scores_the_same_in_blocks_of_any_size(population, lanes, seed):
+    # lanes are independent, so how the genomes are cut into blocks
+    # changes no fitness; at the real budget all 12 are one block
+    assert BLOCK_FLOATS // lane_floats(SCENARIO2, DEFAULT_NETWORK) >= 12
+    genes = np.random.default_rng(seed).normal(
+        0.0, 3.0, size=(population, DEFAULT_NETWORK.genome_length))
+    one_block = simulation_objective(SCENARIO2)(genes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("lumenloop.neuro.evolution.BLOCK_FLOATS",
+                   lanes * lane_floats(SCENARIO2, DEFAULT_NETWORK))
+        assert simulation_objective(SCENARIO2)(genes) == one_block
 
 
 def test_a_non_finite_fitness_or_gene_is_not_saved(tmp_path):
