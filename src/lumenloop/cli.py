@@ -42,12 +42,9 @@ EXIT_BUDGET_EXHAUSTED = 4
 
 CSV_HEADER = "scenario,solution,energy,people,trip,fitness"
 
-# evolve's size ceilings, measured in README's "Size ceilings". A generation
-# holds one block of lanes (BLOCK_FLOATS, or one lane if that is more) and,
-# per genome, three copies of its genes while the next is bred and about
-# 8 floats of fitness: a Python float from the objective and index arrays.
+# evolve's widest network, measured in README's "Size ceilings"; the
+# population's bound is neuro.evolution.largest_population.
 MAX_HIDDEN = 1_000
-MAX_GENERATION_FLOATS = 30_000_000
 
 
 def _parse_weights(text: str) -> FitnessWeights:
@@ -70,22 +67,17 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
         raise SchemaError(f"{flag} must be {rule}, got {value}")
 
 
-def _require_nonempty(flag: str, value: str | None) -> None:
-    """Reject an empty name or path, which Path('') would read as '.'."""
-    _require(value != "", flag, "a non-empty name or path", "''")
-
-
 def _require_paths(
     inputs: list[tuple[str, str | None]], outputs: list[tuple[str, str | None]]
 ) -> None:
-    """Check a command's (flag, path or None) pairs: no path is empty, and
-    no output names the file of an input or of another output, so no write
-    overwrites what the command reads or writes. Two inputs may name one
-    file, and a built-in name compares as the path it spells. Paths
-    compare resolved, as Path.resolve() does, but a symlink loop is left
-    for the write to report."""
+    """Check a command's (flag, path or None) pairs: no path is empty (Path('')
+    reads as '.'), and no output names the file of an input or of another
+    output, so no write overwrites what the command reads or writes. Two
+    inputs may name one file, and a built-in name compares as the path it
+    spells. Paths compare resolved, as Path.resolve() does, but a symlink
+    loop is left for the write to report."""
     for flag, value in inputs + outputs:
-        _require_nonempty(flag, value)
+        _require(value != "", flag, "a non-empty name or path", "''")
     seen: dict[str, str] = {}
     for flag, value in inputs:
         if value is not None:
@@ -165,7 +157,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     # Only this command runs the GA, so only it imports it.
-    from .neuro.evolution import BLOCK_FLOATS, EvolutionConfig, lane_floats, run_evolution
+    from .neuro.evolution import (MAX_GENERATION_FLOATS, EvolutionConfig,
+                                  largest_population, run_evolution)
 
     weights = _parse_weights(args.weights)
     for flag, value in (("--population", args.population),
@@ -185,12 +178,11 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                    [("--out", args.out), ("--log", args.log), ("--manifest", args.manifest)])
     scenario = load_scenario(args.scenario)
     spec = NetworkSpec(n_hidden=args.hidden)
-    room = MAX_GENERATION_FLOATS - max(BLOCK_FLOATS, lane_floats(scenario, spec))
-    per_genome = 3 * spec.genome_length + 8
-    _require(room >= per_genome, "--hidden", "small enough that one genome's lane on "
+    most = largest_population(scenario, spec)
+    _require(most >= 1, "--hidden", "small enough that one genome's lane on "
              f"this scenario fits in {MAX_GENERATION_FLOATS:,} floats", args.hidden)
-    _require(args.population * per_genome <= room, "--population",
-             f"at most {room // per_genome} at --hidden {args.hidden}", args.population)
+    _require(args.population <= most, "--population",
+             f"at most {most} at --hidden {args.hidden}", args.population)
     config = EvolutionConfig(
         population_size=args.population,
         generations=args.generations,
@@ -543,7 +535,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _require_nonempty("--manifest", args.manifest)  # every command writes one
         return args.func(args)
     except (LumenloopError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

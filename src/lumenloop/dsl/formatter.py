@@ -45,9 +45,9 @@ def _format_number(value: float) -> str:
             s = f"{value:.{precision}f}"
             if float(s) == value:
                 break
+        # s parses back to the value, which is not zero (zero's repr has no
+        # "e"), so a digit other than 0 is left
         s = s.rstrip("0").rstrip(".")
-        if s in ("", "-"):
-            s = s + "0"
     return s
 
 

@@ -85,10 +85,8 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             return tok.line, tok.column
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.line, last.column + len(last.lexeme)
-        return 1, 1
+        last = self.tokens[-1]  # an empty program parses without error
+        return last.line, last.column + len(last.lexeme)
 
     def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
         line, column = self.error_pos()
@@ -137,9 +135,7 @@ class _Parser:
         return Program(tuple(statements))
 
     def parse_statement(self) -> Statement:
-        tok = self.peek()
-        if tok is None:
-            raise self.fail("expected a statement")
+        tok = self.peek()  # never past the end: its callers check that first
         if tok.kind == "keyword" and tok.lexeme == "if":
             return self.parse_if()
         if tok.kind == "identifier":
@@ -245,7 +241,6 @@ class _Parser:
         try:
             return self.parse_comparison()
         except ParseError as cmp_err:
-            cmp_progress = self.i
             self.i = start
             self._enter()
             try:
@@ -254,7 +249,7 @@ class _Parser:
                 self.expect("punct", ")")
                 return inner
             except ParseError as paren_err:
-                if cmp_progress > self.i:
+                if (cmp_err.line, cmp_err.column) > (paren_err.line, paren_err.column):
                     raise cmp_err from None
                 raise paren_err from None
             finally:

@@ -2,10 +2,10 @@
 
 Tournament selection, one-point crossover, per-gene Gaussian mutation,
 elitism. A generation is a (population_size, genome_length) genes array
-and its fitness vector; the next one starts with the ``elitism`` fittest
-rows, which keep their fitness, and only the children after them are
-scored. Deterministic for a given master seed: every generation draws from
-its own SeedSequence-derived stream.
+and its fitness vector; the next is bred into a second such array, the
+``elitism`` fittest rows first, which keep their fitness, and only the
+children after them are scored. Deterministic for a given master seed:
+every generation draws from its own SeedSequence-derived stream.
 
 An objective scores a (k, genome_length) array of genomes at once and
 returns k fitness values; ``simulation_objective`` runs them through
@@ -27,12 +27,19 @@ from .network import DEFAULT_NETWORK, Genome, NetworkSpec, network_batch_step
 
 # (k, genome_length) genomes -> k fitness values. A genome's value must not
 # depend on the other rows: elites keep the fitness they were scored with,
-# and later generations score only the children.
+# and later generations score only the children. The rows are a view of
+# the GA's buffer, overwritten two generations later: copy what you keep.
 Objective = Callable[[np.ndarray], Sequence[float]]
 
 # A block holds as many lanes as fit in this many floats, and at least one;
 # set from the timings in README's evolve section.
 BLOCK_FLOATS = 2_000_000
+
+# evolve's size ceiling, measured in README's "Size ceilings". A generation
+# holds one block of lanes (BLOCK_FLOATS, or one lane if that is more) and,
+# per genome, two copies of its genes (the generation and the next) and
+# about 8 floats of fitness: a Python float from the objective and indices.
+MAX_GENERATION_FLOATS = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -109,27 +116,26 @@ def score_rows(genes: np.ndarray, objective: Objective) -> np.ndarray:
 
 
 def _breed(
-    genes: np.ndarray, fitness: np.ndarray, count: int,
+    genes: np.ndarray, fitness: np.ndarray, out: np.ndarray,
     config: EvolutionConfig, rng: np.random.Generator,
-) -> np.ndarray:
-    """``count`` children of tournament winners, two per pair of parents.
+) -> None:
+    """Fill ``out`` with children of tournament winners, two per pair of parents.
 
     A gene that a mutation carries past the float range is held at the
     range's edge, so every gene stays finite (an infinite weight times a
     zero input is NaN)."""
-    children = np.empty((count, genes.shape[1]))
     made = 0
     with np.errstate(over="ignore"):
-        while made < count:
+        while made < len(out):
             a = genes[tournament_select(fitness, rng, config.tournament_size)]
             b = genes[tournament_select(fitness, rng, config.tournament_size)]
             if rng.random() < config.crossover_rate:
                 a, b = one_point_crossover(a, b, rng)
-            for child in (a, b)[: count - made]:
-                children[made] = mutate(child, rng, config.mutation_rate, config.mutation_sigma)
+            for child in (a, b)[: len(out) - made]:
+                out[made] = mutate(child, rng, config.mutation_rate, config.mutation_sigma)
                 made += 1
     edge = np.finfo(float).max
-    return np.clip(children, -edge, edge, out=children)
+    np.clip(out, -edge, edge, out=out)
 
 
 def evolve(
@@ -141,6 +147,7 @@ def evolve(
     """Run the GA against an arbitrary objective (higher is better)."""
     genes = init_population(config, spec, rng_for(config.seed, 0))
     fitness = score_rows(genes, objective)
+    spare = np.empty_like(genes)  # the next generation is bred into it
     history: list[GenerationStat] = []
     best: Genome | None = None
     for gen in range(1, config.generations + 1):
@@ -154,10 +161,11 @@ def evolve(
             on_generation(stat)
         if gen < config.generations:
             elites = order[: config.elitism]
-            children = _breed(genes, fitness, len(genes) - len(elites), config,
-                              rng_for(config.seed, 1, gen))
-            genes = np.concatenate([genes[elites], children])
+            spare[: len(elites)] = genes[elites]
+            children = spare[len(elites):]
+            _breed(genes, fitness, children, config, rng_for(config.seed, 1, gen))
             fitness = np.concatenate([fitness[elites], score_rows(children, objective)])
+            genes, spare = spare, genes
     return EvolutionResult(best=best, history=history)
 
 
@@ -165,6 +173,12 @@ def lane_floats(scenario: ScenarioSpec, spec: NetworkSpec) -> int:
     """About how many floats one genome's lane holds: per pole, per person and
     once more, its weights per pole, their products and 40 of engine state."""
     return (len(scenario.poles) + len(scenario.people) + 1) * (2 * spec.genome_length + 40)
+
+
+def largest_population(scenario: ScenarioSpec, spec: NetworkSpec) -> int:
+    """The most genomes a generation on ``scenario`` may hold; 0 if not one."""
+    room = MAX_GENERATION_FLOATS - max(BLOCK_FLOATS, lane_floats(scenario, spec))
+    return max(0, room // (2 * spec.genome_length + 8))
 
 
 def simulation_objective(

@@ -18,6 +18,7 @@ from lumenloop.cli import (
 from lumenloop.controllers import ResolvedController
 from lumenloop.engine import ActuatorCommand
 from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
+from lumenloop.loop import DEFAULT_MODEL, load_replay_script
 from lumenloop.neuro import NetworkSpec
 from lumenloop.neuro.evolution import lane_floats
 from lumenloop.scenario import _grid_document, builtin_scenario, builtin_scenario_document
@@ -142,7 +143,7 @@ GRID50 = "../grid50.json"
             ("--hidden", "1000000000"),
             ("--hidden", "1001"),
             ("--population", "1000000000"),
-            ("--population", "173914"),
+            ("--population", "254546"),
             ("--seed", "-1"),
             ("--elitism", "-1"),
             ("--elitism", "3"),
@@ -173,7 +174,7 @@ GRID50 = "../grid50.json"
     # scenario1's; one genome's lane at --hidden 746 fits, at 747 it does not
     *(
         ["evolve", "--scenario", GRID50, "--generations", "1", flag, value]
-        for flag, value in [("--population", "173914"), ("--hidden", "747")]
+        for flag, value in [("--population", "254546"), ("--hidden", "747")]
     ),
     ["fitness-check", "--tolerance", "nan"],
     ["fitness-check", "--tolerance", "-1"],
@@ -201,8 +202,8 @@ def test_evolve_runs_at_its_size_ceilings(capsys, monkeypatch, tmp_path):
     spec = NetworkSpec(6)
     lane = lane_floats(builtin_scenario("scenario1"), spec)
     monkeypatch.setattr("lumenloop.neuro.evolution.BLOCK_FLOATS", lane)
-    per_genome = 3 * spec.genome_length + 8
-    monkeypatch.setattr("lumenloop.cli.MAX_GENERATION_FLOATS", lane + 2 * per_genome)
+    per_genome = 2 * spec.genome_length + 8
+    monkeypatch.setattr("lumenloop.neuro.evolution.MAX_GENERATION_FLOATS", lane + 2 * per_genome)
     assert main(["evolve", "--generations", "1", "--population", "2", "--hidden", "6"]) == EXIT_OK
     capsys.readouterr()
     for flag, value, rule in [("--hidden", "8", "in [0, 7]"),
@@ -441,6 +442,22 @@ def test_gpt_loop_model_flag_reaches_the_manifest(capsys, fixture_dir):
     assert read_manifest("gpt-loop-manifest.json")["config"]["model"] == "other"
 
 
+def test_gpt_loop_goes_live_with_a_key_and_no_replay(capsys, monkeypatch, fixture_dir):
+    monkeypatch.setenv("LUMENLOOP_API_KEY", "sk-test")
+    built = []
+
+    def from_env(**kwargs):
+        built.append(kwargs)
+        return load_replay_script(fixture_dir / "three_iter.jsonl")
+
+    monkeypatch.setattr("lumenloop.loop.HttpProvider.from_env", from_env)
+    assert main(["gpt-loop", "--stub-metrics", str(fixture_dir / "calibration_stub.json"),
+                 "--temperature", "0.5"]) == EXIT_OK
+    capsys.readouterr()
+    assert built == [{"model": DEFAULT_MODEL, "temperature": 0.5, "timeout": 60.0}]
+    assert read_manifest("gpt-loop-manifest.json")["config"]["provider"] == "http"
+
+
 def test_gpt_loop_manifest_written_before_work(capsys):
     # replay path is bad, but the manifest must already be on disk
     assert main(["gpt-loop", "--replay", "no-such-script.jsonl"]) == EXIT_USAGE
@@ -493,6 +510,9 @@ def test_compare_explicit_selection(capsys):
     ["compare", "--scenario", ""],
     ["compare", "--controller", "always_on", "--controller", ""],
     ["fitness-check", "--table", ""],
+    # every command writes a manifest, and checks its path with the others
+    *([command, "--manifest", ""]
+      for command in ("simulate", "evolve", "gpt-loop", "compare", "fitness-check")),
 ])
 def test_empty_names_and_paths_are_usage_errors(capsys, monkeypatch, tmp_path, argv):
     # Path("") is ".", which used to surface as "Is a directory: '.'"; and

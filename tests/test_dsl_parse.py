@@ -4,6 +4,7 @@ import pytest
 
 from dslcases import CORPUS
 from lumenloop.dsl.baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
+from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.formatter import format_expr, format_program
 from lumenloop.dsl.nodes import (
     Assignment,
@@ -167,6 +168,13 @@ def test_statement_positions():
     ("light = )", "expected"),
     ("light = (1 + 2", ")"),
     ("if then light = 1 end", "expected"),
+    ("if", "line 1, column 3: expected a condition, found end of input"),
+    # "(" opens a comparison or a condition; the error that got further wins
+    ("if (a + 1) < then end", "line 1, column 14: expected an expression, found 'then'"),
+    ("if (a < 1 and) then end", "line 1, column 14: expected an expression, found ')'"),
+    ("if ((a) < ) then end", "line 1, column 11: expected an expression, found ')'"),
+    # a tie goes to the condition's error
+    ("if (1 then end", "line 1, column 7: expected a comparator, found 'then'"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError) as err:
@@ -239,6 +247,17 @@ def test_format_indentation_depth():
     assert format_program(parse_source(src)) == (
         "if motion then\n  if motion then\n    light = 1.0\n  end\nend"
     )
+
+
+@pytest.mark.parametrize("walk", [CompiledProgram, format_program], ids=["compiler", "formatter"])
+@pytest.mark.parametrize("program, kind", [
+    (Program((Assignment("light", "stray"),)), "an expression"),
+    (Program((If("stray", (), None),)), "a condition"),
+    (Program(("stray",)), "a statement"),
+], ids=["expression", "condition", "statement"])
+def test_a_non_node_is_a_type_error_that_names_it(walk, program, kind):
+    with pytest.raises(TypeError, match=f"^not {kind} node: 'stray'$"):
+        walk(program)
 
 
 def test_number_rendering():

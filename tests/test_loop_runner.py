@@ -126,6 +126,16 @@ def test_repairs_exhaust_to_parse_failed():
     assert transcript.provider_calls == 3
 
 
+def test_a_reply_whose_block_fails_to_parse_keeps_its_rationale():
+    # as for a scored reply, the rationale is the reply without its block
+    provider = ReplayProvider([wrap("light =\n", "Almost there.")])
+    transcript = run_loop(LoopConfig(max_iterations=1, max_repair_attempts=0),
+                          provider, SCENARIO1)
+    (record,) = transcript.records
+    assert record.outcome == "parse-failed"
+    assert record.rationale == "Almost there."
+
+
 def test_call_budget_bound():
     # every reply malformed: exactly max_iterations * (1 + max_repair_attempts)
     provider = ReplayProvider([BAD_RESPONSE] * 100)

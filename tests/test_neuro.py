@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,22 @@ def test_only_the_children_after_the_elites_are_scored():
     # the two elites keep the 1.0 they scored in generation 1
     assert [s.best_fitness for s in result.history] == [1.0] * 4
     assert [s.mean_fitness for s in result.history[1:]] == [2.0 / 7.0] * 3
+
+
+def test_each_generation_is_bred_in_place():
+    # evolve holds two gene arrays, the generation and the one bred into;
+    # a separate children array and the concatenated next generation made
+    # three at the peak
+    spec = NetworkSpec(n_hidden=60)
+    cfg = EvolutionConfig(population_size=500, generations=3)
+    evolve(cfg, spec, sphere)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        evolve(cfg, spec, sphere)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * cfg.population_size * spec.genome_length * 8
 
 
 def test_run_evolution_on_scenario():

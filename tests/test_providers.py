@@ -97,8 +97,9 @@ def test_retries_on_429_then_succeeds(no_sleep):
 
 
 def test_retry_backoff_doubles_then_gives_up(no_sleep):
-    session = FakeSession([requests.Timeout(), FakeResponse(503), requests.Timeout()])
-    with pytest.raises(ProviderError, match="giving up after 3 attempts"):
+    session = FakeSession([requests.Timeout(), FakeResponse(503), requests.ConnectionError()])
+    # the last attempt's error is the one named
+    with pytest.raises(ProviderError, match="giving up after 3 attempts: request failed"):
         make_provider(session).complete(MESSAGES)
     assert len(session.calls) == 3
     assert no_sleep == [1.0, 2.0]
