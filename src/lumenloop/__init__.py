@@ -26,14 +26,12 @@ from .scenario import (
     parse_scenario,
 )
 
+# The engine loads numpy, so its names are imported from lumenloop.engine:
+# the package root imports without it.
 __all__ = [
-    "ActuatorCommand",
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
     "compute_fitness",
-    "compute_metrics",
-    "Controller",
-    "ControllerFactory",
     "DEFAULT_WEIGHTS",
     "derive_fitness_weights",
     "FitnessWeights",
@@ -41,28 +39,7 @@ __all__ = [
     "LumenloopError",
     "parse_scenario",
     "REFERENCE_RESULTS",
-    "run_simulation",
     "ScenarioSpec",
-    "SensorReading",
     "SimulationMetrics",
     "__version__",
 ]
-
-# The engine loads numpy, so its names load on first use (PEP 562): the
-# scenario, rule-language and loop modules import without it.
-_ENGINE_NAMES = frozenset({
-    "ActuatorCommand",
-    "Controller",
-    "ControllerFactory",
-    "SensorReading",
-    "compute_metrics",
-    "run_simulation",
-})
-
-
-def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
-        from . import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

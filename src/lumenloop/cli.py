@@ -11,6 +11,7 @@ outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -106,7 +107,7 @@ def _write_manifest(path: str, command: str, config: dict, outputs: list[str]) -
 def _comparison_row(
     scenario_name: str, label: str, metrics: SimulationMetrics,
     weights: FitnessWeights,
-) -> str:
+) -> list[str]:
     # The printed fitness is recomputed from the printed (2-decimal)
     # metrics so the CSV is self-consistent within 1e-9.
     energy = f"{metrics.energy_pct:.2f}"
@@ -116,7 +117,7 @@ def _comparison_row(
         energy_pct=float(energy), people_pct=float(people), trip_pct=float(trip)
     )
     fitness = compute_fitness(printed, weights)
-    return f"{scenario_name},{label},{energy},{people},{trip},{fitness:.12g}"
+    return [scenario_name, label, energy, people, trip, f"{fitness:.12g}"]
 
 
 # -- simulate ---------------------------------------------------------------
@@ -147,8 +148,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                      trace_writer(fh, scenario))
     else:
         metrics = run_simulation(scenario, resolved.factory, weights=weights)
-    print(CSV_HEADER)
-    print(_comparison_row(scenario.name, resolved.label, metrics, weights))
+    out = csv.writer(sys.stdout, lineterminator="\n")  # quotes a name only where needed
+    out.writerow(CSV_HEADER.split(","))
+    out.writerow(_comparison_row(scenario.name, resolved.label, metrics, weights))
     return EXIT_OK
 
 
@@ -362,12 +364,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         },
         [],
     )
-    print(CSV_HEADER)
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(CSV_HEADER.split(","))
     factories = [resolved.factory for resolved in controllers]
     for scenario in scenarios:
         rows = run_batch(scenario, controller_step(scenario, factories), len(factories), weights)
         for resolved, metrics in zip(controllers, rows):
-            print(_comparison_row(scenario.name, resolved.label, metrics, weights))
+            out.writerow(_comparison_row(scenario.name, resolved.label, metrics, weights))
     return EXIT_OK
 
 

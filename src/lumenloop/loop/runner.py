@@ -228,40 +228,33 @@ def run_loop(
                 transcript.failure = str(exc)
                 break
             if extraction is None:
-                record = IterationRecord(
-                    index=index,
-                    prompt=main_prompt,
-                    response=response,
-                    rationale=_rationale_of(response),
-                    program=None,
-                    metrics=None,
-                    repair_attempts=attempts,
-                    outcome=OUTCOME_PARSE_FAILED,
-                    diagnostics=diagnostics,
-                )
-                transcript.records.append(record)
-                writer.write(_record_line(record))
-                # Nothing was scored; the next iteration falls back to the
-                # last scored record, or starts over from the top.
-                continue
-            metrics = evaluator(extraction)
-            accepted = metrics.fitness >= config.fitness_threshold
+                metrics, rationale, program = None, _rationale_of(response), None
+                outcome = OUTCOME_PARSE_FAILED
+            else:
+                metrics = evaluator(extraction)
+                rationale, program = extraction.rationale, extraction.canonical
+                outcome = (OUTCOME_ACCEPTED if metrics.fitness >= config.fitness_threshold
+                           else OUTCOME_BELOW_THRESHOLD)
             record = IterationRecord(
                 index=index,
                 prompt=main_prompt,
                 response=response,
-                rationale=extraction.rationale,
-                program=extraction.canonical,
+                rationale=rationale,
+                program=program,
                 metrics=metrics,
                 repair_attempts=attempts,
-                outcome=OUTCOME_ACCEPTED if accepted else OUTCOME_BELOW_THRESHOLD,
+                outcome=outcome,
+                diagnostics=diagnostics,
             )
             transcript.records.append(record)
             writer.write(_record_line(record))
-            if accepted:
+            if outcome == OUTCOME_ACCEPTED:
                 transcript.status = STATUS_THRESHOLD_MET
                 break
-            feedback_source = record
+            # A parse failure scores nothing, so the next iteration falls
+            # back to the last scored record, or starts over from the top.
+            if metrics is not None:
+                feedback_source = record
         # Only a run that ends in one of the three statuses gets a trailer;
         # an escaping exception leaves a file parse_transcript rejects.
         best = transcript.best_record

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior through main(argv), including exit codes."""
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -494,6 +496,22 @@ def test_compare_explicit_selection(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("scenario2,iteration3,")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_a_name_holding_csv_syntax_is_quoted(capsys, tmp_path, command):
+    rules = tmp_path / 'dim,"half.rules'
+    rules.write_text("light = 0.5\n")
+    doc = builtin_scenario_document("scenario1")
+    doc["name"] = "x\ny,z"
+    scenario = tmp_path / "odd.json"
+    scenario.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(scenario), "--controller", str(rules)]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == CSV_HEADER.split(",")
+    assert len(rows) == 2
+    assert rows[1][:3] == ["x\ny,z", 'dim,"half', "50.00"]
+    assert len(rows[1]) == 6
 
 
 # -- every command ---------------------------------------------------------

@@ -83,15 +83,15 @@ assert transcript.status == lumenloop.loop.STATUS_THRESHOLD_MET, transcript.stat
     assert "numpy" not in loaded
 
 
-# Each package's names are resolved before its submodules are imported
-# here, so a name that loads on first use is resolved through that path.
 EXPORTS_RESOLVE = """
 import importlib
 for package, homes in [
-    ("lumenloop", ["engine", "errors", "fitness", "scenario"]),
-    ("lumenloop.neuro", ["evolution", "network"]),
+    ("lumenloop", ["errors", "fitness", "scenario"]),
+    ("lumenloop.neuro", ["network"]),
 ]:
     pkg = importlib.import_module(package)
+    unbound = [name for name in pkg.__all__ if name not in vars(pkg)]
+    assert not unbound, (package, unbound)
     got = {name: getattr(pkg, name) for name in pkg.__all__ if name != "__version__"}
     homes = [importlib.import_module(f"{package}.{home}") for home in homes]
     for name, obj in got.items():

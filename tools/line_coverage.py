@@ -28,18 +28,10 @@ PACKAGE = SOURCE / "lumenloop"
 CO_OPTIMIZED = 0x1  # set on functions, lambdas and comprehensions, not on bodies
 
 # (file under src/lumenloop/, line) -> why no in-process test runs it
-SUBPROCESS = ("tests/test_imports.py reads each exported name off the package, "
-              "in a fresh interpreter")
 TRACER = "only benchmarks/tracing.py reads run_simulation off loop.runner"
 UNRUN = {
-    ("__init__.py", 65): SUBPROCESS,
-    ("__init__.py", 67): SUBPROCESS,
-    ("neuro/__init__.py", 46): SUBPROCESS,
-    ("neuro/__init__.py", 47): SUBPROCESS,
-    ("neuro/__init__.py", 49): SUBPROCESS,
-    ("neuro/__init__.py", 50): SUBPROCESS,
-    ("loop/runner.py", 344): TRACER,
-    ("loop/runner.py", 346): TRACER,
+    ("loop/runner.py", 337): TRACER,
+    ("loop/runner.py", 339): TRACER,
 }
 
 
