@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -120,6 +121,17 @@ def _comparison_row(
     return [scenario_name, label, energy, people, trip, f"{fitness:.12g}"]
 
 
+def _print_row(row: list[str]) -> None:
+    """Print one CSV row ending in "\n", a field quoted only where needed.
+
+    csv.writer quotes a field holding a character of its line terminator,
+    so the row is formatted with "\r\n", which quotes a bare "\r" as well
+    as a "\n", and that ending is printed as "\n"."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(row)
+    sys.stdout.write(line.getvalue()[:-2] + "\n")
+
+
 # -- simulate ---------------------------------------------------------------
 
 
@@ -148,9 +160,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                      trace_writer(fh, scenario))
     else:
         metrics = run_simulation(scenario, resolved.factory, weights=weights)
-    out = csv.writer(sys.stdout, lineterminator="\n")  # quotes a name only where needed
-    out.writerow(CSV_HEADER.split(","))
-    out.writerow(_comparison_row(scenario.name, resolved.label, metrics, weights))
+    _print_row(CSV_HEADER.split(","))
+    _print_row(_comparison_row(scenario.name, resolved.label, metrics, weights))
     return EXIT_OK
 
 
@@ -364,13 +375,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         },
         [],
     )
-    out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(CSV_HEADER.split(","))
+    _print_row(CSV_HEADER.split(","))
     factories = [resolved.factory for resolved in controllers]
     for scenario in scenarios:
         rows = run_batch(scenario, controller_step(scenario, factories), len(factories), weights)
         for resolved, metrics in zip(controllers, rows):
-            out.writerow(_comparison_row(scenario.name, resolved.label, metrics, weights))
+            _print_row(_comparison_row(scenario.name, resolved.label, metrics, weights))
     return EXIT_OK
 
 

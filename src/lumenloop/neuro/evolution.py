@@ -79,30 +79,12 @@ def init_population(
     return rng.normal(0.0, 1.0, size=(config.population_size, spec.genome_length))
 
 
-def tournament_select(fitness: np.ndarray, rng: np.random.Generator, k: int) -> int:
-    """Row of the best of k distinct contestants; ties go to the lower row."""
+def tournament_select(fitness: Sequence[float], rng: np.random.Generator, k: int) -> int:
+    """Row of the best of k distinct contestants; ties go to the lower row.
+
+    ``fitness`` may be an array or a list; a list indexes faster."""
     contestants = rng.choice(len(fitness), size=min(k, len(fitness)), replace=False)
-    return int(min(contestants, key=lambda i: (-fitness[i], i)))
-
-
-def one_point_crossover(
-    a: np.ndarray, b: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    point = int(rng.integers(1, a.size))
-    child_a = np.concatenate([a[:point], b[point:]])
-    child_b = np.concatenate([b[:point], a[point:]])
-    return child_a, child_b
-
-
-def mutate(
-    genes: np.ndarray, rng: np.random.Generator, rate: float, sigma: float
-) -> np.ndarray:
-    out = genes.copy()
-    mask = rng.random(out.size) < rate
-    hits = int(mask.sum())
-    if hits:
-        out[mask] += rng.normal(0.0, sigma, size=hits)
-    return out
+    return min(contestants.tolist(), key=lambda i: (-fitness[i], i))
 
 
 def score_rows(genes: np.ndarray, objective: Objective) -> np.ndarray:
@@ -121,19 +103,31 @@ def _breed(
 ) -> None:
     """Fill ``out`` with children of tournament winners, two per pair of parents.
 
-    A gene that a mutation carries past the float range is held at the
-    range's edge, so every gene stays finite (an infinite weight times a
-    zero input is NaN)."""
+    Each child is written straight into its row: with probability
+    ``crossover_rate`` the pair swaps tails at one point drawn from
+    [1, genome_length), then each gene of the child, with probability
+    ``mutation_rate``, gains a normal(0, mutation_sigma) draw. The draws
+    are taken per child in that order, so a seed fixes every child. A gene
+    that a mutation carries past the float range is held at the range's
+    edge, so every gene stays finite (an infinite weight times a zero
+    input is NaN). ``out`` must not share memory with ``genes``."""
+    keys = fitness.tolist()
+    length = genes.shape[1]
     made = 0
     with np.errstate(over="ignore"):
         while made < len(out):
-            a = genes[tournament_select(fitness, rng, config.tournament_size)]
-            b = genes[tournament_select(fitness, rng, config.tournament_size)]
-            if rng.random() < config.crossover_rate:
-                a, b = one_point_crossover(a, b, rng)
-            for child in (a, b)[: len(out) - made]:
-                out[made] = mutate(child, rng, config.mutation_rate, config.mutation_sigma)
-                made += 1
+            a = genes[tournament_select(keys, rng, config.tournament_size)]
+            b = genes[tournament_select(keys, rng, config.tournament_size)]
+            pair = out[made:made + 2]
+            crossed = rng.random() < config.crossover_rate
+            point = int(rng.integers(1, length)) if crossed else length
+            for child, (head, tail) in zip(pair, ((a, b), (b, a))):
+                child[:point], child[point:] = head[:point], tail[point:]
+                hit = rng.random(length) < config.mutation_rate
+                hits = np.count_nonzero(hit)
+                if hits:
+                    child[hit] += rng.normal(0.0, config.mutation_sigma, size=hits)
+            made += len(pair)
     edge = np.finfo(float).max
     np.clip(out, -edge, edge, out=out)
 

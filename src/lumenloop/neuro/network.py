@@ -49,11 +49,24 @@ class Genome:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function: 1 / (1 + exp(-x)) where
-    x >= 0, exp(x) / (1 + exp(x)) elsewhere, so exp never overflows."""
+    """Numerically stable logistic function: exp(min(x, 0)) / (1 + exp(-|x|)),
+    so exp never overflows.
+
+    Where x >= 0 the numerator is exp(0), exactly 1, and where x < 0 both
+    exps take the same float, so this is 1 / (1 + exp(-x)) for x >= 0 and
+    exp(x) / (1 + exp(x)) elsewhere. ±inf map to exactly 1 and 0. Both
+    terms are computed in place in the two arrays the call allocates."""
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    if not x.ndim:  # a ufunc gives a 0-d input's result as a scalar, not in place
+        return sigmoid(x.reshape(1))[0]
+    denominator = np.abs(x)
+    np.negative(denominator, out=denominator)
+    np.exp(denominator, out=denominator)
+    denominator += 1.0
+    numerator = np.minimum(x, 0.0)
+    np.exp(numerator, out=numerator)
+    numerator /= denominator
+    return numerator
 
 
 def split_genome(spec: NetworkSpec, genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,10 +123,10 @@ def forward(w_hidden: np.ndarray, w_output: np.ndarray, x: np.ndarray) -> np.nda
     order however many genomes and poles are computed together, so the
     result for one (genome, inputs) pair never depends on the rest of the
     batch. A sum past the float range is ±inf, which sigmoid maps to
-    exactly 1 or 0: the defined result, so overflow is not warned about.
+    exactly 1 or 0: the defined result, so call this with overflow
+    warnings off, as ``engine.run_batch`` runs every step.
     """
-    with np.errstate(over="ignore"):
-        return _layer(w_output, _layer(w_hidden, x))
+    return _layer(w_output, _layer(w_hidden, x))
 
 
 def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -> BatchStep:

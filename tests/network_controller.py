@@ -45,9 +45,12 @@ class NetworkController:
         )
 
     def act(self, reading: SensorReading) -> ActuatorCommand:
-        (light,), (listen,), (broadcast,) = forward(
-            self._w_hidden, self._w_output, reading_to_inputs(reading)[:, None]
-        )
+        # forward leaves the warnings to its caller: a sum past the float
+        # range is ±inf, which sigmoid maps to exactly 1 or 0
+        with np.errstate(over="ignore"):
+            (light,), (listen,), (broadcast,) = forward(
+                self._w_hidden, self._w_output, reading_to_inputs(reading)[:, None]
+            )
         return ActuatorCommand(
             light=float(light), listen=bool(listen >= 0.5), broadcast=float(broadcast)
         )

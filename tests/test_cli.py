@@ -514,6 +514,23 @@ def test_a_name_holding_csv_syntax_is_quoted(capsys, tmp_path, command):
     assert len(rows[1]) == 6
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_a_name_holding_a_carriage_return_is_quoted(capsys, tmp_path, command):
+    # a reader on a newline='' file ends a row at an unquoted "\r" too
+    rules = tmp_path / "dim\rhalf.rules"
+    rules.write_text("light = 0.5\n")
+    doc = builtin_scenario_document("scenario1")
+    doc["name"] = "x\ry"
+    scenario = tmp_path / "odd.json"
+    scenario.write_text(json.dumps(doc))
+    assert main([command, "--scenario", str(scenario), "--controller", str(rules)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(CSV_HEADER + "\n") and out.count("\n") == 2
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[1][:3] == ["x\ry", "dim\rhalf", "50.00"]
+    assert len(rows) == 2 and len(rows[1]) == 6
+
+
 # -- every command ---------------------------------------------------------
 
 

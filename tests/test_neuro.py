@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from breeding import breed, mutate, one_point_crossover
 from imitation import imitation_objective
 from network_controller import NetworkController, reading_to_inputs
 from lumenloop.engine import SensorReading
@@ -17,11 +19,10 @@ from lumenloop.fitness import FitnessWeights
 from lumenloop.neuro.evolution import (
     BLOCK_FLOATS,
     EvolutionConfig,
+    _breed,
     evolve,
     init_population,
     lane_floats,
-    mutate,
-    one_point_crossover,
     rng_for,
     run_evolution,
     score_rows,
@@ -82,6 +83,42 @@ def test_sigmoid_properties():
     assert np.all(np.diff(values) >= 0.0)
     assert values[0] == pytest.approx(0.0, abs=1e-12)
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def where_sigmoid(x):
+    """sigmoid with the numerator picked by np.where: the reference for
+    the exp(min(x, 0)) numerator."""
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    signed = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got)[signed], np.signbit(want)[signed])
+
+
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-17, -1e-17,
+                 709.78, -709.78, 745.2, -745.2, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [
+    *(np.array(edge) for edge in SIGMOID_EDGES),
+    np.array(SIGMOID_EDGES),
+    np.array(SIGMOID_EDGES[:-1]).reshape(2, 7),
+], ids=lambda x: f"{x.ndim}d-{x.flat[0] if x.ndim == 0 else x.size}")
+def test_sigmoid_equals_the_where_formula_bit_for_bit(x):
+    assert_same_bits(sigmoid(x), where_sigmoid(x))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x=arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=6),
+                elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_sigmoid_equals_the_where_formula_on_any_floats(x):
+    assert_same_bits(sigmoid(x), where_sigmoid(x))
 
 
 def test_forward_bounds_and_determinism():
@@ -193,6 +230,32 @@ def test_tournament_selects_best_of_sample():
 def test_tournament_tie_takes_lowest_index():
     rng = np.random.default_rng(0)
     assert tournament_select(np.full(3, 5.0), rng, 3) == 0
+
+
+BREEDING = [
+    dict(tournament_size=k, crossover_rate=crossover, mutation_rate=mutation)
+    for k in (1, 3, 60) for crossover in (0.0, 0.9, 1.0) for mutation in (0.0, 0.05, 1.0)
+] + [dict(mutation_rate=0.5, mutation_sigma=1e308)]  # children held at the float's edge
+
+
+@pytest.mark.parametrize("population", [1, 2, 3, 50, 51])
+@pytest.mark.parametrize("elitism", ["none", "one", "all"])
+def test_breed_fills_its_rows_as_the_per_child_loop(population, elitism):
+    # the children are the rows after the elites: with an odd count the
+    # last pair's second child is dropped, after every draw but its mutation
+    elites = {"none": 0, "one": 1, "all": population}[elitism]
+    rng = np.random.default_rng(population)
+    genes = rng.normal(0.0, 1.0, (population, DEFAULT_NETWORK.genome_length))
+    fitness = rng.integers(0, 4, population).astype(float)  # ties
+    fitness[-1] = -math.inf
+    for i, rates in enumerate(BREEDING):
+        cfg = EvolutionConfig(population_size=population, elitism=elites, **rates)
+        want, got = (np.full((population - elites, genes.shape[1]), np.nan) for _ in range(2))
+        oracle_rng, rng = rng_for(population, i), rng_for(population, i)
+        breed(genes, fitness, want, cfg, oracle_rng)
+        _breed(genes, fitness, got, cfg, rng)
+        assert np.array_equal(got, want), rates
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, rates
 
 
 # --- evolution loop ---
