@@ -73,11 +73,13 @@ def _require_paths(
     inputs: list[tuple[str, str | None]], outputs: list[tuple[str, str | None]]
 ) -> None:
     """Check a command's (flag, path or None) pairs: no path is empty (Path('')
-    reads as '.'), and no output names the file of an input or of another
-    output, so no write overwrites what the command reads or writes. Two
-    inputs may name one file, and a built-in name compares as the path it
-    spells. Paths compare resolved, as Path.resolve() does, but a symlink
-    loop is left for the write to report."""
+    reads as '.'); no output names the file of an input or of another
+    output, so no write overwrites what the command reads or writes; and
+    each output is a file in an existing directory, so that its write does
+    not fail for want of one after the work. Two inputs may name one file,
+    and a built-in name compares as the path it spells. Paths compare
+    resolved, as Path.resolve() does, but a symlink loop is left for the
+    write to report."""
     for flag, value in inputs + outputs:
         _require(value != "", flag, "a non-empty name or path", "''")
     seen: dict[str, str] = {}
@@ -90,6 +92,8 @@ def _require_paths(
         path = os.path.realpath(value)
         if path in seen:
             raise SchemaError(f"{seen[path]} and {flag} name the same file: {value}")
+        _require(os.path.isdir(os.path.dirname(value) or ".") and not os.path.isdir(value),
+                 flag, "a file in an existing directory", value)
         seen[path] = flag
 
 

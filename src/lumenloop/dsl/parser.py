@@ -88,18 +88,16 @@ class _Parser:
         last = self.tokens[-1]  # an empty program parses without error
         return last.line, last.column + len(last.lexeme)
 
-    def fail(self, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    def fail(self, message: str) -> ParseError:
         line, column = self.error_pos()
         tok = self.peek()
         found = "end of input" if tok is None else repr(tok.lexeme)
-        return ParseError(
-            f"{message}, found {found}", line=line, column=column, expected=expected
-        )
+        return ParseError(f"{message}, found {found}", line=line, column=column)
 
     def expect(self, kind: str, lexeme: str) -> Token:
         tok = self.peek()
         if tok is None or tok.kind != kind or tok.lexeme != lexeme:
-            raise self.fail(f"expected {lexeme!r}", expected=(lexeme,))
+            raise self.fail(f"expected {lexeme!r}")
         return self.advance()
 
     def _enter(self) -> None:
@@ -140,7 +138,7 @@ class _Parser:
             return self.parse_if()
         if tok.kind == "identifier":
             return self.parse_assignment()
-        raise self.fail("expected a statement", expected=("if", "identifier"))
+        raise self.fail("expected a statement")
 
     def parse_assignment(self) -> Assignment:
         tok = self.advance()
@@ -176,7 +174,7 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok is None:
-                raise self.fail("expected 'end'", expected=("end",))
+                raise self.fail("expected 'end'")
             if tok.kind == "keyword" and tok.lexeme in ("else", "end"):
                 return tuple(body)
             body.append(self.parse_statement())

@@ -3,7 +3,9 @@
 validate() returns diagnostics instead of raising so callers (the repair
 loop, the CLI) can report every problem at once. validate_strict() and
 the repair loop's extraction both raise through raise_errors(): one
-ValidationError that carries every error-severity diagnostic.
+ValidationError that carries every diagnostic. Every diagnostic is an
+error; clamping an actuator to [0, 1] and dividing by zero (which yields
+0) are rules of the language, not mistakes to report.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from .nodes import (
     Cond,
     Expr,
     MemRef,
-    MotionCond,
     Neg,
     Not,
-    Number,
     Program,
     Ref,
     Statement,
@@ -50,21 +50,12 @@ _BOOLEAN_OPS = frozenset(op for ops in COND_LEVELS for op in ops)
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
     message: str
     line: int
     column: int
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
-
-
-def _literal_value(node: Expr) -> float | None:
-    if isinstance(node, Number):
-        return node.value
-    if isinstance(node, Neg) and isinstance(node.operand, Number):
-        return -node.operand.value
-    return None
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class _Checker:
@@ -73,25 +64,19 @@ class _Checker:
         self.merges = 0  # distinct slots written beneath each if, summed
         self.unknown_op = False  # then the program has no canonical text
 
-    def report(self, severity: str, message: str, node) -> None:
-        self.diagnostics.append(
-            Diagnostic(severity, message, node.pos.line, node.pos.column)
-        )
+    def report(self, message: str, node) -> None:
+        self.diagnostics.append(Diagnostic(message, node.pos.line, node.pos.column))
 
     def check_op(self, node, known: frozenset[str]) -> None:
         # The parser only builds operators of the grammar; format_program
         # cannot render any other, and the compiler cannot lower it.
         if node.op not in known:
-            self.report("error", f"unknown operator {node.op!r}", node)
+            self.report(f"unknown operator {node.op!r}", node)
             self.unknown_op = True
 
     def check_root_expr(self, node: Expr) -> None:
         if self.check_expr(node) > MAX_EXPR_DEPTH:
-            self.report(
-                "error",
-                f"expression nesting exceeds {MAX_EXPR_DEPTH} levels",
-                node,
-            )
+            self.report(f"expression nesting exceeds {MAX_EXPR_DEPTH} levels", node)
 
     def check_expr(self, node: Expr) -> int:
         """Check an expression tree and return its depth."""
@@ -99,14 +84,9 @@ class _Checker:
             return 1 + self.check_expr(node.operand)
         if isinstance(node, BinOp):
             self.check_op(node, _ARITHMETIC_OPS)
-            depth = 1 + max(self.check_expr(node.left), self.check_expr(node.right))
-            if node.op == "/" and _literal_value(node.right) == 0:
-                self.report(
-                    "warning", "division by the constant 0 always yields 0", node
-                )
-            return depth
+            return 1 + max(self.check_expr(node.left), self.check_expr(node.right))
         if isinstance(node, Ref) and node.name not in _SENSOR_SET:
-            self.report("error", f"unknown identifier '{node.name}'", node)
+            self.report(f"unknown identifier '{node.name}'", node)
         elif isinstance(node, MemRef):
             self.check_mem_name(node.name, node)
         return 1
@@ -115,7 +95,7 @@ class _Checker:
         # The parser only builds names the lexer reads as one identifier,
         # so any other name has no source text that parses back to it.
         if not is_identifier(name):
-            self.report("error", f"memory name '{name}' is not an identifier", node)
+            self.report(f"memory name '{name}' is not an identifier", node)
 
     def check_cond(self, node: Cond) -> None:
         if isinstance(node, Comparison):
@@ -138,18 +118,9 @@ class _Checker:
             if target.startswith("mem."):
                 self.check_mem_name(target[len("mem."):], node)
             elif target in READ_ONLY_NAMES:
-                self.report("error", f"cannot assign to sensor '{target}'", node)
+                self.report(f"cannot assign to sensor '{target}'", node)
             elif target not in _ACTUATOR_SET:
-                self.report("error", f"unknown identifier '{target}'", node)
-            else:
-                literal = _literal_value(node.value)
-                if literal is not None and not 0.0 <= literal <= 1.0:
-                    self.report(
-                        "warning",
-                        f"constant {literal:g} assigned to '{target}' "
-                        "will be clamped to [0, 1]",
-                        node,
-                    )
+                self.report(f"unknown identifier '{target}'", node)
             self.check_root_expr(node.value)
             slot = target.startswith("mem.") or target in _ACTUATOR_SET
             return {target} if slot else set()
@@ -162,9 +133,8 @@ class _Checker:
 
 
 def validate(program: Program, canonical: str | None = None) -> list[Diagnostic]:
-    """Return all diagnostics for a program, errors and warnings mixed,
-    in source order. ``canonical`` is ``format_program(program)``, when
-    the caller has already rendered it."""
+    """Return all diagnostics for a program, in source order. ``canonical``
+    is ``format_program(program)``, when the caller has already rendered it."""
     checker = _Checker()
     for stmt in program.statements:
         checker.check_statement(stmt)
@@ -180,40 +150,25 @@ def validate(program: Program, canonical: str | None = None) -> list[Diagnostic]
             # Only a hand-built AST gets here: a name holds a character
             # that no token can start with.
             checker.diagnostics.append(
-                Diagnostic("error", f"canonical text does not lex: {exc}", 1, 1)
+                Diagnostic(f"canonical text does not lex: {exc}", 1, 1)
             )
     if token_count > MAX_PROGRAM_TOKENS:
-        checker.diagnostics.append(
-            Diagnostic(
-                "error",
-                f"program has {token_count} tokens "
-                f"(limit {MAX_PROGRAM_TOKENS})",
-                1,
-                1,
-            )
-        )
+        message = f"program has {token_count} tokens (limit {MAX_PROGRAM_TOKENS})"
+        checker.diagnostics.append(Diagnostic(message, 1, 1))
     if checker.merges > MAX_BRANCH_MERGES:
-        checker.diagnostics.append(
-            Diagnostic(
-                "error",
-                f"program's ifs write {checker.merges} targets, each counted "
-                f"once per enclosing if (limit {MAX_BRANCH_MERGES})",
-                1,
-                1,
-            )
+        message = (
+            f"program's ifs write {checker.merges} targets, each counted "
+            f"once per enclosing if (limit {MAX_BRANCH_MERGES})"
         )
+        checker.diagnostics.append(Diagnostic(message, 1, 1))
     checker.diagnostics.sort(key=lambda d: (d.line, d.column))
     return checker.diagnostics
 
 
-def errors_only(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    return [d for d in diagnostics if d.severity == "error"]
-
-
 def raise_errors(diagnostics: list[Diagnostic]) -> None:
-    """Raise one ValidationError whose message is the first error and whose
-    ``diagnostics`` are every error, in source order; warnings pass."""
-    problems = [str(d) for d in errors_only(diagnostics)]
+    """Raise one ValidationError whose message is the first diagnostic and
+    whose ``diagnostics`` are every one, in source order."""
+    problems = [str(d) for d in diagnostics]
     if problems:
         raise ValidationError(problems[0], diagnostics=problems)
 

@@ -46,10 +46,9 @@ class LexError(LumenloopError):
 class ParseError(LumenloopError):
     """Syntax error in rule-language source."""
 
-    def __init__(self, message, line, column, expected=()):
+    def __init__(self, message, line, column):
         self.line = line
         self.column = column
-        self.expected = tuple(expected)
         super().__init__(f"line {line}, column {column}: {message}")
 
 
@@ -70,7 +69,8 @@ class NoCodeBlock(LumenloopError):
 
 
 class MissingMetrics(LumenloopError):
-    """A feedback prompt was requested for a record without metrics."""
+    """A record has no metrics: a feedback prompt was requested for it, or
+    ``--stub-metrics`` holds no entry for a program the loop evaluated."""
 
 
 class ProviderError(LumenloopError):

@@ -19,7 +19,6 @@ _FENCE = re.compile(r"```[^\n]*\n(.*?)^```", re.DOTALL | re.MULTILINE)
 @dataclass(frozen=True)
 class Extraction:
     program: Program
-    code: str  # block contents as replied, fences stripped
     rationale: str  # response minus the chosen block
     canonical: str  # format_program(program), rendered once
 
@@ -43,10 +42,10 @@ def extract_program(response: str) -> Extraction:
 
     Raises NoCodeBlock, LexError, ParseError (positions relative to the
     block), or ValidationError, whose ``diagnostics`` list every error in
-    source order; warnings do not block extraction.
+    source order.
     """
     code, rationale = find_last_block(response)
     program = parse_source(code)
     canonical = format_program(program)
     raise_errors(validate(program, canonical))
-    return Extraction(program=program, code=code, rationale=rationale, canonical=canonical)
+    return Extraction(program=program, rationale=rationale, canonical=canonical)

@@ -625,6 +625,39 @@ def test_an_absolute_and_a_relative_path_to_one_file_collide(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trace"],
+    ["simulate", "--manifest"],
+    [*EVOLVED, "--out"],
+    [*EVOLVED, "--log"],
+    [*EVOLVED, "--manifest"],
+    [*REPLAYED, "--transcript"],
+    [*REPLAYED, "--out"],
+    [*REPLAYED, "--manifest"],
+    ["compare", "--manifest"],
+    ["fitness-check", "--manifest"],
+], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+@pytest.mark.parametrize("value", ["missing/x.out", "d"])
+def test_an_output_outside_an_existing_directory_is_a_usage_error(capsys, monkeypatch, tmp_path,
+                                                                   argv, value):
+    # evolve --out missing/g.json ran every generation, then exited 2 and
+    # left its log and manifest; gpt-loop --out made every provider call
+    # first; simulate --trace left a manifest naming a trace never written
+    Path("d").mkdir()
+    loaded = []
+    monkeypatch.setattr("lumenloop.loop.load_replay_script",
+                        lambda path: loaded.append(path))
+    assert main([*argv, value]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {argv[-1]} must be a file in an existing directory, got {value}"
+    ]
+    assert loaded == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 INPUT_BYTES = {
     "s.json": json.dumps(builtin_scenario_document("scenario1")).encode(),

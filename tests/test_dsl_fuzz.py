@@ -1,5 +1,6 @@
-"""Totality fuzzing, controller-vs-oracle equivalence, and the compiled
-controller against the tests' interpreter.
+"""Totality fuzzing, controller-vs-oracle equivalence, the compiled
+controller against the tests' interpreter, and the static checks'
+entry points against each other.
 
 The oracle classes in oracles.py re-state each built-in program as literal
 Python float operations; over any reading stream the package's
@@ -12,6 +13,7 @@ gives.
 import math
 import random
 import zlib
+from dataclasses import fields, is_dataclass, replace
 
 from genprog import rand_program, rand_reading
 from interpreter import InterpreterController
@@ -19,7 +21,11 @@ from oracles import ORACLES
 from lumenloop.controllers import program_factory
 from lumenloop.dsl.baselines import builtin_program
 from lumenloop.dsl.formatter import format_program
+from lumenloop.dsl.nodes import Assignment, MemRef, Ref
 from lumenloop.dsl.parser import parse_source
+from lumenloop.dsl.validator import validate, validate_strict
+from lumenloop.errors import LexError, ParseError, ValidationError
+from lumenloop.loop.extraction import extract_program
 
 N_ORACLE_STEPS = 1000
 N_FUZZ_PROGRAMS = 400
@@ -65,3 +71,57 @@ def test_random_ast_roundtrip():
         program = rand_program(rng)
         text = format_program(program)
         assert parse_source(text) == program, (i, text)
+
+
+# Names the validator rejects, or whose formatted text does not lex or parse.
+UNKNOWN_NAMES = ("bogus", "lights", "mem", "if")
+BAD_MEM_NAMES = ("1a", "a b", "x.y", "", "a#", "end", "x$", "x²")
+BAD_TARGETS = ("ambient", "motion", "signal", "tick", "ticks_since_motion", "bogus", "mem.2")
+
+
+def corrupted(node, rng):
+    """``node`` with some reads and targets swapped for bad names."""
+    if isinstance(node, Ref) and rng.random() < 0.1:
+        return Ref(rng.choice(UNKNOWN_NAMES))
+    if isinstance(node, MemRef) and rng.random() < 0.1:
+        return MemRef(rng.choice(BAD_MEM_NAMES))
+    if isinstance(node, Assignment) and rng.random() < 0.1:
+        node = replace(node, target=rng.choice(BAD_TARGETS))
+    changes = {}
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, tuple):
+            changes[f.name] = tuple(corrupted(v, rng) for v in value)
+        elif is_dataclass(value) and f.name != "pos":
+            changes[f.name] = corrupted(value, rng)
+    return replace(node, **changes)
+
+
+def raised(call, *args):
+    """What ``call(*args)`` raises, as comparable fields, or None."""
+    try:
+        call(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.diagnostics
+    except (LexError, ParseError) as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return None
+
+
+def test_validate_validate_strict_and_extract_program_agree():
+    rng = random.Random(30)
+    kinds = []
+    for i in range(400):
+        program = corrupted(rand_program(rng), rng)
+        diagnostics = [str(d) for d in validate(program)]
+        strict = raised(validate_strict, program)
+        if diagnostics:
+            assert strict == (ValidationError, diagnostics[0], tuple(diagnostics)), i
+        else:
+            assert strict is None, i
+        text = format_program(program)
+        want = raised(lambda: validate_strict(parse_source(text)))
+        assert raised(extract_program, f"reply\n```controller\n{text}\n```\n") == want, (i, text)
+        kinds.append(None if want is None else want[0])
+    # the mix holds clean programs and every kind of failure
+    assert set(kinds) == {None, ValidationError, LexError, ParseError}

@@ -26,7 +26,6 @@ from lumenloop.dsl.tokens import tokenize
 from lumenloop.dsl.validator import (
     MAX_EXPR_DEPTH,
     MAX_PROGRAM_TOKENS,
-    errors_only,
     validate,
     validate_strict,
 )
@@ -359,22 +358,6 @@ def test_an_unknown_boolean_operator_is_an_error():
     assert unknown_operator_diagnostics(program) == ["1:11: error: unknown operator 'xor'"]
 
 
-def test_out_of_range_literal_warns():
-    msgs = d_strings("light = 2")
-    assert msgs == ["1:1: warning: constant 2 assigned to 'light' will be clamped to [0, 1]"]
-    assert "warning" in d_strings("broadcast = -0.5")[0]
-    # non-literal expressions never warn
-    assert d_strings("light = ambient + 2") == []
-    # mem targets are unclamped, so no warning
-    assert d_strings("mem.x = 42") == []
-
-
-def test_division_by_constant_zero_warns():
-    msgs = d_strings("light = 1 / 0")
-    assert len(msgs) == 1 and "division by the constant 0" in msgs[0]
-    assert d_strings("light = 1 / signal") == []
-
-
 def test_diagnostics_sorted_by_position():
     source = "bogus = 1\nambient = 2"
     lines = [d.line for d in validate(parse_source(source))]
@@ -384,9 +367,9 @@ def test_diagnostics_sorted_by_position():
 def test_expr_depth_limit():
     # a literal is depth 1, so MAX_EXPR_DEPTH - 1 negations reach the cap
     ok = "light = " + "-" * (MAX_EXPR_DEPTH - 1) + "0.5"
-    assert errors_only(validate(parse_source(ok))) == []
+    assert validate(parse_source(ok)) == []
     deep = "light = " + "-" * MAX_EXPR_DEPTH + "0.5"
-    msgs = [str(d) for d in errors_only(validate(parse_source(deep)))]
+    msgs = d_strings(deep)
     assert len(msgs) == 1 and "nesting exceeds" in msgs[0]
 
 
@@ -394,13 +377,16 @@ def test_token_budget_limit():
     small = parse_source("light = 0.5\n" * 100)
     assert validate(small) == []
     big = parse_source("light = 0.5\n" * (MAX_PROGRAM_TOKENS // 3 + 10))
-    msgs = [d.message for d in errors_only(validate(big))]
+    msgs = [d.message for d in validate(big)]
     assert len(msgs) == 1 and "tokens" in msgs[0]
 
 
 def test_validate_strict():
-    program = parse_source("light = 2")  # warning only
-    assert validate_strict(program) is program
+    # clamping to [0, 1] and dividing by zero are rules of the language
+    for source in ("light = 2", "broadcast = -0.5", "light = 1 / 0"):
+        program = parse_source(source)
+        assert validate(program) == []
+        assert validate_strict(program) is program
     with pytest.raises(ValidationError, match="cannot assign to sensor"):
         validate_strict(parse_source("signal = 1"))
 

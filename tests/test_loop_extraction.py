@@ -50,8 +50,9 @@ def test_rationale_keeps_text_after_block():
 
 
 def test_extract_program_parses_and_validates():
-    extraction = extract_program("ok\n```controller\nif motion then light = 1 end\n```")
-    assert extraction.code == "if motion then light = 1 end"
+    response = "ok\n```controller\nif motion then light = 1 end\n```"
+    extraction = extract_program(response)
+    assert find_last_block(response)[0] == "if motion then light = 1 end"
     assert extraction.rationale == "ok"
     assert len(extraction.program.statements) == 1
 
@@ -74,5 +75,6 @@ def test_extract_program_validation_error_carries_diagnostics():
 
 
 def test_extract_program_warnings_pass():
+    # a constant out of [0, 1] is clamped when it runs; it is not an error
     extraction = extract_program("```controller\nlight = 2\n```")
     assert extraction.program is not None

@@ -328,9 +328,17 @@ def test_a_transcript_in_a_missing_directory_is_a_usage_error(capsys, fixture_di
             "--stub-metrics", str(fixture_dir / "calibration_stub.json"),
             "--transcript", str(tmp_path / "missing" / "t.jsonl"),
             "--out", str(tmp_path / "best.rules"), "--manifest", str(tmp_path / "m.json")]
+    # refused by the command line before the manifest or any provider call
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: cannot open transcript: ")
+    assert err == [f"error: --transcript must be a file in an existing directory, got {argv[6]}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_loop_reports_a_transcript_it_cannot_open(tmp_path):
+    with pytest.raises(TranscriptWriteError, match="cannot open transcript: "):
+        run_loop(LoopConfig(), ReplayProvider([]), SCENARIO1,
+                 transcript_path=tmp_path / "missing" / "t.jsonl")
 
 
 def test_a_failed_transcript_write_is_a_transcript_write_error(monkeypatch, tmp_path):
