@@ -48,9 +48,10 @@ It holds only names the generator makes (``s_<sensor>`` for the sensors
 of ``SENSOR_NAMES``, ``v<i>`` for the state passed in, ``k<i>`` for
 constants, ``e<i>`` for temporaries) and the numpy functions of
 ``_FUNCTIONS``. Every constant is passed in through the function's
-globals, which hold no builtins; memory names never become identifiers
-(Python would fold ``mem.ﬁ`` and ``mem.fi`` into one by NFKC
-normalisation).
+globals, which hold no builtins, as a read-only 0-d array (a step may
+return it, and every step of the program shares it); memory names never
+become identifiers (Python would fold ``mem.ﬁ`` and ``mem.fi`` into one
+by NFKC normalisation).
 """
 
 from __future__ import annotations
@@ -259,7 +260,12 @@ class CompiledProgram:
             *(f"    {line}" for line in generator.lines),
             f"    return {final}",
         ]) + "\n"
-        namespace = {"__builtins__": {}, **_FUNCTIONS, **generator.constants}
+        namespace = {"__builtins__": {}, **_FUNCTIONS}
+        for name, value in generator.constants.items():
+            # a 0-d array spares each ufunc call converting a Python
+            # float; read-only, as every step of this program shares it
+            constant = namespace[name] = np.array(value)
+            constant.flags.writeable = False
         exec(compile(self.source, "<rule program>", "exec"), namespace)
         self._run = namespace["run"]
 

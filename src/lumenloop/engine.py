@@ -379,13 +379,14 @@ def run_batch(
                 motion = no_motion
 
             # Python's max over the neighbours: the first value, replaced by
-            # each later one only when strictly greater.
-            neighbors = heard[:, plan.neighbor_index]
-            signal = neighbors[:, 0]
-            for k in range(1, len(plan.neighbor_index)):
-                other = neighbors[:, k]
+            # each later one only when strictly greater. Gathered
+            # neighbour-major, (width, poles, lanes), so each neighbour the
+            # fold reads is one contiguous block.
+            neighbors = heard.T.take(plan.neighbor_index, axis=0)
+            signal = neighbors[0]
+            for other in neighbors[1:]:
                 np.copyto(signal, other, where=other > signal)
-            signal = np.where(listen, signal, 0.0)
+            signal = np.where(listen, signal.T, 0.0)
 
             sensors = (ambient, motion, signal, light)
             light, listen, broadcast = step(*sensors)

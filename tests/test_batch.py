@@ -602,6 +602,55 @@ def test_signal_is_pythons_max_for_nan_and_signed_zero_broadcasts():
     assert repr(got[0]) == repr(want[0])
 
 
+class CyclingBroadcast:
+    """Pole ``pole`` of a lane broadcasts ``pattern[(pole + tick) % len]``."""
+
+    def __init__(self, pattern, pole):
+        self.pattern = pattern
+        self.pole = pole
+
+    def act(self, reading):
+        level = self.pattern[(self.pole + reading.tick) % len(self.pattern)]
+        return ActuatorCommand(light=0.5, broadcast=level)
+
+
+# one pattern per lane, over the ten poles of a side-3 grid with an
+# isolated pole: NaN as a first and as a later neighbour, -0.0 and 0.0 in
+# both orders, and 0.75
+LANE_BROADCASTS = [
+    (nan, -0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.75, 0.25),
+    (-0.0, nan, 0.0, -0.0, 0.75, nan, 0.0, -0.0, nan, 0.0),
+    (0.0, -0.0, nan, 0.75, -0.0, 0.0, nan, 0.0, -0.0, 0.75),
+]
+
+
+def test_each_lane_hears_the_signal_it_hears_alone():
+    # run_batch gathers every lane's neighbours at once; each lane must
+    # still hear Python's max over its own, sign for sign
+    scenario = scenario_from([(0, 8, 0)], max_ticks=12, isolated_pole=True)
+
+    def factory(pattern):
+        poles = iter(range(len(scenario.poles)))
+        return lambda: CyclingBroadcast(pattern, next(poles))
+
+    def heard(patterns):
+        """Each tick's signal as lists of lane rows of reprs."""
+        ticks = []
+        run_batch(scenario, controller_step(scenario, [factory(p) for p in patterns]),
+                  len(patterns), on_tick=lambda tick, sensors, commands, people:
+                  ticks.append([list(map(repr, row)) for row in sensors[2].tolist()]))
+        return ticks
+
+    together = heard(LANE_BROADCASTS)
+    for lane, pattern in enumerate(LANE_BROADCASTS):
+        alone = [rows[0] for rows in heard([pattern])]
+        assert [rows[lane] for rows in together] == alone, lane
+        oracle = scalar_engine.run_simulation(scenario, factory(pattern), trace=True)[1]
+        assert alone == [[repr(r.signal) for r in t.readings.values()] for t in oracle], lane
+    assert {rows[lane][-1] for rows in together for lane in range(3)} == {"0.0"}  # isolated
+    assert {"nan", "-0.0", "0.0", "0.75"} <= {s for rows in together for row in rows for s in row}
+
+
 @pytest.mark.parametrize("level", [-0.5, 1.5])
 def test_light_is_clamped_before_the_threshold_for_any_step(level):
     # with threshold 0, a negative lamp level still moves people once

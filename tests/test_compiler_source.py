@@ -189,6 +189,30 @@ def test_constants_reach_the_function_only_through_its_globals():
     assert 0.125 in constants and 1.5 in constants  # 0.5 * 3 is folded
 
 
+def test_constants_are_read_only_0d_arrays_that_every_step_shares():
+    # a ufunc takes a 0-d array without converting a Python float per
+    # call; read-only, so no step can change what another one reads
+    program = CompiledProgram(parse_source("mem.a = 0.125 light = 0.75 broadcast = mem.a * signal"))
+    constants = {name: value for name, value in inspect.unwrap(program._run).__globals__.items()
+                 if re.fullmatch(r"k[0-9]+", name)}
+    assert constants
+    for name, value in constants.items():
+        assert isinstance(value, np.ndarray) and value.shape == (), name
+        assert not value.flags.writeable, name
+    sensors = (0.5, np.zeros((1, 4)), np.full((1, 4), 0.5), np.zeros((1, 4)))
+    step = program.batch_step()
+    light, _, _ = step(*sensors)
+    assert any(light is value for value in constants.values())
+    with pytest.raises(ValueError, match="read-only"):
+        light[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        step.memory["a"][...] = 1.0
+    light, _, broadcast = program.batch_step()(*sensors)
+    assert repr(float(light)) == "0.75"
+    assert broadcast.tolist() == [[0.0625] * 4]
+    assert step.memory == {"a": 0.125}
+
+
 def test_the_source_does_not_depend_on_the_hash_seed():
     code = ("import sys; from lumenloop.dsl.compiler import CompiledProgram; "
             "from lumenloop.dsl.parser import parse_source; "
@@ -223,10 +247,12 @@ def test_random_programs_compile_to_generated_source():
 
 def where_calls_of_two_bools(program: CompiledProgram) -> list[str]:
     constants = inspect.unwrap(program._run).__globals__
+    # a constant is a 0-d array; a local or sensor name is in no globals
+    # (None), whose dtype is object
     return [
         ast.unparse(node) for node in ast.walk(ast.parse(program.source))
         if isinstance(node, ast.Call) and node.func.id == "where"
-        and all(isinstance(constants.get(getattr(arg, "id", None)), (bool, np.bool_))
+        and all(np.asarray(constants.get(getattr(arg, "id", None))).dtype == bool
                 for arg in node.args[1:])
     ]
 
