@@ -42,7 +42,17 @@ are away, and on a start tick those who start there also show motion,
 which is how a zero-length route shows motion once, with no trip tick.
 Once every person of every lane is home the loop skips the people phase
 (occupancy, movement and trip time), whose outcome is then known: no
-motion and no moves. The loop never writes into an array once it has
+motion and no moves. Under a step that declares itself ``stateless`` (see
+BatchStep), and with no ``on_tick``, it stops stepping too: once the
+ambient level and the people who have started stop changing, a tick's
+state (every lane's light, listen and broadcast outputs and every
+person's place on their route) follows from the one before by one
+function, so a state ``==`` to the one two ticks before repeats every
+two ticks to the end. At such a tick the loop adds the last two ticks'
+light sums in turn for the ticks left, and a trip tick for each of them
+to whoever is still walking, and scores the lanes as if it had stepped
+them. A lane holding NaN never compares equal, so it runs to the end, as
+does every lane beside it. The loop never writes into an array once it has
 passed it to the step or to ``on_tick``: a step may keep references to
 its sensors and outputs. The whole run is one ``np.errstate(all="ignore")``
 block, so every step runs with numpy's floating-point warnings off (a rule
@@ -215,9 +225,17 @@ Arguments after ``ambient`` are (lanes, poles) arrays: motion as 0.0/1.0,
 the heard signal, and each pole's light from the previous tick. Returns
 the new light and broadcast levels and the boolean listen flags, each
 (lanes, poles) or broadcastable to it. The loop calls it once per tick,
-in tick order. Neither side writes into an array once it has handed it
-over: the loop passes the step's light back to it as the next tick's
-sensor.
+in tick order, though a stateless step (below) may miss the last ticks.
+Neither side writes into an array once it has handed it over: the loop
+passes the step's light back to it as the next tick's sensor.
+
+A step may declare ``stateless = True``, as ``network_batch_step`` does:
+then a tick's outputs depend only on that tick's sensors, and sensors
+that are ``==`` give outputs that are ``==``. ``run_batch`` may then stop
+calling it once every lane repeats the tick two before it, and finish the
+run from the last two ticks; the metrics are the same either way. A step
+that keeps memory or counts ticks, as a rule program does, must not
+declare it.
 """
 
 
@@ -275,7 +293,8 @@ def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) 
     runs its lane through that step; any other gets one ``factories[i]()``
     per pole, called through ``act``, and an exception from ``act`` becomes
     a ControllerError naming the tick and the pole. The step keeps
-    per-pole state, so it serves one ``run_batch``.
+    per-pole state, so it serves one ``run_batch``. It is ``stateless``
+    (see BatchStep) when every lane's step is.
     """
     lanes = [
         factory.batch_step() if hasattr(factory, "batch_step")
@@ -294,6 +313,7 @@ def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) 
             lit[...], listening[...], sent[...] = lane(ambient, *sensors)
         return outputs
 
+    step.stateless = all(getattr(lane, "stateless", False) for lane in lanes)
     return step
 
 
@@ -302,6 +322,12 @@ def _lane_array(out, shape: tuple[int, int]) -> np.ndarray:
     if isinstance(out, np.ndarray) and out.shape == shape:
         return out
     return np.broadcast_to(out, shape)
+
+
+def _repeats(state: tuple, before: tuple) -> bool:
+    """Whether every array of ``state`` is == to the one in ``before``,
+    element by element; the light, which differs most often, comes first."""
+    return all(now is then or (now == then).all() for now, then in zip(state, before))
 
 
 def run_batch(
@@ -314,9 +340,11 @@ def run_batch(
     """The tick loop: run ``lanes`` independent copies of the scenario and
     score each.
 
-    Every pole of every lane is stepped by one call of ``step`` per tick;
-    see the module docstring for the parity contract. After each tick it
-    calls ``on_tick(tick, sensors, commands, people)``, if given:
+    Every pole of every lane is stepped by one call of ``step`` per tick,
+    up to the tick from which a stateless step's lanes all repeat
+    themselves (module docstring); see there too for the parity contract.
+    After each tick it calls ``on_tick(tick, sensors, commands, people)``,
+    if given, and then steps every tick:
     ``sensors`` is (ambient, motion, signal, light) as passed to the step,
     ``commands`` the step's (light, listen, broadcast) as (lanes, poles)
     arrays, and ``people`` (position, moved, finished) as (lanes, people)
@@ -358,6 +386,22 @@ def run_batch(
     threshold = scenario.movement_threshold
     move_at = -np.inf if threshold <= 0 else threshold if threshold <= 1 else np.nan
 
+    # Under a stateless step, from the last ambient change and the tick
+    # after the last start tick on, every tick maps the state (each lane's
+    # outputs and places on the routes) by one function of the state
+    # before. A tick past that whose state is == to the one two ticks
+    # before it, in every lane, starts a cycle of at most two ticks that
+    # lasts to the end: the loop stops there and adds up the ticks it
+    # skips (see BatchStep).
+    keep_from = check_from = len(plan.ambient)  # never: check nothing, keep nothing
+    if on_tick is None and getattr(step, "stateless", False):
+        levels = plan.ambient
+        last_change = max((t for t in range(1, len(levels)) if levels[t] != levels[t - 1]),
+                          default=0)
+        check_from = max(last_change, last_start + 1) + 1
+        keep_from = check_from - 2
+    two_back = one_back = last_sum = None
+
     # Steps run with numpy's floating-point warnings off: a rule program's
     # inf and NaN are values of the language, and a network's sums may
     # overflow. The with block restores the caller's state on a raise too.
@@ -398,7 +442,7 @@ def run_batch(
             if people_phase:
                 trip_ticks += walking
                 moves = walking & (ambient + light.take(here) >= move_at)
-                on_path += moves
+                on_path = on_path + moves  # a new array: a kept state holds the old one
                 position = plan.path.take(on_path)
                 away = on_path != path_end
                 everyone_home = tick >= last_start and not away.any()
@@ -407,10 +451,23 @@ def run_batch(
 
             # accumulate adds left to right; the built-in sum() of floats
             # compensates rounding from Python 3.12 on
-            light_sum += np.add.accumulate(light, axis=1)[:, -1]
+            tick_sum = np.add.accumulate(light, axis=1)[:, -1]
+            light_sum += tick_sum
             if on_tick is not None:
                 people = (position, moves, started & ~away)
                 on_tick(tick, sensors, (light, listen, broadcast), people)
+
+            if tick >= keep_from:
+                state = (light, listen, broadcast, on_path)
+                if tick >= check_from and _repeats(state, two_back):
+                    # every later tick repeats the tick two before it: the
+                    # next adds the light of the tick before this one
+                    remaining = len(plan.ambient) - 1 - tick
+                    for later in range(remaining):
+                        light_sum += last_sum if later % 2 == 0 else tick_sum
+                    trip_ticks += remaining * (started & away)  # no one moves any more
+                    break
+                two_back, one_back, last_sum = one_back, state, tick_sum
 
     finished = started & ~away
     totals = zip(

@@ -135,7 +135,9 @@ def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -
 
     ``genes`` is a (lanes, genome_length) stack. The step lays the weights
     out per pole (per_pole_rows) at its first call, when the pole count is
-    known, so it serves one ``run_batch``.
+    known, so it serves one ``run_batch``. The step is ``stateless`` (see
+    ``engine.BatchStep``): a tick's outputs depend on that tick's sensors
+    alone.
     """
     w_hidden, w_output = split_genome(spec, genes)
     rows = None
@@ -151,6 +153,10 @@ def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -
         light, listen, broadcast = y.reshape((N_OUTPUTS,) + light.shape)
         return light, listen >= 0.5, broadcast
 
+    # forward holds nothing between ticks, and maps == sensors to ==
+    # outputs: a sum of +0.0 or -0.0 terms is a zero, of which sigmoid
+    # gives 0.5 either way, and it never returns -0.0
+    step.stateless = True
     return step
 
 

@@ -20,7 +20,7 @@ import copy
 import io
 import random
 from dataclasses import replace
-from math import inf, nan
+from math import inf, isnan, nan
 from pathlib import Path
 
 import numpy as np
@@ -867,3 +867,188 @@ def test_score_rows_equals_the_scalar_engine():
     genes = random_genes(5, 24)
     fitness = score_rows(genes, simulation_objective(scenario))
     assert fitness.tolist() == [m.fitness for m in oracle(SCENARIO1, genes)]
+
+
+# -- stopping once every lane repeats itself ------------------------------------
+
+
+def counting(step, stateless):
+    """``step``, declared ``stateless`` or not, and a list that grows by one
+    per call."""
+    calls = []
+
+    def counted(*sensors):
+        calls.append(None)
+        return step(*sensors)
+
+    if stateless:
+        counted.stateless = True
+    return counted, calls
+
+
+def genome(hidden=None, output=None):
+    """Default-network genes, zero but for the weights given as {(unit, input):
+    weight}: a hidden unit's inputs are ambient, motion, signal and light,
+    then its bias; an output's (light, listen, broadcast) are the hidden
+    units in order, then its bias."""
+    w_hidden = np.zeros((DEFAULT_NETWORK.n_hidden, 5))
+    w_output = np.zeros((3, DEFAULT_NETWORK.n_hidden + 1))
+    for w, weights in ((w_hidden, hidden), (w_output, output)):
+        for place, weight in (weights or {}).items():
+            w[place] = weight
+    return np.concatenate([w_hidden.ravel(), w_output.ravel()])
+
+
+# every output is sigmoid(0) = 0.5 on every tick: light 0.5, listening
+FIXED_POINT = genome()
+# hidden unit 0 is near 1 when the pole hears the broadcast 1.0 of its
+# neighbours and near 0 when it does not, and listen is its opposite: a
+# pole hears on every other tick, and its light is 0.5 or about 0.88 in turn
+LISTEN_2_CYCLE = genome(
+    hidden={(0, 2): 20.0, (0, 4): -10.0},
+    output={(0, 0): 2.0, (1, 0): -20.0, (1, 6): 10.0, (2, 6): 50.0},
+)
+# a NaN light on every tick, which never compares equal to itself
+NAN_LIGHT = genome(output={(0, 6): nan})
+
+
+def full_and_stopped(scenario, genes):
+    """The metrics of ``genes`` on ``scenario`` stepped on every tick, and
+    with the step declared stateless, and how many ticks that one stepped."""
+    full, full_calls = counting(network_batch_step(genes), stateless=False)
+    declared, calls = counting(network_batch_step(genes), stateless=True)
+    want = run_batch(scenario, full, len(genes))
+    got = run_batch(scenario, declared, len(genes))
+    assert len(full_calls) == scenario.max_ticks
+    return want, got, len(calls)
+
+
+# the share of generated cases in which a declared step must stop early, so
+# that the differential test below cannot pass by never stopping (55% of
+# its 80 cases stop early; many small scenarios end too soon after their
+# last ambient change or start tick)
+STOPS_EARLY_AT_LEAST = 0.4
+
+
+def test_stopping_early_keeps_every_metric():
+    stopped = []
+
+    @fixed(80)
+    @given(scenario=st.one_of(small_scenarios(), st.sampled_from([SCENARIO1, SCENARIO2])),
+           scale=st.sampled_from([0.3, 1.0, 3.0, 10.0, 50.0]),
+           seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 4))
+    @example(scenario=scenario_from([]), scale=0.3, seed=0, lanes=1)
+    @example(scenario=scenario_from([(4, 4, 0), (0, 8, 3)], isolated_pole=True),
+             scale=50.0, seed=1, lanes=4)
+    def case(scenario, scale, seed, lanes):
+        # from sigma 0.3, where lanes settle, to sigma 50, where sums saturate
+        genes = np.random.default_rng(seed).normal(
+            0.0, scale, (lanes, DEFAULT_NETWORK.genome_length))
+        want, got, steps = full_and_stopped(scenario, genes)
+        assert got == want
+        stopped.append(steps < scenario.max_ticks)
+
+    case()
+    assert sum(stopped) >= STOPS_EARLY_AT_LEAST * len(stopped), (sum(stopped), len(stopped))
+
+
+@pytest.mark.parametrize("scenario", [SCENARIO1, SCENARIO2], ids=["scenario1", "scenario2"])
+def test_a_fixed_point_and_a_listen_2_cycle_stop_early(scenario):
+    genes = np.stack([FIXED_POINT, LISTEN_2_CYCLE])
+    want, got, steps = full_and_stopped(scenario, genes)
+    assert got == want == oracle(scenario, genes)
+    assert steps < scenario.max_ticks
+    # the 2-cycle lane differs from the tick before on every tick, so only
+    # a look two ticks back finds it repeating
+    _, traces = scalar_engine.run_simulation(
+        scenario, lambda: NetworkController(LISTEN_2_CYCLE), trace=True)
+    listening = [t.commands[scenario.poles[0].id].listen for t in traces]
+    assert listening == [True, False] * (scenario.max_ticks // 2)
+
+
+def test_a_nan_lane_never_stops_early_and_keeps_its_metrics():
+    # alone, and beside lanes that would stop early without it
+    for genes in (NAN_LIGHT[None], np.stack([FIXED_POINT, NAN_LIGHT, LISTEN_2_CYCLE])):
+        want, got, steps = full_and_stopped(SCENARIO1, genes)
+        assert steps == SCENARIO1.max_ticks
+        # repr, as a NaN metric is not == to itself
+        assert repr(got) == repr(want) == repr(oracle(SCENARIO1, genes))
+        assert [isnan(m.energy_pct) for m in got] == [bool(np.isnan(row).any()) for row in genes]
+
+
+def stopped_steps(scenario, genes, **kwargs):
+    """How many ticks a declared step of ``genes`` steps on ``scenario``."""
+    step, calls = counting(network_batch_step(genes), stateless=True)
+    run_batch(scenario, step, len(genes), **kwargs)
+    return len(calls)
+
+
+@pytest.mark.parametrize("late", ["ambient-change", "start"])
+def test_a_change_on_the_last_tick_steps_every_tick(late):
+    # the same scenario without the late change stops early
+    genes = np.stack([FIXED_POINT, LISTEN_2_CYCLE])
+    people, ambient = [(0, 8, 0), (6, 2, 4)], [(0, 0.0)]
+    assert stopped_steps(scenario_from(people, ambient=ambient), genes) < 30
+    if late == "ambient-change":
+        ambient.append((29, 0.25))
+    else:
+        people.append((4, 5, 29))
+    scenario = scenario_from(people, ambient=ambient)
+    assert stopped_steps(scenario, genes) == 30
+    assert full_and_stopped(scenario, genes)[:2] == (oracle(scenario, genes),) * 2
+
+
+def test_a_run_with_on_tick_steps_every_tick():
+    genes = FIXED_POINT[None]
+    assert stopped_steps(SCENARIO1, genes) < SCENARIO1.max_ticks
+    ticks = []
+    on_tick = lambda tick, *arrays: ticks.append(tick)  # noqa: E731
+    assert stopped_steps(SCENARIO1, genes, on_tick=on_tick) == SCENARIO1.max_ticks
+    assert ticks == list(range(SCENARIO1.max_ticks))
+
+
+def test_rule_program_steps_are_not_stateless():
+    # a rule program keeps memory and reads the tick: its outputs depend on
+    # more than one tick's sensors, so it must step every tick
+    rng = random.Random(0)
+    programs = [builtin_program("iteration3"), *(rand_program(rng) for _ in range(5))]
+    for program in programs:
+        assert not getattr(program_factory(program).batch_step(), "stateless", False)
+    genome_factory = network_factory(FIXED_POINT, DEFAULT_NETWORK)
+    mixed = controller_step(SCENARIO1, [genome_factory, program_factory(programs[0])])
+    assert mixed.stateless is False
+    per_pole = controller_step(SCENARIO1, [genome_factory, lambda: ConstantLight(0.5)])
+    assert per_pole.stateless is False
+
+
+def test_a_compare_of_genomes_stops_early_and_equals_the_per_lane_oracle():
+    genes = [FIXED_POINT, LISTEN_2_CYCLE, *np.random.default_rng(3).normal(
+        0.0, 0.3, (3, DEFAULT_NETWORK.genome_length))]
+    for scenario in (SCENARIO1, SCENARIO2):
+        step = controller_step(scenario, [network_factory(g, DEFAULT_NETWORK) for g in genes])
+        assert step.stateless is True
+        counted, calls = counting(step, step.stateless)
+        assert run_batch(scenario, counted, len(genes)) == oracle(scenario, genes)
+        assert len(calls) < scenario.max_ticks
+
+
+def light_4_cycle(ambient, motion, signal, light):
+    """A stateless step whose light repeats every 2 ticks for a while but
+    whose listen flag does not: a pole with neighbours (all broadcasting
+    1.0) goes through light 0.25, 0.5, 0.25, 0.75 and listen on, off,
+    off, on, so its state repeats only every 4 ticks."""
+    heard = signal > 0
+    cases = [heard & (light == 0.25), ~heard & (light == 0.5),
+             ~heard & (light == 0.25), heard & (light == 0.75)]
+    return (np.select(cases, [0.5, 0.25, 0.75, 0.25], 0.25),
+            np.select(cases, [False, False, True, True], True), 1.0)
+
+
+def test_a_state_repeats_only_when_its_listen_flags_do():
+    # comparing the light and the broadcast alone would take an even tick
+    # for a repeat of the one two before, and then add light 0.5 on the
+    # ticks that light 0.75
+    full, _ = counting(light_4_cycle, stateless=False)
+    declared, calls = counting(light_4_cycle, stateless=True)
+    assert run_batch(SCENARIO1, declared, 2) == run_batch(SCENARIO1, full, 2)
+    assert len(calls) == SCENARIO1.max_ticks

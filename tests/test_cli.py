@@ -21,7 +21,7 @@ from lumenloop.controllers import ResolvedController
 from lumenloop.engine import ActuatorCommand
 from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
 from lumenloop.loop import DEFAULT_MODEL, load_replay_script
-from lumenloop.neuro import NetworkSpec
+from lumenloop.neuro import Genome, NetworkSpec, save_genome
 from lumenloop.neuro.evolution import lane_floats
 from lumenloop.scenario import _grid_document, builtin_scenario, builtin_scenario_document
 
@@ -112,6 +112,19 @@ def test_simulate_trace_and_determinism(capsys, tmp_path):
     record = json.loads(lines[0])
     assert record["tick"] == 0
     assert set(record["poles"]["0"]) == {"reading", "command"}
+
+
+def test_simulate_trace_of_a_genome_writes_every_tick(capsys, tmp_path):
+    # an all-zero genome's ticks repeat from early on, so an untraced run
+    # stops stepping there; a traced one steps, and writes, every tick
+    path = tmp_path / "still.json"
+    save_genome(path, Genome(genes=[0.0] * NetworkSpec().genome_length))
+    assert main(["simulate", "--controller", str(path)]) == EXIT_OK
+    plain = capsys.readouterr().out
+    trace = tmp_path / "g.jsonl"
+    assert main(["simulate", "--controller", str(path), "--trace", str(trace)]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    assert len(trace.read_text().splitlines()) == 60
 
 
 def test_simulate_bad_weights(capsys):
