@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +25,6 @@ from .documents import as_number, read_text
 from .engine import controller_step, run_batch, run_simulation, trace_writer
 from .errors import LumenloopError, SchemaError
 from .fitness import (
-    DEFAULT_WEIGHTS,
     FitnessWeights,
     MAX_WEIGHT,
     REFERENCE_RESULTS,
@@ -97,16 +95,23 @@ def _require_paths(
         seen[path] = flag
 
 
-def _write_manifest(path: str, command: str, config: dict, outputs: list[str]) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[tuple[str, str | None]]) -> None:
+    """Write the run manifest to --manifest. Its config is every flag as
+    parsed, under its argparse name (None when unset), so the rerun's argv
+    is the command and one --NAME=VALUE per key, per item of a list, with
+    "_" in NAME spelt "-" and no flag for None. Its outputs are the paths
+    of the command's (flag, path) outputs but the manifest's own."""
     doc = {
         "kind": "run-manifest",
         "tool_version": __version__,
-        "command": command,
-        "config": config,
-        "outputs": outputs,
+        "command": args.command,
+        "config": {name: value for name, value in vars(args).items()
+                   if name not in ("command", "func")},
+        "outputs": [path for flag, path in outputs
+                    if path is not None and flag != "--manifest"],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    Path(args.manifest).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                                   encoding="utf-8")
 
 
 def _comparison_row(
@@ -141,22 +146,11 @@ def _print_row(row: list[str]) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
-    _require_paths([("--scenario", args.scenario), ("--controller", args.controller)],
-                   [("--trace", args.trace), ("--manifest", args.manifest)])
+    outputs = [("--trace", args.trace), ("--manifest", args.manifest)]
+    _require_paths([("--scenario", args.scenario), ("--controller", args.controller)], outputs)
     scenario = load_scenario(args.scenario)
     resolved = resolve_controller(args.controller)
-    outputs = [args.trace] if args.trace else []
-    _write_manifest(
-        args.manifest,
-        "simulate",
-        {
-            "scenario": args.scenario,
-            "controller": args.controller,
-            "weights": asdict(weights),
-            "trace": args.trace,
-        },
-        outputs,
-    )
+    _write_manifest(args, outputs)
     if args.trace:
         # opened before the run, which streams each tick into it
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -191,8 +185,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         _require(0.0 <= value <= 1.0, flag, "in [0, 1]", value)
     _require(0.0 <= args.mutation_sigma < math.inf, "--mutation-sigma",
              "finite and >= 0", args.mutation_sigma)
-    _require_paths([("--scenario", args.scenario)],
-                   [("--out", args.out), ("--log", args.log), ("--manifest", args.manifest)])
+    outputs = [("--out", args.out), ("--log", args.log), ("--manifest", args.manifest)]
+    _require_paths([("--scenario", args.scenario)], outputs)
     scenario = load_scenario(args.scenario)
     spec = NetworkSpec(n_hidden=args.hidden)
     most = largest_population(scenario, spec)
@@ -210,17 +204,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         elitism=args.elitism,
         seed=args.seed,
     )
-    _write_manifest(
-        args.manifest,
-        "evolve",
-        {
-            **asdict(config),
-            "scenario": args.scenario,
-            "n_hidden": spec.n_hidden,
-            "weights": asdict(weights),
-        },
-        [args.out, args.log],
-    )
+    _write_manifest(args, outputs)
 
     def progress(stat) -> None:
         print(
@@ -278,11 +262,10 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
     _require(0.0 < args.timeout < math.inf, "--timeout", "finite and > 0", args.timeout)
     _require(0.0 <= args.temperature < math.inf, "--temperature", "finite and >= 0",
              args.temperature)
-    _require_paths(
-        [("--scenario", args.scenario), ("--replay", args.replay),
-         ("--stub-metrics", args.stub_metrics)],
-        [("--transcript", args.transcript), ("--out", args.out), ("--manifest", args.manifest)],
-    )
+    outputs = [("--transcript", args.transcript), ("--out", args.out),
+               ("--manifest", args.manifest)]
+    _require_paths([("--scenario", args.scenario), ("--replay", args.replay),
+                    ("--stub-metrics", args.stub_metrics)], outputs)
     model = DEFAULT_MODEL if args.model is None else args.model
     scenario = load_scenario(args.scenario)
     if args.replay is None and not os.environ.get(ENV_API_KEY):
@@ -303,16 +286,7 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
         scenario=args.scenario,
         weights=weights,
     )
-    _write_manifest(
-        args.manifest,
-        "gpt-loop",
-        {
-            **asdict(config),
-            "replay": args.replay,
-            "stub_metrics": args.stub_metrics,
-        },
-        [args.transcript, args.out],
-    )
+    _write_manifest(args, outputs)
     if args.replay is None:
         provider = HttpProvider.from_env(
             model=model, temperature=args.temperature, timeout=args.timeout
@@ -364,21 +338,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     scenario_refs = args.scenario or list(BUILTIN_SCENARIOS)
     controller_refs = args.controller or list(DEFAULT_COMPARE_CONTROLLERS)
+    outputs = [("--manifest", args.manifest)]
     _require_paths([*(("--scenario", ref) for ref in scenario_refs),
-                    *(("--controller", ref) for ref in controller_refs)],
-                   [("--manifest", args.manifest)])
+                    *(("--controller", ref) for ref in controller_refs)], outputs)
     scenarios = [load_scenario(ref) for ref in scenario_refs]
     controllers = [resolve_controller(ref) for ref in controller_refs]
-    _write_manifest(
-        args.manifest,
-        "compare",
-        {
-            "scenarios": scenario_refs,
-            "controllers": controller_refs,
-            "weights": asdict(weights),
-        },
-        [],
-    )
+    _write_manifest(args, outputs)
     _print_row(CSV_HEADER.split(","))
     factories = [resolved.factory for resolved in controllers]
     for scenario in scenarios:
@@ -420,14 +385,9 @@ def _load_check_table(path: str | None) -> list[tuple[str, float, float, float, 
 def cmd_fitness_check(args: argparse.Namespace) -> int:
     _require(0.0 <= args.tolerance < math.inf, "--tolerance", "finite and >= 0",
              args.tolerance)
-    _require_paths([("--table", args.table)], [("--manifest", args.manifest)])
-    _write_manifest(
-        args.manifest,
-        "fitness-check",
-        {"table": args.table, "tolerance": args.tolerance,
-         "weights": asdict(DEFAULT_WEIGHTS)},
-        [],
-    )
+    outputs = [("--manifest", args.manifest)]
+    _require_paths([("--table", args.table)], outputs)
+    _write_manifest(args, outputs)
     rows = _load_check_table(args.table)
     # the first row with the largest residual
     max_residual, worst_label = max(

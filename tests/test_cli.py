@@ -397,7 +397,8 @@ def test_gpt_loop_replay_threshold_met(capsys, tmp_path, fixture_dir):
     assert (tmp_path / "t.jsonl").exists()
     program = (tmp_path / "best.rules").read_text()
     assert "if motion" in program
-    assert read_manifest("gpt-loop-manifest.json")["config"]["provider"] == "replay"
+    assert read_manifest("gpt-loop-manifest.json")["config"]["replay"] == str(
+        fixture_dir / "three_iter.jsonl")
 
 
 def test_gpt_loop_budget_exhausted(capsys, tmp_path, fixture_dir):
@@ -449,7 +450,7 @@ def test_gpt_loop_without_provider(capsys):
 
 
 def test_gpt_loop_model_flag_reaches_the_manifest(capsys, fixture_dir):
-    # the default model is pinned by the golden manifest
+    # the default model is pinned by the golden transcript header
     assert main(["gpt-loop", "--replay", str(fixture_dir / "three_iter.jsonl"),
                  "--stub-metrics", str(fixture_dir / "calibration_stub.json"),
                  "--model", "other"]) == EXIT_OK
@@ -470,7 +471,7 @@ def test_gpt_loop_goes_live_with_a_key_and_no_replay(capsys, monkeypatch, fixtur
                  "--temperature", "0.5"]) == EXIT_OK
     capsys.readouterr()
     assert built == [{"model": DEFAULT_MODEL, "temperature": 0.5, "timeout": 60.0}]
-    assert read_manifest("gpt-loop-manifest.json")["config"]["provider"] == "http"
+    assert read_manifest("gpt-loop-manifest.json")["config"]["replay"] is None
 
 
 def test_gpt_loop_manifest_written_before_work(capsys):

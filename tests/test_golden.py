@@ -21,9 +21,10 @@ CONFIGS = {
         ["simulate", "--controller", "iteration1", "--trace", "trace.jsonl"],
         {
             "controller": "iteration1",
+            "manifest": "simulate-manifest.json",
             "scenario": "scenario1",
             "trace": "trace.jsonl",
-            "weights": WEIGHTS,
+            "weights": "1.0,0.4,0.6",
         },
     ),
     "evolve": (
@@ -32,46 +33,65 @@ CONFIGS = {
             "crossover_rate": 0.9,
             "elitism": 1,
             "generations": 1,
+            "hidden": 6,
+            "log": "evolution.csv",
+            "manifest": "evolve-manifest.json",
             "mutation_rate": 0.05,
             "mutation_sigma": 0.3,
-            "n_hidden": 6,
-            "population_size": 4,
+            "out": "genome.json",
+            "population": 4,
             "scenario": "scenario1",
             "seed": 1,
-            "tournament_size": 3,
-            "weights": WEIGHTS,
+            "tournament": 3,
+            "weights": "1.0,0.4,0.6",
         },
     ),
     "gpt-loop": (
         ["gpt-loop", "--replay", "three_iter.jsonl",
          "--stub-metrics", "calibration_stub.json"],
         {
-            "fitness_threshold": 62.0,
+            "manifest": "gpt-loop-manifest.json",
             "max_iterations": 10,
             "max_repair_attempts": 2,
-            "model": "gpt-4",
-            "provider": "replay",
+            "model": None,
+            "out": "gpt_controller.rules",
             "replay": "three_iter.jsonl",
             "scenario": "scenario1",
             "stub_metrics": "calibration_stub.json",
             "temperature": 0.0,
+            "threshold": 62.0,
             "timeout": 60.0,
-            "weights": WEIGHTS,
+            "transcript": "transcript.jsonl",
+            "weights": "1.0,0.4,0.6",
         },
     ),
     "compare": (
         ["compare"],
         {
-            "controllers": ["always_off", "always_on", "iteration1",
-                            "iteration2", "iteration3"],
-            "scenarios": ["scenario1", "scenario2"],
-            "weights": WEIGHTS,
+            "controller": None,
+            "manifest": "compare-manifest.json",
+            "scenario": None,
+            "weights": "1.0,0.4,0.6",
         },
     ),
     "fitness-check": (
         ["fitness-check"],
-        {"table": None, "tolerance": 0.03, "weights": WEIGHTS},
+        {"manifest": "fitness-check-manifest.json", "table": None, "tolerance": 0.03},
     ),
+}
+
+# the files each run writes besides its manifest, as flagged (a relative
+# path stays relative)
+OUTPUTS = {
+    "simulate": (["simulate"], []),
+    "simulate-trace": (["simulate", "--trace", "trace.jsonl"], ["trace.jsonl"]),
+    "evolve": (["evolve", "--generations", "1", "--population", "4"],
+               ["genome.json", "evolution.csv"]),
+    "gpt-loop": (["gpt-loop", "--replay", "three_iter.jsonl",
+                  "--stub-metrics", "calibration_stub.json"],
+                 ["transcript.jsonl", "gpt_controller.rules"]),
+    "compare": (["compare"], []),
+    "fitness-check": (["fitness-check"], []),
 }
 
 COMPARE_CSV = """\
@@ -133,6 +153,14 @@ def test_manifest_config(capsys, command):
     manifest = json.loads(Path(f"{command}-manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["config"] == expected
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_manifest_outputs(capsys, name):
+    argv, expected = OUTPUTS[name]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(Path(f"{argv[0]}-manifest.json").read_text())["outputs"] == expected
 
 
 def test_compare_csv(capsys):
