@@ -287,6 +287,9 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
         weights=weights,
     )
     _write_manifest(args, outputs)
+    # --out holds a program only when this run scores one, as --transcript
+    # holds only this run's records
+    Path(args.out).unlink(missing_ok=True)
     if args.replay is None:
         provider = HttpProvider.from_env(
             model=model, temperature=args.temperature, timeout=args.timeout

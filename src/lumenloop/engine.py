@@ -34,12 +34,19 @@ A tick costs about as many microseconds as it makes numpy calls, however
 many lanes it holds, so the loop makes few. A person's state is their
 place on their route, whether they have started, recomputed only on a
 tick that is someone's start tick, and whether they are away from the
-route's end, computed once per tick after the moves. A person is home
+route's end, recomputed only after a tick on which someone moved. Each
+lane holds its own copy of the routes as flat places in a (lanes, poles)
+array, so one ``take`` gives every person's pole. A person is home
 exactly when started and not away: a walker stops at the destination, and a
 zero-length route is home from its start tick on. So no per-person
 ``finished`` flag is kept: the people who walk are the started ones who
 are away, and on a start tick those who start there also show motion,
 which is how a zero-length route shows motion once, with no trip tick.
+A tick that is no start tick and follows one on which no one moved or
+started is quiet: who walks and where is as it was, so the loop rebuilds
+nothing and passes the last tick's motion array on again, the same
+object. A step may key what it computed on that object:
+``network_batch_step`` keeps its hidden sums' ambient and motion terms.
 Once every person of every lane is home the loop skips the people phase
 (occupancy, movement and trip time), whose outcome is then known: no
 motion and no moves. Under a step that declares itself ``stateless`` (see
@@ -359,22 +366,29 @@ def run_batch(
     heard = np.zeros((lanes, n_poles + 1))
     # a pole column plus lane_base is its flat place in a (lanes, poles) array
     lane_base = np.arange(lanes)[:, None] * n_poles
-    # each person's place in plan.path: a move adds one, the route ends at path_end
-    on_path = np.tile(plan.path_start, (lanes, 1))
-    path_end = plan.path_start + plan.hops
-    position = plan.path.take(on_path)
-    trip_ticks = np.zeros(position.shape, dtype=np.int64)
+    # plan.path once per lane, as flat places: each person's index into it,
+    # on_path, steps one on a move, and their route ends at path_end
+    flat_path = (plan.path + lane_base).ravel()
+    on_path = plan.path_start + np.arange(lanes)[:, None] * len(plan.path)
+    path_end = on_path + plan.hops
+    here = flat_path.take(on_path)
+    trip_ticks = np.zeros(here.shape, dtype=np.int64)
     light_sum = np.zeros(lanes)
     # home is started & ~away (module docstring): no finished flag is kept
     start_ticks = set(plan.start_tick.tolist())
     last_start = max(start_ticks, default=0)  # everyone has started from here on
     started = np.zeros(len(scenario.people), dtype=bool)
     away = on_path != path_end
+    anyone_away = away.any()
     # No one moves once everyone is home; those ticks skip the people
     # phase and share these arrays.
     no_motion = np.zeros(shape)
-    no_moves = np.zeros(position.shape, dtype=bool)
+    no_moves = np.zeros(here.shape, dtype=bool)
     everyone_home = not len(scenario.people)
+    # Who walks, and the motion they show, change only on a start tick and
+    # on the tick after a start or a move; every other tick passes the
+    # last tick's motion on again, the same object.
+    changed = True
     # A person moves when the lamp's level, ambient + light clamped to
     # [0, 1] with NaN kept, is >= the threshold; the clamp is folded into
     # the threshold. NaN fails every test either way. A threshold <= 0
@@ -409,16 +423,17 @@ def run_batch(
         for tick, ambient in enumerate(plan.ambient):
             people_phase = not everyone_home
             if people_phase:
-                if tick in start_ticks:
-                    started = plan.start_tick <= tick
-                    walking = started & away
-                    # a zero-length route shows motion at its start tick
-                    active = walking | (plan.start_tick == tick)
-                else:
-                    walking = active = started & away
-                here = position + lane_base
-                motion = np.zeros(shape)
-                motion.put(here[active], 1.0)
+                starting = tick in start_ticks
+                if starting or changed:
+                    if starting:
+                        started = plan.start_tick <= tick
+                        walking = started & away
+                        # a zero-length route shows motion at its start tick
+                        active = walking | (plan.start_tick == tick)
+                    else:
+                        walking = active = started & away
+                    motion = np.zeros(shape)
+                    motion.put(here[active], 1.0)
             else:
                 motion = no_motion
 
@@ -442,10 +457,15 @@ def run_batch(
             if people_phase:
                 trip_ticks += walking
                 moves = walking & (ambient + light.take(here) >= move_at)
-                on_path = on_path + moves  # a new array: a kept state holds the old one
-                position = plan.path.take(on_path)
-                away = on_path != path_end
-                everyone_home = tick >= last_start and not away.any()
+                # count_nonzero, a C call, costs a third of .any() at these sizes
+                moved = np.count_nonzero(moves) > 0
+                if moved:
+                    on_path = on_path + moves  # a new array: a kept state holds the old one
+                    here = flat_path.take(on_path)
+                    away = on_path != path_end
+                    anyone_away = np.count_nonzero(away) > 0
+                changed = moved or starting
+                everyone_home = tick >= last_start and not anyone_away
             else:
                 moves = no_moves
 
@@ -454,7 +474,7 @@ def run_batch(
             tick_sum = np.add.accumulate(light, axis=1)[:, -1]
             light_sum += tick_sum
             if on_tick is not None:
-                people = (position, moves, started & ~away)
+                people = (here - lane_base, moves, started & ~away)
                 on_tick(tick, sensors, (light, listen, broadcast), people)
 
             if tick >= keep_from:

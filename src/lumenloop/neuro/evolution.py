@@ -167,9 +167,12 @@ def lane_floats(scenario: ScenarioSpec, spec: NetworkSpec) -> int:
     """About how many floats one genome's lane holds: per pole, per person and
     once more, its weights per pole, their products and 40 of engine state,
     the two earlier ticks that ``run_batch`` keeps to see a lane repeat
-    itself included. A block's traced peak is 0.56-0.66 of the estimate
-    on scenario1 and a side-40 grid."""
-    return (len(scenario.poles) + len(scenario.people) + 1) * (2 * spec.genome_length + 40)
+    itself included; and the lane's copy of every route, one place per
+    pole on it. A block's traced peak is 0.56-0.66 of the estimate on
+    scenario1, scenario2 and grids of side 18 and 40, and 0.78 on a
+    500-pole line whose 500 people each walk its whole length."""
+    per_place = len(scenario.poles) + len(scenario.people) + 1
+    return per_place * (2 * spec.genome_length + 40) + len(scenario.compiled.path)
 
 
 def largest_population(scenario: ScenarioSpec, spec: NetworkSpec) -> int:

@@ -102,31 +102,49 @@ def per_pole_rows(w: np.ndarray, poles: int) -> np.ndarray:
     return np.repeat(w.transpose(2, 1, 0), poles, axis=-1)
 
 
-def _layer(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # bias, then + w[i] * x[i] for each input i in order: the products are
-    # elementwise and each sum is one numpy addition, so no summation
-    # order is left to a BLAS kernel
-    products = w[:-1] * x[:, None]
-    acc = w[-1].copy()
+def hidden_sums(w_hidden: np.ndarray, x, acc: np.ndarray | None = None,
+                first: int = 0) -> np.ndarray:
+    """The hidden units' sums before the sigmoid: the bias, then
+    + w_hidden[i] * x[i] for each input i in N_INPUTS order.
+
+    Each product is elementwise and each sum one numpy addition, so no
+    summation order is left to a BLAS kernel. A call may stop short of the
+    last input and a later one go on from its result: ``acc`` is then the
+    sums over the inputs before ``first``, and ``x`` holds the inputs from
+    ``first`` on. The floats are those of one call over all the inputs.
+    Returns a new array.
+    """
+    acc = w_hidden[-1] if acc is None else acc
+    for w, row in zip(w_hidden[first:-1], x):
+        product = w * row
+        acc = np.add(acc, product, out=product)
+    return acc
+
+
+def forward(w_hidden: np.ndarray, w_output: np.ndarray, x, acc: np.ndarray | None = None,
+            first: int = 0) -> np.ndarray:
+    """Network outputs as an (N_OUTPUTS, columns) array, a row per output.
+
+    ``w_hidden`` and ``w_output`` come from per_pole_rows, and ``x`` holds
+    the sensors in N_INPUTS order, each a row with a column per pole (an
+    (N_INPUTS, columns) array, say) or one number for every pole. With
+    ``acc`` and ``first``, ``x`` holds only the inputs from ``first`` on,
+    and ``acc`` the hidden sums over those before it (hidden_sums). Every array
+    operation runs along contiguous rows of columns. Each output element
+    goes through the same operations in the same order however many
+    genomes and poles are computed together, so the result for one
+    (genome, inputs) pair never depends on the rest of the batch. A sum
+    past the float range is ±inf, which sigmoid maps to exactly 1 or 0:
+    the defined result, so call this with overflow warnings off, as
+    ``engine.run_batch`` runs every step.
+    """
+    hidden = sigmoid(hidden_sums(w_hidden, x, acc, first))
+    # the output layer's sums in the same order, its products in one call
+    products = w_output[:-1] * hidden[:, None]
+    acc = w_output[-1].copy()
     for product in products:
         acc += product
     return sigmoid(acc)
-
-
-def forward(w_hidden: np.ndarray, w_output: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Network outputs as an (N_OUTPUTS, columns) array, a row per output.
-
-    ``w_hidden`` and ``w_output`` come from per_pole_rows, and ``x`` is an
-    (N_INPUTS, columns) array: the sensors in N_INPUTS order, a column per
-    pole. Every array operation runs along contiguous rows of columns.
-    Each output element goes through the same operations in the same
-    order however many genomes and poles are computed together, so the
-    result for one (genome, inputs) pair never depends on the rest of the
-    batch. A sum past the float range is ±inf, which sigmoid maps to
-    exactly 1 or 0: the defined result, so call this with overflow
-    warnings off, as ``engine.run_batch`` runs every step.
-    """
-    return _layer(w_output, _layer(w_hidden, x))
 
 
 def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -> BatchStep:
@@ -135,27 +153,39 @@ def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -
 
     ``genes`` is a (lanes, genome_length) stack. The step lays the weights
     out per pole (per_pole_rows) at its first call, when the pole count is
-    known, so it serves one ``run_batch``. The step is ``stateless`` (see
-    ``engine.BatchStep``): a tick's outputs depend on that tick's sensors
-    alone.
+    known, so it serves one ``run_batch``. Between ticks it keeps the
+    first terms of the hidden sums: bias + w0·ambient while the same
+    ambient object comes, and + w1·motion on top while the same motion
+    object comes too, which ``run_batch`` passes on through every tick on
+    which no one moves or starts. Only the signal and light terms are
+    then added, in the order ``forward`` states, so the outputs are the
+    floats of a whole pass. This rests on the BatchStep contract that the
+    loop never writes into an array it has handed over. The step is
+    ``stateless`` (see ``engine.BatchStep``): a tick's outputs depend on
+    that tick's sensors alone.
     """
     w_hidden, w_output = split_genome(spec, genes)
     rows = None
+    seen_ambient = seen_motion = with_ambient = with_motion = None
 
     def step(ambient, motion, signal, light):
-        nonlocal rows
+        nonlocal rows, seen_ambient, seen_motion, with_ambient, with_motion
         if rows is None:
             poles = light.shape[-1]
             rows = (per_pole_rows(w_hidden, poles), per_pole_rows(w_output, poles))
-        x = np.empty((N_INPUTS,) + light.shape)
-        x[0], x[1], x[2], x[3] = ambient, motion, signal, light
-        y = forward(*rows, x.reshape(N_INPUTS, -1))
+        if ambient is not seen_ambient:
+            seen_ambient, seen_motion = ambient, None
+            with_ambient = hidden_sums(rows[0], (ambient,))
+        if motion is not seen_motion:
+            seen_motion = motion
+            with_motion = hidden_sums(rows[0], (motion.reshape(-1),), with_ambient, 1)
+        y = forward(*rows, (signal.reshape(-1), light.reshape(-1)), with_motion, 2)
         light, listen, broadcast = y.reshape((N_OUTPUTS,) + light.shape)
         return light, listen >= 0.5, broadcast
 
-    # forward holds nothing between ticks, and maps == sensors to ==
-    # outputs: a sum of +0.0 or -0.0 terms is a zero, of which sigmoid
-    # gives 0.5 either way, and it never returns -0.0
+    # the kept sums are a cache of this tick's, not memory: forward maps
+    # == sensors to == outputs, as a sum of +0.0 or -0.0 terms is a zero,
+    # of which sigmoid gives 0.5 either way, and it never returns -0.0
     step.stateless = True
     return step
 

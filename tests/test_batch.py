@@ -1052,3 +1052,175 @@ def test_a_state_repeats_only_when_its_listen_flags_do():
     declared, calls = counting(light_4_cycle, stateless=True)
     assert run_batch(SCENARIO1, declared, 2) == run_batch(SCENARIO1, full, 2)
     assert len(calls) == SCENARIO1.max_ticks
+
+
+# -- quiet ticks: no one moved or started on the tick before -------------------
+#
+# On such a tick run_batch passes the last tick's motion array on again, the
+# same object, and network_batch_step keeps the hidden sums' ambient and
+# motion terms while the same ambient and motion objects come. These
+# scenarios are built to hold long quiet stretches.
+QUIET_SCENARIOS = {
+    # dark throughout: an always_off lane's people never move
+    "dark-scenario1": SCENARIO1,
+    # starts after quiet stretches, the middle one on a zero-length route
+    "starts-after-quiet-stretches": scenario_from(
+        [(0, 2, 0), (4, 4, 9), (6, 8, 15)], ambient=((0, 0.0), (16, 1.0))
+    ),
+    # people wait in the dark, then a rising ambient moves them
+    "waits-until-the-ambient-rises": scenario_from(
+        [(0, 8, 0), (2, 6, 3)], ambient=((0, 0.0), (14, 0.3), (20, 1.0))
+    ),
+    # the last start tick is a zero-length route's: everyone is home there
+    # with no move on that tick
+    "home-at-the-last-start-tick": scenario_from(
+        [(0, 2, 0), (3, 5, 2), (4, 4, 9)], ambient=((0, 1.0), (5, 0.0))
+    ),
+}
+QUIET_PROGRAMS = [builtin_program("always_off"), builtin_program("iteration3"),
+                  COUNTS_TICKS_SINCE_MOTION]
+QUIET_GENES = random_genes(17, 2)
+
+
+def quiet_ticks(scenario, moved):
+    """The ticks t >= 1 such that neither t nor t - 1 is a start tick and
+    ``moved[t - 1]`` is false."""
+    starts = {person.start_tick for person in scenario.people}
+    return [t for t in range(1, len(moved))
+            if t not in starts and t - 1 not in starts and not moved[t - 1]]
+
+
+@pytest.mark.parametrize("scenario", QUIET_SCENARIOS.values(), ids=QUIET_SCENARIOS)
+def test_quiet_ticks_equal_the_scalar_engine(scenario):
+    lanes = [(program_factory(p), interpreter_factory(p)) for p in QUIET_PROGRAMS] + [
+        (network_factory(g, DEFAULT_NETWORK), lambda g=g: NetworkController(g))
+        for g in QUIET_GENES]
+    want = [scalar_engine.run_simulation(scenario, oracle_factory, trace=True)
+            for _, oracle_factory in lanes]
+    for (factory, _), (metrics, ticks) in zip(lanes, want):
+        got = scalar_engine.traced_run(scenario, factory)
+        assert repr(got[0]) == repr(metrics)
+        scalar_engine.assert_same_ticks(got[1], ticks)
+    # one block of rule programs, always_off beside iteration3, and one of networks
+    programs = controller_step(scenario, [factory for factory, _ in lanes[:3]])
+    got = run_batch(scenario, programs, 3) + run_batch(scenario, network_batch_step(QUIET_GENES), 2)
+    assert repr(got) == repr([metrics for metrics, _ in want])
+
+
+def test_the_quiet_scenarios_are_what_they_say():
+    _, dark = scalar_engine.run_simulation(SCENARIO1, interpreter_factory(QUIET_PROGRAMS[0]),
+                                           trace=True)
+    assert not any(p.moved for t in dark for p in t.people.values())
+    assert {t.readings[0].ambient for t in dark} == {0.0}
+    late = QUIET_SCENARIOS["home-at-the-last-start-tick"]
+    _, ticks = scalar_engine.run_simulation(late, lambda: ConstantLight(0.0), trace=True)
+    assert max(p.start_tick for p in late.people) == 9
+    assert all(p.finished and not p.moved for p in ticks[9].people.values())
+    assert not all(p.finished for p in ticks[8].people.values())
+    for scenario in QUIET_SCENARIOS.values():
+        _, ticks = scalar_engine.run_simulation(
+            scenario, interpreter_factory(QUIET_PROGRAMS[1]), trace=True)
+        moved = [any(p.moved for p in t.people.values()) for t in ticks]
+        assert len(quiet_ticks(scenario, moved)) >= 10
+
+
+@pytest.mark.parametrize("scenario", QUIET_SCENARIOS.values(), ids=QUIET_SCENARIOS)
+@pytest.mark.parametrize("steps", ["networks", "rule-programs"])
+def test_quiet_ticks_pass_the_same_motion_object_on(scenario, steps):
+    if steps == "networks":
+        step, lanes = network_batch_step(QUIET_GENES), len(QUIET_GENES)
+    else:
+        step = controller_step(scenario, [program_factory(p) for p in QUIET_PROGRAMS])
+        lanes = len(QUIET_PROGRAMS)
+    motions, moved = [], []
+
+    def on_tick(tick, sensors, commands, people):
+        motions.append(sensors[1])
+        moved.append(people[1].any())
+
+    run_batch(scenario, step, lanes, on_tick=on_tick)
+    quiet = quiet_ticks(scenario, moved)
+    assert len(quiet) >= 10
+    assert [t for t in quiet if motions[t] is not motions[t - 1]] == []
+
+
+def test_a_network_step_gives_the_same_floats_for_a_kept_motion_and_a_copy():
+    # the step keeps the ambient and motion terms of its hidden sums while
+    # the same objects come; a fresh step for each call keeps nothing
+    shape = (len(QUIET_GENES), 4)
+    rng = np.random.default_rng(23)
+    motions = [np.zeros(shape), (rng.random(shape) < 0.5) * 1.0]
+    ambients = [0.0, 0.3, -0.0, nan]
+    kept = network_batch_step(QUIET_GENES)
+    calls = 0
+    for ambient in [ambients[0]] * 3 + ambients + [ambients[1]] * 2:
+        for motion in [motions[0]] * 3 + motions + [motions[1]] * 2:
+            signal, light = rng.random(shape), rng.random(shape)
+            signal[0, 0], light[1, 1] = -0.0, nan
+            got = kept(ambient, motion, signal, light)
+            want = network_batch_step(QUIET_GENES)(
+                float(ambient), motion.copy(), signal.copy(), light.copy())
+            for mine, theirs in zip(got, want):
+                assert mine.tobytes() == theirs.tobytes()
+            calls += 1
+    assert calls == 63
+
+
+class FollowsMotion:
+    """A Python-API controller: lit by motion or half the heard signal,
+    broadcasting its light, deaf every third tick."""
+
+    def act(self, reading):
+        light = 1.0 if reading.motion else reading.signal * 0.5
+        return ActuatorCommand(light=light, listen=reading.tick % 3 != 0, broadcast=light)
+
+
+def read_only(step):
+    """``step``, setting every array it is given read-only before the call
+    and every array it returns read-only after it."""
+    def frozen(*sensors):
+        for value in sensors:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        outputs = step(*sensors)
+        for value in outputs:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return outputs
+
+    frozen.stateless = getattr(step, "stateless", False)
+    return frozen
+
+
+@pytest.mark.parametrize("scenario", [SCENARIO2, *QUIET_SCENARIOS.values()],
+                         ids=["scenario2", *QUIET_SCENARIOS])
+@pytest.mark.parametrize("steps", ["networks", "one-rule-program", "five-rule-programs",
+                                   "per-pole"])
+def test_read_only_arrays_change_no_run(scenario, steps):
+    # the loop never writes into an array once it has handed it over, so
+    # it may pass one motion array on through quiet ticks and a step may
+    # keep what it computed from it: runs whose arrays are all read-only
+    # give the same metrics and the same trace bytes
+    def make():
+        if steps == "networks":
+            return network_batch_step(QUIET_GENES), len(QUIET_GENES)
+        if steps == "one-rule-program":
+            return program_factory(QUIET_PROGRAMS[1]).batch_step(), 1
+        if steps == "five-rule-programs":
+            programs = [*QUIET_PROGRAMS, builtin_program("always_on"),
+                        builtin_program("iteration1")]
+            return controller_step(scenario, [program_factory(p) for p in programs]), 5
+        return controller_step(scenario, [FollowsMotion] * 2), 2
+
+    def run(wrap, traced):
+        step, lanes = make()
+        fh = io.StringIO()
+        on_tick = engine.trace_writer(fh, scenario) if traced else None
+        return run_batch(scenario, wrap(step), lanes, on_tick=on_tick), fh.getvalue()
+
+    for traced in (False, True):
+        want = run(lambda step: step, traced)
+        got = run(read_only, traced)
+        assert repr(got[0]) == repr(want[0])
+        assert got[1] == want[1]
+        assert (got[1].count("\n") == scenario.max_ticks) is traced

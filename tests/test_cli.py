@@ -483,6 +483,19 @@ def test_gpt_loop_manifest_written_before_work(capsys):
     )
 
 
+def test_gpt_loop_out_holds_only_this_runs_program(capsys, fixture_dir):
+    # a run that scores no program leaves no earlier run's program at --out,
+    # which its manifest's outputs would claim
+    stub = ["--stub-metrics", str(fixture_dir / "calibration_stub.json"), "--out", "best.rules"]
+    Path("best.rules").write_text("light = 1\n")
+    assert main(["gpt-loop", "--replay", str(fixture_dir / "low_score.jsonl"), *stub]) == EXIT_USAGE
+    assert not Path("best.rules").exists()
+    assert "best.rules" in read_manifest("gpt-loop-manifest.json")["outputs"]
+    assert main(["gpt-loop", "--replay", str(fixture_dir / "three_iter.jsonl"), *stub]) == EXIT_OK
+    capsys.readouterr()
+    assert "if motion" in Path("best.rules").read_text()
+
+
 # -- compare -----------------------------------------------------------------
 
 
