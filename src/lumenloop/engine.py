@@ -47,9 +47,10 @@ started is quiet: who walks and where is as it was, so the loop rebuilds
 nothing and passes the last tick's motion array on again, the same
 object. A step may key what it computed on that object:
 ``network_batch_step`` keeps its hidden sums' ambient and motion terms.
-Once every person of every lane is home the loop skips the people phase
-(occupancy, movement and trip time), whose outcome is then known: no
-motion and no moves. Under a step that declares itself ``stateless`` (see
+While the last rebuild of who walks found no one (before the first start,
+between one group's arrival and the next start, and once everyone is
+home), the loop skips movement and trip time: no one moves.
+Under a step that declares itself ``stateless`` (see
 BatchStep), and with no ``on_tick``, it stops stepping too: once the
 ambient level and the people who have started stop changing, a tick's
 state (every lane's light, listen and broadcast outputs and every
@@ -379,15 +380,10 @@ def run_batch(
     last_start = max(start_ticks, default=0)  # everyone has started from here on
     started = np.zeros(len(scenario.people), dtype=bool)
     away = on_path != path_end
-    anyone_away = away.any()
-    # No one moves once everyone is home; those ticks skip the people
-    # phase and share these arrays.
-    no_motion = np.zeros(shape)
-    no_moves = np.zeros(here.shape, dtype=bool)
-    everyone_home = not len(scenario.people)
     # Who walks, and the motion they show, change only on a start tick and
     # on the tick after a start or a move; every other tick passes the
-    # last tick's motion on again, the same object.
+    # last tick's motion on again, the same object. While no one walks,
+    # no one moves and no trip tick is counted.
     changed = True
     # A person moves when the lamp's level, ambient + light clamped to
     # [0, 1] with NaN kept, is >= the threshold; the clamp is folded into
@@ -421,21 +417,19 @@ def run_batch(
     # overflow. The with block restores the caller's state on a raise too.
     with np.errstate(all="ignore"):
         for tick, ambient in enumerate(plan.ambient):
-            people_phase = not everyone_home
-            if people_phase:
-                starting = tick in start_ticks
-                if starting or changed:
-                    if starting:
-                        started = plan.start_tick <= tick
-                        walking = started & away
-                        # a zero-length route shows motion at its start tick
-                        active = walking | (plan.start_tick == tick)
-                    else:
-                        walking = active = started & away
-                    motion = np.zeros(shape)
-                    motion.put(here[active], 1.0)
-            else:
-                motion = no_motion
+            starting = tick in start_ticks
+            if starting or changed:
+                if starting:
+                    started = plan.start_tick <= tick
+                    walking = started & away
+                    # a zero-length route shows motion at its start tick
+                    active = walking | (plan.start_tick == tick)
+                else:
+                    walking = active = started & away
+                # count_nonzero, a C call, costs a third of .any() at these sizes
+                anyone_walking = np.count_nonzero(walking) > 0
+                motion = np.zeros(shape)
+                motion.put(here[active], 1.0)
 
             # Python's max over the neighbours: the first value, replaced by
             # each later one only when strictly greater. Gathered
@@ -454,20 +448,16 @@ def run_batch(
             broadcast = _lane_array(broadcast, shape)
             heard[:, :n_poles] = broadcast
 
-            if people_phase:
+            moves, moved = walking, False  # all False while no one walks
+            if anyone_walking:
                 trip_ticks += walking
                 moves = walking & (ambient + light.take(here) >= move_at)
-                # count_nonzero, a C call, costs a third of .any() at these sizes
                 moved = np.count_nonzero(moves) > 0
                 if moved:
                     on_path = on_path + moves  # a new array: a kept state holds the old one
                     here = flat_path.take(on_path)
                     away = on_path != path_end
-                    anyone_away = np.count_nonzero(away) > 0
-                changed = moved or starting
-                everyone_home = tick >= last_start and not anyone_away
-            else:
-                moves = no_moves
+            changed = moved or starting
 
             # accumulate adds left to right; the built-in sum() of floats
             # compensates rounding from Python 3.12 on

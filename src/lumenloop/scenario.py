@@ -5,9 +5,9 @@ A scenario document is UTF-8 JSON with exactly the top-level keys
 people``. Unknown keys are rejected (SchemaError); semantic violations
 raise ValidationError with the offending field path. ``rng_seed`` is a
 reserved integer key: it is required and type-checked, but the dynamics are
-deterministic and ignore it. Routes are fixed at load time by ``next_hops``,
-one search per destination; loading checks reachability with one search per
-connected component.
+deterministic and ignore it. Routes are built by ``next_hops`` on first use,
+through ``ScenarioSpec.compiled``, one search per destination; loading only
+checks reachability, with one search per connected component.
 """
 
 from __future__ import annotations

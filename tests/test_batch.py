@@ -215,9 +215,9 @@ def test_edge_case_scenarios(people, expected_people_pct):
 
 
 # Scenarios with many ticks on which no one can move: before anyone starts,
-# and once everyone is home, where the loop skips the people phase. A tick
-# that differed from the oracle would show in the motion sensor,
-# ticks_since_motion, or a person's moved/finished flags.
+# and once everyone is home, where no one walks and the loop skips
+# movement. A tick that differed from the oracle would show in the motion
+# sensor, ticks_since_motion, or a person's moved/finished flags.
 IDLE_SCENARIOS = {
     "everyone-starts-in-the-last-two-ticks": scenario_from(
         [(0, 8, 28), (8, 0, 29), (4, 5, 28)], isolated_pole=True
@@ -1122,6 +1122,17 @@ def test_the_quiet_scenarios_are_what_they_say():
             scenario, interpreter_factory(QUIET_PROGRAMS[1]), trace=True)
         moved = [any(p.moved for p in t.people.values()) for t in ticks]
         assert len(quiet_ticks(scenario, moved)) >= 10
+    # a stretch with no walker between two walkers' ticks: the loop skips
+    # movement in mid-run and resumes it at the next start
+    middle = QUIET_SCENARIOS["starts-after-quiet-stretches"]
+    _, ticks = scalar_engine.run_simulation(
+        middle, interpreter_factory(QUIET_PROGRAMS[1]), trace=True)
+    starts = {person.id: person.start_tick for person in middle.people}
+    walks = "".join(
+        "w" if any(p.moved or (starts[key] <= t.tick and not p.finished)
+                   for key, p in t.people.items()) else "-"
+        for t in ticks)
+    assert "-" in walks.strip("-"), walks
 
 
 @pytest.mark.parametrize("scenario", QUIET_SCENARIOS.values(), ids=QUIET_SCENARIOS)
