@@ -15,7 +15,6 @@ from .fitness import (
     FitnessWeights,
     REFERENCE_RESULTS,
     SimulationMetrics,
-    compute_fitness,
     derive_fitness_weights,
 )
 from .scenario import (
@@ -31,7 +30,6 @@ from .scenario import (
 __all__ = [
     "builtin_scenario",
     "BUILTIN_SCENARIOS",
-    "compute_fitness",
     "DEFAULT_WEIGHTS",
     "derive_fitness_weights",
     "FitnessWeights",

@@ -25,11 +25,11 @@ from .documents import as_number, read_text
 from .engine import controller_step, run_batch, run_simulation, trace_writer
 from .errors import LumenloopError, SchemaError
 from .fitness import (
+    DEFAULT_WEIGHTS,
     FitnessWeights,
     MAX_WEIGHT,
     REFERENCE_RESULTS,
     SimulationMetrics,
-    compute_fitness,
 )
 from .neuro import NetworkSpec, save_genome
 from .scenario import BUILTIN_SCENARIOS, load_scenario
@@ -123,10 +123,9 @@ def _comparison_row(
     energy = f"{metrics.energy_pct:.2f}"
     people = f"{metrics.people_pct:.2f}"
     trip = f"{metrics.trip_pct:.2f}"
-    printed = SimulationMetrics(
-        energy_pct=float(energy), people_pct=float(people), trip_pct=float(trip)
+    fitness = weights.score(
+        people_pct=float(people), energy_pct=float(energy), trip_pct=float(trip)
     )
-    fitness = compute_fitness(printed, weights)
     return [scenario_name, label, energy, people, trip, f"{fitness:.12g}"]
 
 
@@ -394,7 +393,8 @@ def cmd_fitness_check(args: argparse.Namespace) -> int:
     rows = _load_check_table(args.table)
     # the first row with the largest residual
     max_residual, worst_label = max(
-        ((abs(compute_fitness(SimulationMetrics(energy, people, trip)) - expected), label)
+        ((abs(DEFAULT_WEIGHTS.score(people_pct=people, energy_pct=energy, trip_pct=trip)
+              - expected), label)
          for label, energy, people, trip, expected in rows),
         key=lambda pair: pair[0],
     )
@@ -433,10 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, default_manifest: str) -> None:
+        w = DEFAULT_WEIGHTS
         p.add_argument(
             "--weights",
-            default="1.0,0.4,0.6",
-            help="fitness weights P,E,T (default 1.0,0.4,0.6)",
+            default=f"{w.w_people},{w.w_energy},{w.w_trip}",
+            help="fitness weights P,E,T (default %(default)s)",
         )
         p.add_argument(
             "--manifest",

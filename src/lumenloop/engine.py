@@ -157,7 +157,7 @@ def compute_metrics(
     else:
         people_pct = 100.0 * finished / n_people
         trip_pct = 100.0 * trip_ticks / (n_people * scenario.max_ticks)
-    fitness = weights.score(people_pct, energy_pct, trip_pct)
+    fitness = weights.score(people_pct=people_pct, energy_pct=energy_pct, trip_pct=trip_pct)
     return SimulationMetrics(energy_pct, people_pct, trip_pct, fitness)
 
 

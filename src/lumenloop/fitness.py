@@ -23,7 +23,7 @@ class FitnessWeights:
     w_energy: float = 0.4
     w_trip: float = 0.6
 
-    def score(self, people_pct: float, energy_pct: float, trip_pct: float) -> float:
+    def score(self, *, people_pct: float, energy_pct: float, trip_pct: float) -> float:
         return (
             self.w_people * people_pct
             - self.w_energy * energy_pct
@@ -40,7 +40,7 @@ MAX_WEIGHT = 1e300
 
 @dataclass(frozen=True)
 class SimulationMetrics:
-    """Percentages for one run; ``fitness`` is None until weights are applied.
+    """Percentages for one run and the fitness its weights give them.
 
     energy_pct: lamp output as % of the maximum possible over the run.
     people_pct: % of pedestrians that reached their destination.
@@ -50,11 +50,7 @@ class SimulationMetrics:
     energy_pct: float
     people_pct: float
     trip_pct: float
-    fitness: float | None = None
-
-
-def compute_fitness(m: SimulationMetrics, weights: FitnessWeights = DEFAULT_WEIGHTS) -> float:
-    return weights.score(m.people_pct, m.energy_pct, m.trip_pct)
+    fitness: float
 
 
 def derive_fitness_weights(rows) -> tuple[FitnessWeights, float]:
@@ -96,8 +92,3 @@ REFERENCE_RESULTS = (
     ("scenario2", "best_neuroevolution", 8.46, 100.0, 46.29, 68.83),
     ("scenario2", "best_participant", 50.52, 100.0, 38.14, 56.9),
 )
-
-
-def reference_rows() -> list[tuple[float, float, float, float]]:
-    """The reference rows as (energy, people, trip, fitness) tuples."""
-    return [(e, p, t, f) for _, _, e, p, t, f in REFERENCE_RESULTS]

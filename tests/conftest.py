@@ -1,6 +1,13 @@
 """Shared fixtures plus a terminal summary for the acceptance suite."""
 
 import pytest
+from hypothesis import settings
+
+# A property test checks the same examples on every run: a fixed example
+# order, no example database and no deadline on a slow machine. A test's own
+# @settings adds only what differs for it.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 FIXTURES = {
     "three_iter": "three_iter.jsonl",

@@ -22,13 +22,7 @@ from lumenloop.dsl.baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
 from lumenloop.dsl.formatter import format_program
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import ActuatorCommand, run_simulation
-from lumenloop.fitness import (
-    REFERENCE_RESULTS,
-    SimulationMetrics,
-    compute_fitness,
-    derive_fitness_weights,
-    reference_rows,
-)
+from lumenloop.fitness import DEFAULT_WEIGHTS, REFERENCE_RESULTS, derive_fitness_weights
 from lumenloop.loop.providers import ReplayProvider, load_replay_script
 from lumenloop.loop.runner import (
     STATUS_BUDGET_EXHAUSTED,
@@ -72,9 +66,7 @@ def test_criterion_1_fitness_reproduction():
     """Default weights reproduce every reference benchmark row within 0.03."""
     start = time.perf_counter()
     for scenario, label, energy, people, trip, expected in REFERENCE_RESULTS:
-        got = compute_fitness(
-            SimulationMetrics(energy_pct=energy, people_pct=people, trip_pct=trip)
-        )
+        got = DEFAULT_WEIGHTS.score(energy_pct=energy, people_pct=people, trip_pct=trip)
         assert abs(got - expected) <= 0.03, f"{scenario}/{label}: {got} vs {expected}"
     assert len(REFERENCE_RESULTS) == 10
     assert time.perf_counter() - start < 1.0
@@ -82,7 +74,8 @@ def test_criterion_1_fitness_reproduction():
 
 def test_criterion_2_weight_recovery():
     """Least squares over the 10 rows recovers (1.0, 0.4, 0.6)."""
-    weights, max_residual = derive_fitness_weights(reference_rows())
+    weights, max_residual = derive_fitness_weights(
+        [row[2:] for row in REFERENCE_RESULTS])
     assert abs(weights.w_people - 1.0) <= 0.01
     assert abs(weights.w_energy - 0.4) <= 0.01
     assert abs(weights.w_trip - 0.6) <= 0.01

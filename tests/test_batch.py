@@ -65,12 +65,9 @@ from lumenloop.scenario import PoleSpec, _grid_document, builtin_scenario, parse
 
 
 def fixed(max_examples):
-    """Fixed example order and no example database: every run checks the same cases.
-
-    No shrinking: a failing generated scenario is reported as found, so a
+    """No shrinking: a failing generated scenario is reported as found, so a
     broken engine fails in seconds, not minutes."""
-    return settings(max_examples=max_examples, derandomize=True, database=None,
-                    deadline=None, suppress_health_check=[HealthCheck.too_slow],
+    return settings(max_examples=max_examples, suppress_health_check=[HealthCheck.too_slow],
                     phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv), including exit codes."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumenloop.cli import (
     CSV_HEADER,
@@ -23,7 +26,12 @@ from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
 from lumenloop.loop import DEFAULT_MODEL, load_replay_script
 from lumenloop.neuro import Genome, NetworkSpec, save_genome
 from lumenloop.neuro.evolution import lane_floats
-from lumenloop.scenario import _grid_document, builtin_scenario, builtin_scenario_document
+from lumenloop.scenario import (
+    BUILTIN_SCENARIOS,
+    _grid_document,
+    builtin_scenario,
+    builtin_scenario_document,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -233,7 +241,7 @@ def test_evolve_runs_at_its_size_ceilings(capsys, monkeypatch, tmp_path):
 def test_weights_at_the_ceiling_give_finite_fitness(capsys, tmp_path):
     # each term as large as it gets, all three of one sign
     worst = FitnessWeights(MAX_WEIGHT, -MAX_WEIGHT, -MAX_WEIGHT)
-    assert math.isfinite(worst.score(100.0, 100.0, 100.0))
+    assert math.isfinite(worst.score(people_pct=100.0, energy_pct=100.0, trip_pct=100.0))
     at_ceiling = f"{MAX_WEIGHT!r},{-MAX_WEIGHT!r},{-MAX_WEIGHT!r}"
     assert main(["simulate", "--controller", "always_on", "--weights", at_ceiling]) == EXIT_OK
     row = capsys.readouterr().out.splitlines()[-1]
@@ -514,6 +522,29 @@ def test_compare_default_table(capsys):
     for scenario in ("scenario1", "scenario2"):
         assert by_key[(scenario, "always_on")] > by_key[(scenario, "always_off")]
     assert read_manifest("compare-manifest.json")["command"] == "compare"
+
+
+def rows_printed(argv):
+    """The CSV rows a successful run prints, header left out."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue().splitlines()[1:]
+
+
+@settings(max_examples=50)
+@given(weights=st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+       scenario=st.sampled_from(BUILTIN_SCENARIOS))
+def test_compare_rows_follow_any_weights(weights, scenario):
+    # under any weights, a row's fitness is the weights applied to the
+    # printed columns, and simulate prints the row compare prints
+    flags = ["--scenario", scenario, "--weights=" + ",".join(map(repr, weights))]
+    w_people, w_energy, w_trip = weights
+    for row in rows_printed(["compare", *flags]):
+        _, label, energy, people, trip, fitness = row.split(",")
+        recomputed = w_people * float(people) - w_energy * float(energy) - w_trip * float(trip)
+        assert math.isclose(float(fitness), recomputed, rel_tol=1e-9), row
+        assert rows_printed(["simulate", "--controller", label, *flags]) == [row]
 
 
 def test_compare_explicit_selection(capsys):

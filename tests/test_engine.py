@@ -12,7 +12,7 @@ from lumenloop.engine import (
     run_simulation,
 )
 from lumenloop.errors import ControllerError
-from lumenloop.fitness import FitnessWeights, compute_fitness
+from lumenloop.fitness import DEFAULT_WEIGHTS, FitnessWeights
 from lumenloop.scenario import builtin_scenario, parse_scenario
 
 
@@ -260,6 +260,8 @@ def test_compute_metrics_formulas():
     assert m.energy_pct == pytest.approx(15.0)
     assert m.people_pct == 50.0
     assert m.trip_pct == pytest.approx(65.0)
-    assert m.fitness == compute_fitness(m)
+    percentages = {"energy_pct": m.energy_pct, "people_pct": m.people_pct,
+                   "trip_pct": m.trip_pct}
+    assert m.fitness == DEFAULT_WEIGHTS.score(**percentages)
     weights = FitnessWeights(2.0, 0.5, 0.25)
-    assert compute_metrics(sc, 3.0, 1, 13, weights).fitness == compute_fitness(m, weights)
+    assert compute_metrics(sc, 3.0, 1, 13, weights).fitness == weights.score(**percentages)

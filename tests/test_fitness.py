@@ -10,43 +10,55 @@ from lumenloop.fitness import (
     REFERENCE_RESULTS,
     FitnessWeights,
     SimulationMetrics,
-    compute_fitness,
     derive_fitness_weights,
-    reference_rows,
 )
+
+# the (energy, people, trip, fitness) columns of the reference rows
+REFERENCE_ROWS = [row[2:] for row in REFERENCE_RESULTS]
 
 
 def test_default_weights():
     assert DEFAULT_WEIGHTS == FitnessWeights(1.0, 0.4, 0.6)
 
 
-def test_compute_fitness_hand_examples():
+def test_score_hand_examples():
     # three spot checks against independently computed values
-    assert compute_fitness(SimulationMetrics(11.92, 100.0, 54.62)) == pytest.approx(62.44, abs=0.03)
-    assert compute_fitness(SimulationMetrics(8.46, 100.0, 46.29)) == pytest.approx(68.83, abs=0.03)
-    assert compute_fitness(SimulationMetrics(4.03, 66.66, 59.25)) == pytest.approx(29.49, abs=0.03)
+    w = DEFAULT_WEIGHTS
+    assert w.score(energy_pct=11.92, people_pct=100.0, trip_pct=54.62) == pytest.approx(62.44, abs=0.03)
+    assert w.score(energy_pct=8.46, people_pct=100.0, trip_pct=46.29) == pytest.approx(68.83, abs=0.03)
+    assert w.score(energy_pct=4.03, people_pct=66.66, trip_pct=59.25) == pytest.approx(29.49, abs=0.03)
 
 
-def test_compute_fitness_zero_metrics():
-    assert compute_fitness(SimulationMetrics(0.0, 0.0, 0.0)) == 0.0
-    assert compute_fitness(SimulationMetrics(100.0, 0.0, 0.0)) == -40.0
-    assert compute_fitness(SimulationMetrics(0.0, 100.0, 0.0)) == 100.0
-    assert compute_fitness(SimulationMetrics(0.0, 0.0, 100.0)) == -60.0
+def test_score_zero_metrics():
+    w = DEFAULT_WEIGHTS
+    assert w.score(energy_pct=0.0, people_pct=0.0, trip_pct=0.0) == 0.0
+    assert w.score(energy_pct=100.0, people_pct=0.0, trip_pct=0.0) == -40.0
+    assert w.score(energy_pct=0.0, people_pct=100.0, trip_pct=0.0) == 100.0
+    assert w.score(energy_pct=0.0, people_pct=0.0, trip_pct=100.0) == -60.0
+
+
+def test_percentages_are_named():
+    # (energy, people, trip) is the order of the metrics and the CSV but not
+    # of the weights: no call may pass the percentages by position
+    with pytest.raises(TypeError):
+        DEFAULT_WEIGHTS.score(1.0, 2.0, 3.0)
+    with pytest.raises(TypeError):
+        SimulationMetrics(1.0, 2.0, 3.0)
 
 
 def test_custom_weights_applied():
     w = FitnessWeights(w_people=2.0, w_energy=1.0, w_trip=0.0)
-    assert compute_fitness(SimulationMetrics(10.0, 50.0, 99.0), w) == 90.0
+    assert w.score(energy_pct=10.0, people_pct=50.0, trip_pct=99.0) == 90.0
 
 
 def test_all_reference_rows_reproduce():
     for scenario, label, energy, people, trip, expected in REFERENCE_RESULTS:
-        got = compute_fitness(SimulationMetrics(energy, people, trip))
+        got = DEFAULT_WEIGHTS.score(energy_pct=energy, people_pct=people, trip_pct=trip)
         assert got == pytest.approx(expected, abs=0.03), f"{scenario}/{label}"
 
 
 def test_weight_recovery_from_reference_rows():
-    weights, max_residual = derive_fitness_weights(reference_rows())
+    weights, max_residual = derive_fitness_weights(REFERENCE_ROWS)
     assert weights.w_people == pytest.approx(1.0, abs=0.01)
     assert weights.w_energy == pytest.approx(0.4, abs=0.01)
     assert weights.w_trip == pytest.approx(0.6, abs=0.01)
@@ -69,7 +81,7 @@ def test_recovery_exact_on_synthetic_rows():
     w = FitnessWeights(1.5, 0.25, 0.75)
     rows = []
     for e, p, t in [(10, 90, 5), (40, 60, 20), (5, 100, 50), (80, 10, 10)]:
-        rows.append((e, p, t, compute_fitness(SimulationMetrics(e, p, t), w)))
+        rows.append((e, p, t, w.score(energy_pct=e, people_pct=p, trip_pct=t)))
     got, residual = derive_fitness_weights(rows)
     assert got.w_people == pytest.approx(1.5, abs=1e-9)
     assert got.w_energy == pytest.approx(0.25, abs=1e-9)
@@ -90,7 +102,7 @@ def test_recovery_rejects_rank_deficient_rows():
 
 
 def test_reference_rows_shape():
-    rows = reference_rows()
+    rows = REFERENCE_ROWS
     assert len(rows) == 10
     assert all(len(r) == 4 for r in rows)
     assert all(math.isfinite(x) for r in rows for x in r)

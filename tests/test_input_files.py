@@ -177,8 +177,7 @@ def broken_files():
     ))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
 @given(case=broken_files())
 # the faults below each used to end in a traceback or exit 0
 @example(case=("genome", dumps(with_value(GENOME, ["fitness"], "abc")).encode()))

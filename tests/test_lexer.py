@@ -34,7 +34,7 @@ PIECES = [
 ]
 
 
-@settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+@settings(max_examples=2000)
 @given(st.lists(st.sampled_from(PIECES), max_size=24).map("".join))
 def test_the_lexer_matches_the_character_lexer(text):
     assert lexed(tokenize, text) == lexed(char_lexer.tokenize, text)

@@ -114,7 +114,7 @@ def test_sigmoid_equals_the_where_formula_bit_for_bit(x):
     assert_same_bits(sigmoid(x), where_sigmoid(x))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(x=arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=6),
                 elements=st.floats(allow_nan=True, allow_infinity=True)))
 def test_sigmoid_equals_the_where_formula_on_any_floats(x):
@@ -389,7 +389,7 @@ def test_an_objective_must_give_one_value_per_genome():
 SCENARIO2 = builtin_scenario("scenario2")
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(population=st.integers(1, 12), lanes=st.integers(0, 14), seed=st.integers(0, 2**32 - 1))
 @example(population=12, lanes=1, seed=0)  # one lane per block
 @example(population=12, lanes=5, seed=0)  # a few, the last block short

@@ -163,8 +163,7 @@ def fitness_check_argvs(draw):
     )]
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None,
-          phases=[Phase.explicit, Phase.generate])
+@settings(max_examples=150, phases=[Phase.explicit, Phase.generate])
 @given(argv=st.one_of(simulate_argvs(), evolve_argvs(), gpt_loop_argvs(), compare_argvs(),
                       fitness_check_argvs()))
 @example(argv=["simulate", "--controller", "iteration3", "--trace=-t.jsonl"])

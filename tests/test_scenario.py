@@ -223,7 +223,7 @@ def test_ambient_at_steps():
     assert scalar_engine.ambient_at(spec, 59) == 0.8
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(
     max_ticks=st.integers(1, 60),
     schedule=st.lists(
@@ -321,7 +321,7 @@ SHARED_AND_EMPTY = {
 }
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(doc=routed_documents())
 @example(doc=SHARED_AND_EMPTY)
 def test_routes_and_verdicts_equal_the_per_person_oracle(doc):
