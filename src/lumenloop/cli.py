@@ -220,7 +220,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
                 f"{stat.generation},{stat.best_fitness:.12g},"
                 f"{stat.mean_fitness:.12g}\n"
             )
-    save_genome(args.out, result.best, spec)
+    save_genome(args.out, result.best)
     print(
         json.dumps(
             {
@@ -268,12 +268,8 @@ def cmd_gpt_loop(args: argparse.Namespace) -> int:
     model = DEFAULT_MODEL if args.model is None else args.model
     scenario = load_scenario(args.scenario)
     if args.replay is None and not os.environ.get(ENV_API_KEY):
-        print(
-            f"error: no provider: set {ENV_API_KEY} (and optionally "
-            "LUMENLOOP_API_BASE) for live runs, or pass --replay FILE",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise SchemaError(f"no provider: set {ENV_API_KEY} (and optionally "
+                          "LUMENLOOP_API_BASE) for live runs, or pass --replay FILE")
     config = LoopConfig(
         fitness_threshold=args.threshold,
         max_iterations=args.max_iterations,

@@ -3,8 +3,8 @@
 Controllers are small if-else programs over pole sensors, actuators, and
 per-pole memory variables. The language is total: evaluation never raises,
 division by zero yields 0, and actuator outputs are clamped to [0, 1].
-A program runs compiled (``dsl.compiler``): as a batch step over a lane of
-poles, or on one pole through ``controllers.DslController``.
+A program runs compiled (``dsl.compiler``): its ``CompiledProgram`` makes
+``DslController`` steps, run over a lane of poles or through ``act`` on one.
 """
 
 from .baselines import BUILTIN_PROGRAM_SOURCES, builtin_program

@@ -10,13 +10,14 @@ CPython's limits on nested parentheses or indentation. ``values`` is the
 tuple of the program's state: the ``mem.*`` slots and the light, listen
 and broadcast written so far. The function unpacks it into parameters
 and returns each slot's final value. ``CompiledProgram.batch_step`` gives
-an ``engine.run_batch`` step in which every pole of every lane runs the
-program over (lanes, poles) arrays, called straight from
-``_ProgramStep.__call__`` inside ``run_batch``, whose run has numpy's
-warnings off throughout; ``controllers.DslController`` runs the same
-function on one pole's scalar readings through ``_ProgramStep.run``,
-which turns them off around each call itself. Either way inf and NaN are
-values of the language, never warnings.
+a fresh ``DslController``, an ``engine.run_batch`` step in which every
+pole of every lane runs the program over (lanes, poles) arrays, called
+straight from ``DslController.__call__`` inside ``run_batch``, whose run
+has numpy's warnings off throughout. Calling the program gives the same
+object, which ``engine.controller_step`` runs on one pole's scalar
+readings through ``DslController.act``; ``act`` turns the warnings off
+around each call itself. Either way inf and NaN are values of the
+language, never warnings.
 
 The generator tracks each slot's current value, a constant or a local,
 as SSA construction does: an assignment emits no line, it only rebinds
@@ -60,7 +61,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..engine import TICKS_SINCE_MOTION_CAP, BatchStep, count_since_motion
+from ..engine import (
+    TICKS_SINCE_MOTION_CAP,
+    ActuatorCommand,
+    SensorReading,
+    count_since_motion,
+)
 from .nodes import (
     ACTUATOR_NAMES,
     SENSOR_NAMES,
@@ -236,8 +242,10 @@ class _Generator:
 
 
 class CompiledProgram:
-    """A program lowered to one generated function, ready to make steps.
-    ``source`` is that function's text."""
+    """A program lowered to one generated function, ready to make steps:
+    a controller factory (``engine.ControllerFactory``) whose call and
+    ``batch_step`` both give a fresh ``DslController``. ``source`` is that
+    function's text."""
 
     def __init__(self, program: Program):
         nodes = list(_walk(program.statements))
@@ -269,19 +277,21 @@ class CompiledProgram:
         exec(compile(self.source, "<rule program>", "exec"), namespace)
         self._run = namespace["run"]
 
-    def batch_step(self) -> BatchStep:
+    def batch_step(self) -> DslController:
         """A fresh step: every pole starts with no memory, lamp off,
         listening and silent."""
-        return _ProgramStep(self._run, self._state, self._counts_motion)
+        return DslController(self._run, self._state, self._counts_motion)
+
+    __call__ = batch_step
 
 
-class _ProgramStep:
+class DslController:
     """Per-pole state of one run: the values (memory slots and the last
     light, listen and broadcast), the ticks-since-motion counters and the
     tick. Each value starts as a scalar and becomes an array once a tick
     writes it per pole. Called with a lane's arrays it is a ``run_batch``
-    step; ``run`` alone is one tick on given sensors, which is all a single
-    pole needs."""
+    step; ``run`` alone is one tick on given sensors, and ``act`` is that
+    tick on one pole's reading, as an ``engine.Controller``."""
 
     __slots__ = ("_run", "_names", "_counts_motion", "_since", "_tick", "_values")
 
@@ -321,3 +331,14 @@ class _ProgramStep:
                 ambient, motion, signal, light, ticks_since_motion, tick, self._values
             )
         return values[-3:]
+
+    def act(self, reading: SensorReading) -> ActuatorCommand:
+        light, listen, broadcast = self.run(
+            reading.ambient,
+            1.0 if reading.motion else 0.0,
+            reading.signal,
+            reading.current_light,
+            float(reading.ticks_since_motion),
+            float(reading.tick),
+        )
+        return ActuatorCommand(float(light), bool(listen), float(broadcast))

@@ -20,15 +20,16 @@ per copy) over (lanes, poles) arrays, stepping every pole of every lane
 with one batch step per tick: ``network_batch_step`` for a population of
 networks, ``controller_step`` for one controller factory per lane.
 ``controller_step`` stacks one step per lane: the factory's own batch step
-where it offers one (a rule program compiled by ``dsl.compiler``, or a
-network), else one ``factory()`` per pole stepped through ``act``. After
-each tick the loop hands its arrays to an optional ``on_tick``, and at the
-end it scores each lane with ``compute_metrics``. ``run_simulation`` is a
-one-lane ``run_batch`` call and passes its ``on_tick`` on; ``simulate
---trace`` passes ``trace_writer``'s, which writes each tick as one JSON
-line as the tick ends, so the trace is never held whole. Routes (those of
-``scenario.next_hops``, end to end in one array of pole columns),
-neighbours and ambient levels come from ``scenario.compiled``.
+where it offers one (a ``dsl.compiler.CompiledProgram`` or a
+``neuro.network.Genome``), else one ``factory()`` per pole stepped through
+``act``. After each tick the loop hands its arrays to an optional
+``on_tick``, and at the end it scores each lane with ``compute_metrics``.
+``run_simulation`` is a one-lane ``run_batch`` call and passes its
+``on_tick`` on; ``simulate --trace`` passes ``trace_writer``'s, which
+writes each tick as one JSON line as the tick ends, so the trace is
+never held whole. Routes (those of ``scenario.next_hops``, end to end in
+one array of pole columns), neighbours and ambient levels come from
+``scenario.compiled``.
 
 A tick costs about as many microseconds as it makes numpy calls, however
 many lanes it holds, so the loop makes few. A person's state is their
@@ -132,9 +133,10 @@ class Controller(Protocol):
 
 ControllerFactory = Callable[[], Controller]
 """Makes one controller per pole, or offers ``batch_step()``: a fresh
-BatchStep for one lane, which ``controller_step`` prefers. A genome's
-factory offers only that; a rule program's is also callable, with the
-same outputs, until ``benchmarks/tracing.py`` stops timing ``act``."""
+BatchStep for one lane, which ``controller_step`` prefers. A loaded
+controller is its own factory: a ``Genome`` offers only ``batch_step``;
+a ``CompiledProgram`` is also callable, giving the same ``DslController``
+with the same outputs, until ``benchmarks/tracing.py`` stops timing ``act``."""
 
 
 def compute_metrics(

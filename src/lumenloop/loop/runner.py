@@ -155,11 +155,11 @@ def _rationale_of(response: str) -> str:
 def simulation_evaluator(
     scenario: ScenarioSpec, weights: FitnessWeights = DEFAULT_WEIGHTS
 ) -> Evaluator:
-    from ..controllers import program_factory
+    from ..dsl.compiler import CompiledProgram
     from ..engine import run_simulation
 
     def evaluate(extraction: Extraction) -> SimulationMetrics:
-        return run_simulation(scenario, program_factory(extraction.program), weights=weights)
+        return run_simulation(scenario, CompiledProgram(extraction.program), weights=weights)
 
     return evaluate
 

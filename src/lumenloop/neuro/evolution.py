@@ -148,7 +148,7 @@ def evolve(
         order = np.argsort(-fitness, kind="stable")  # ties: the lower row first
         top = order[0]
         if best is None or fitness[top] > best.fitness:
-            best = Genome(genes=genes[top].copy(), fitness=float(fitness[top]))
+            best = Genome(genes=genes[top].copy(), fitness=float(fitness[top]), spec=spec)
         stat = GenerationStat(gen, float(fitness[top]), float(np.mean(fitness)))
         history.append(stat)
         if on_generation is not None:

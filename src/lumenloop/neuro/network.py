@@ -42,10 +42,17 @@ DEFAULT_NETWORK = NetworkSpec()
 
 @dataclass(frozen=True, eq=False)
 class Genome:
-    """A genome file's value: the flat genes and the fitness they scored."""
+    """A genome file's value: the flat genes, the fitness they scored and
+    the network they weight. It is its own controller factory
+    (``engine.ControllerFactory``), one that offers only ``batch_step``: a
+    genome runs on a whole lane, never pole by pole."""
 
     genes: np.ndarray
     fitness: float | None = None
+    spec: NetworkSpec = DEFAULT_NETWORK
+
+    def batch_step(self) -> BatchStep:
+        return network_batch_step(np.asarray(self.genes, dtype=float)[None], self.spec)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -190,13 +197,11 @@ def network_batch_step(genes: np.ndarray, spec: NetworkSpec = DEFAULT_NETWORK) -
     return step
 
 
-def genome_document(
-    genome: Genome, spec: NetworkSpec = DEFAULT_NETWORK
-) -> dict:
+def genome_document(genome: Genome) -> dict:
     return {
         "network": {
             "n_inputs": N_INPUTS,
-            "n_hidden": spec.n_hidden,
+            "n_hidden": genome.spec.n_hidden,
             "n_outputs": N_OUTPUTS,
         },
         "genes": [float(g) for g in np.asarray(genome.genes, dtype=float)],
@@ -204,17 +209,15 @@ def genome_document(
     }
 
 
-def save_genome(
-    path: str | Path, genome: Genome, spec: NetworkSpec = DEFAULT_NETWORK
-) -> None:
+def save_genome(path: str | Path, genome: Genome) -> None:
     """Write the genome document, which ``load_genome`` reads back. A gene
     or fitness that is not finite raises SchemaError, and nothing is written."""
-    doc = genome_document(genome, spec)
+    doc = genome_document(genome)
     parse_genome_document(doc)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def parse_genome_document(doc: dict) -> tuple[NetworkSpec, Genome]:
+def parse_genome_document(doc: dict) -> Genome:
     if not isinstance(doc, dict) or not isinstance(doc.get("genes"), list):
         raise SchemaError("genome document must be an object with a 'genes' list")
     net = doc.get("network", {})
@@ -237,8 +240,8 @@ def parse_genome_document(doc: dict) -> tuple[NetworkSpec, Genome]:
     fitness = doc.get("fitness")
     if fitness is not None:
         fitness = as_number(fitness, "fitness")
-    return spec, Genome(genes=genes, fitness=fitness)
+    return Genome(genes=genes, fitness=fitness, spec=spec)
 
 
-def load_genome(path: str | Path) -> tuple[NetworkSpec, Genome]:
+def load_genome(path: str | Path) -> Genome:
     return parse_genome_document(parse_json(read_text(path), path))

@@ -10,7 +10,8 @@ assigned value is >= 0.5. Actuators keep their previous value when a
 tick's run does not assign them. ``InterpreterController`` is one pole's
 controller and ``interpreter_factory`` a factory of them, for
 ``tests/scalar_engine.py``; both must give exactly (``repr``-equal) what
-``lumenloop.controllers.program_factory`` gives.
+a ``lumenloop.dsl.compiler.CompiledProgram`` and the ``DslController``
+it makes give.
 """
 
 from __future__ import annotations

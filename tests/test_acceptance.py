@@ -17,8 +17,9 @@ from oracles import ORACLES
 from scalar_engine import traced_run
 
 from lumenloop.cli import CSV_HEADER, main
-from lumenloop.controllers import program_factory, resolve_controller
+from lumenloop.controllers import resolve_controller
 from lumenloop.dsl.baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
+from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.formatter import format_program
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import ActuatorCommand, run_simulation
@@ -193,17 +194,17 @@ def test_criterion_5_rule_language_suite():
     rng = random.Random(1315)
     for _ in range(500):
         program = parse_source(format_program(rand_program(rng)))
-        controller = program_factory(program)()
+        controller = CompiledProgram(program)()
         for i in range(20):
             cmd = controller.act(rand_reading(rng, tick=i))
             assert 0.0 <= cmd.light <= 1.0
             assert 0.0 <= cmd.broadcast <= 1.0
             assert isinstance(cmd.listen, bool)
-            assert all(math.isfinite(v) for v in controller.step.memory.values())
+            assert all(math.isfinite(v) for v in controller.memory.values())
 
     # oracle equivalence: each builtin matches its hand-written restatement
     for name, oracle_cls in ORACLES.items():
-        controller = program_factory(builtin_program(name))()
+        controller = CompiledProgram(builtin_program(name))()
         oracle = oracle_cls()
         orng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
         for i in range(1000):

@@ -34,13 +34,9 @@ from genprog import rand_program
 from interpreter import InterpreterController, interpreter_factory
 from network_controller import NetworkController
 from lumenloop import engine
-from lumenloop.controllers import (
-    DslController,
-    network_factory,
-    program_factory,
-    resolve_controller,
-)
+from lumenloop.controllers import resolve_controller
 from lumenloop.dsl.baselines import builtin_program
+from lumenloop.dsl.compiler import CompiledProgram, DslController
 from lumenloop.dsl.nodes import Assignment, BinOp, Number, Program, Ref
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import (
@@ -239,10 +235,10 @@ end
 def test_idle_ticks_equal_the_oracle(scenario, controller):
     if controller == "network":
         genes = random_genes(13, 1)[0]
-        factory = network_factory(genes, DEFAULT_NETWORK)
+        factory = Genome(genes, spec=DEFAULT_NETWORK)
         oracle_factory = lambda: NetworkController(genes)  # noqa: E731
     else:
-        factory = program_factory(COUNTS_TICKS_SINCE_MOTION)
+        factory = CompiledProgram(COUNTS_TICKS_SINCE_MOTION)
         oracle_factory = interpreter_factory(COUNTS_TICKS_SINCE_MOTION)
     # == on the traces compares every reading, command and person flag
     want = scalar_engine.run_simulation(scenario, oracle_factory, trace=True)
@@ -295,9 +291,9 @@ def test_the_loop_never_writes_into_what_it_hands_out(scenario, steps):
     if steps == "networks":
         step, lanes = network_batch_step(random_genes(5, 3)), 3
     elif steps == "rule-programs":
-        step, lanes = controller_step(scenario, [program_factory(p) for p in programs]), 3
+        step, lanes = controller_step(scenario, [CompiledProgram(p) for p in programs]), 3
     else:
-        step, lanes = program_factory(programs[0]).batch_step(), 1
+        step, lanes = CompiledProgram(programs[0]).batch_step(), 1
     keeper = Keeper()
 
     def on_tick(tick, sensors, commands, people):
@@ -319,12 +315,12 @@ def test_run_simulation_enters_the_loop_through_one_run_batch_call(monkeypatch, 
 
     monkeypatch.setattr(engine, "run_batch", counting)
     program = builtin_program("iteration3")
-    got = run(SCENARIO1, program_factory(program))
+    got = run(SCENARIO1, CompiledProgram(program))
     assert calls == [1]
     assert got == scalar_engine.run_simulation(SCENARIO1, interpreter_factory(program), trace=trace)
 
 
-GENOME_SPEC, GENOME = load_genome(Path(__file__).parent / "fixtures" / "genome.json")
+GENOME = load_genome(Path(__file__).parent / "fixtures" / "genome.json")
 
 
 @fixed(30)
@@ -336,9 +332,8 @@ def test_the_trace_writer_writes_the_scalar_loops_lines(scenario, seed):
     # by line, as pytest's diff of two whole traces takes minutes
     program = rand_program(random.Random(seed))
     runs = [
-        (program_factory(program), interpreter_factory(program)),
-        (network_factory(GENOME.genes, GENOME_SPEC),
-         lambda: NetworkController(GENOME.genes, GENOME_SPEC)),
+        (CompiledProgram(program), interpreter_factory(program)),
+        (GENOME, lambda: NetworkController(GENOME.genes, GENOME.spec)),
     ]
     for factory, oracle_factory in runs:
         fh = io.StringIO()
@@ -357,7 +352,7 @@ def test_the_trace_writer_writes_the_scalar_loops_lines(scenario, seed):
 def test_rule_programs_equal_the_scalar_engine(scenario, seed):
     rng = random.Random(seed)
     programs = [rand_program(rng) for _ in range(3)]
-    factories = [program_factory(p) for p in programs]
+    factories = [CompiledProgram(p) for p in programs]
     want = [scalar_engine.run_simulation(scenario, interpreter_factory(p), trace=True)
             for p in programs]
     assert [scalar_engine.traced_run(scenario, f) for f in factories] == want
@@ -392,7 +387,7 @@ def test_compiled_steps_equal_the_interpreter_on_unusual_readings(seed, ticks, t
     program = rand_program(random.Random(seed))
     readings, motions = ticks
     shape = motions.shape[1:]
-    step = program_factory(program).batch_step()
+    step = CompiledProgram(program).batch_step()
     controllers = np.array([[InterpreterController(program) for _ in range(shape[1])]
                             for _ in range(shape[0])], dtype=object)
     for n, ((ambient, signal, light, since, tick), motion) in enumerate(zip(readings, motions)):
@@ -468,7 +463,7 @@ end
 def test_edge_programs_equal_the_interpreter_sign_for_sign(program, scenario):
     # repr tells -0.0 from 0.0, which == does not
     want = scalar_engine.run_simulation(scenario, interpreter_factory(program), trace=True)
-    got = scalar_engine.traced_run(scenario, program_factory(program))
+    got = scalar_engine.traced_run(scenario, CompiledProgram(program))
     assert repr(got[0]) == repr(want[0])
     scalar_engine.assert_same_ticks(got[1], want[1])
 
@@ -487,16 +482,16 @@ def test_the_overflow_program_does_overflow():
 def test_a_mixed_compare_stack_equals_the_per_lane_oracle():
     scenario = SCENARIO2
     path = Path(__file__).parent / "fixtures" / "genome.json"
-    spec, genome = load_genome(path)
+    genome = load_genome(path)
     nested = parse_source(EDGE_PROGRAMS["nested-if-memory"])
     factories = [
         resolve_controller("iteration3").factory,
         resolve_controller(str(path)).factory,
-        program_factory(nested),
+        CompiledProgram(nested),
     ]
     oracles = [
         interpreter_factory(builtin_program("iteration3")),
-        lambda: NetworkController(genome.genes, spec),
+        lambda: NetworkController(genome.genes, genome.spec),
         interpreter_factory(nested),
     ]
     want = [scalar_engine.run_simulation(scenario, f) for f in oracles]
@@ -521,7 +516,7 @@ def test_dsl_controllers_through_act_equal_the_compiled_step():
     # a plain callable offers no batch step, so every pole runs
     # DslController.act through controller_step's per-pole adapter
     program = parse_source(EDGE_PROGRAMS["nested-if-memory"])
-    factory = program_factory(program)
+    factory = CompiledProgram(program)
     per_pole = scalar_engine.traced_run(SCENARIO2, lambda: factory())
     assert per_pole == scalar_engine.traced_run(SCENARIO2, factory)
     assert per_pole == scalar_engine.run_simulation(
@@ -545,7 +540,7 @@ def test_constant_subtrees_fold_without_warnings():
     # folded at compile time: an overflowing product and a division by zero
     huge = "9" * 300
     program = parse_source(f"mem.a = {huge} * {huge} light = mem.a + 1 / 0 + 0.5")
-    (metrics,) = run_batch(SCENARIO1, program_factory(program).batch_step(), 1)
+    (metrics,) = run_batch(SCENARIO1, CompiledProgram(program).batch_step(), 1)
     assert metrics.energy_pct == 50.0
 
 
@@ -760,7 +755,7 @@ def test_zero_lanes():
 def mixed_lanes(scenario, seed):
     """Three random rule programs, then three random networks."""
     rng = random.Random(seed)
-    factories = [program_factory(rand_program(rng)) for _ in range(3)]
+    factories = [CompiledProgram(rand_program(rng)) for _ in range(3)]
     programs = run_batch(scenario, controller_step(scenario, factories), len(factories))
     return programs + batched(scenario, random_genes(seed, 3))
 
@@ -1010,9 +1005,9 @@ def test_rule_program_steps_are_not_stateless():
     rng = random.Random(0)
     programs = [builtin_program("iteration3"), *(rand_program(rng) for _ in range(5))]
     for program in programs:
-        assert not getattr(program_factory(program).batch_step(), "stateless", False)
-    genome_factory = network_factory(FIXED_POINT, DEFAULT_NETWORK)
-    mixed = controller_step(SCENARIO1, [genome_factory, program_factory(programs[0])])
+        assert not getattr(CompiledProgram(program).batch_step(), "stateless", False)
+    genome_factory = Genome(FIXED_POINT, spec=DEFAULT_NETWORK)
+    mixed = controller_step(SCENARIO1, [genome_factory, CompiledProgram(programs[0])])
     assert mixed.stateless is False
     per_pole = controller_step(SCENARIO1, [genome_factory, lambda: ConstantLight(0.5)])
     assert per_pole.stateless is False
@@ -1022,7 +1017,7 @@ def test_a_compare_of_genomes_stops_early_and_equals_the_per_lane_oracle():
     genes = [FIXED_POINT, LISTEN_2_CYCLE, *np.random.default_rng(3).normal(
         0.0, 0.3, (3, DEFAULT_NETWORK.genome_length))]
     for scenario in (SCENARIO1, SCENARIO2):
-        step = controller_step(scenario, [network_factory(g, DEFAULT_NETWORK) for g in genes])
+        step = controller_step(scenario, [Genome(g, spec=DEFAULT_NETWORK) for g in genes])
         assert step.stateless is True
         counted, calls = counting(step, step.stateless)
         assert run_batch(scenario, counted, len(genes)) == oracle(scenario, genes)
@@ -1089,8 +1084,8 @@ def quiet_ticks(scenario, moved):
 
 @pytest.mark.parametrize("scenario", QUIET_SCENARIOS.values(), ids=QUIET_SCENARIOS)
 def test_quiet_ticks_equal_the_scalar_engine(scenario):
-    lanes = [(program_factory(p), interpreter_factory(p)) for p in QUIET_PROGRAMS] + [
-        (network_factory(g, DEFAULT_NETWORK), lambda g=g: NetworkController(g))
+    lanes = [(CompiledProgram(p), interpreter_factory(p)) for p in QUIET_PROGRAMS] + [
+        (Genome(g, spec=DEFAULT_NETWORK), lambda g=g: NetworkController(g))
         for g in QUIET_GENES]
     want = [scalar_engine.run_simulation(scenario, oracle_factory, trace=True)
             for _, oracle_factory in lanes]
@@ -1138,7 +1133,7 @@ def test_quiet_ticks_pass_the_same_motion_object_on(scenario, steps):
     if steps == "networks":
         step, lanes = network_batch_step(QUIET_GENES), len(QUIET_GENES)
     else:
-        step = controller_step(scenario, [program_factory(p) for p in QUIET_PROGRAMS])
+        step = controller_step(scenario, [CompiledProgram(p) for p in QUIET_PROGRAMS])
         lanes = len(QUIET_PROGRAMS)
     motions, moved = [], []
 
@@ -1213,11 +1208,11 @@ def test_read_only_arrays_change_no_run(scenario, steps):
         if steps == "networks":
             return network_batch_step(QUIET_GENES), len(QUIET_GENES)
         if steps == "one-rule-program":
-            return program_factory(QUIET_PROGRAMS[1]).batch_step(), 1
+            return CompiledProgram(QUIET_PROGRAMS[1]).batch_step(), 1
         if steps == "five-rule-programs":
             programs = [*QUIET_PROGRAMS, builtin_program("always_on"),
                         builtin_program("iteration1")]
-            return controller_step(scenario, [program_factory(p) for p in programs]), 5
+            return controller_step(scenario, [CompiledProgram(p) for p in programs]), 5
         return controller_step(scenario, [FollowsMotion] * 2), 2
 
     def run(wrap, traced):

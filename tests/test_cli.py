@@ -452,9 +452,14 @@ def test_gpt_loop_program_missing_from_the_stub(capsys, tmp_path, fixture_dir):
 
 def test_gpt_loop_without_provider(capsys):
     assert main(["gpt-loop"]) == EXIT_USAGE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "LUMENLOOP_API_KEY" in err
     assert "--replay" in err
+    # one usage error through main's handler, and nothing written
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: no provider: "), lines
+    assert out == ""
+    assert not Path("gpt-loop-manifest.json").exists()
 
 
 def test_gpt_loop_model_flag_reaches_the_manifest(capsys, fixture_dir):

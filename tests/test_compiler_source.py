@@ -30,7 +30,6 @@ from genprog import rand_program
 from interpreter import InterpreterController, interpreter_factory
 from lumenloop import controllers
 from lumenloop.cli import EXIT_USAGE, main
-from lumenloop.controllers import program_factory
 from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.nodes import SENSOR_NAMES
 from lumenloop.dsl.parser import MAX_NESTING, parse_source
@@ -138,7 +137,7 @@ def assert_steps_equal_the_interpreter(program, poles=6, ticks=5, seed=0):
     """One lane of ``poles`` poles, each on its own readings, ``repr``-equal
     to one interpreter per pole in every output and memory slot."""
     rng = np.random.default_rng(seed)
-    step = program_factory(program).batch_step()
+    step = CompiledProgram(program).batch_step()
     interpreters = [InterpreterController(program) for _ in range(poles)]
     for tick in range(ticks):
         ambient, signal, light = rng.choice([-0.0, 0.0, 0.1, 0.5, 0.9, 1.0, 3.0], (3, 1, poles))
@@ -162,12 +161,12 @@ def assert_steps_equal_the_interpreter(program, poles=6, ticks=5, seed=0):
 
 def test_adversarial_memory_names_are_slots_of_their_own():
     program = parse_source(ADVERSARIAL)
-    step = program_factory(program).batch_step()
+    step = CompiledProgram(program).batch_step()
     assert set(step.memory) == ADVERSARIAL_NAMES
     assert_steps_equal_the_interpreter(program)
     scenario = builtin_scenario("scenario1")
     want = scalar_engine.run_simulation(scenario, interpreter_factory(program), trace=True)
-    got = scalar_engine.traced_run(scenario, program_factory(program))
+    got = scalar_engine.traced_run(scenario, CompiledProgram(program))
     assert repr(got[0]) == repr(want[0])
     scalar_engine.assert_same_ticks(got[1], want[1])
 

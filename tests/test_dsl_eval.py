@@ -1,9 +1,10 @@
 """Rule-language semantics: totality, clamping, retention, memory.
 
 Every case runs through one helper, ``run``, which steps one pole of each
-implementation in ``IMPLEMENTATIONS`` (the package's ``DslController`` and
-the tests' interpreter) over the same readings, checks that the two give
-``repr``-equal commands, and returns them.
+implementation in ``IMPLEMENTATIONS`` (the package's ``CompiledProgram``,
+whose call gives a ``DslController``, and the tests' interpreter) over the
+same readings, checks that the two give ``repr``-equal commands, and
+returns them.
 """
 
 import math
@@ -12,14 +13,14 @@ from dataclasses import replace
 import pytest
 
 from interpreter import interpreter_factory
-from lumenloop.controllers import program_factory
+from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.nodes import Number
 from lumenloop.dsl.parser import parse_source
 from lumenloop.engine import ActuatorCommand, SensorReading
 
 # name -> program -> a factory of one pole's controllers
 IMPLEMENTATIONS = {
-    "controller": program_factory,
+    "controller": CompiledProgram,
     "interpreter": interpreter_factory,
 }
 

@@ -18,8 +18,8 @@ from dataclasses import fields, is_dataclass, replace
 from genprog import rand_program, rand_reading
 from interpreter import InterpreterController
 from oracles import ORACLES
-from lumenloop.controllers import program_factory
 from lumenloop.dsl.baselines import builtin_program
+from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.formatter import format_program
 from lumenloop.dsl.nodes import Assignment, MemRef, Ref
 from lumenloop.dsl.parser import parse_source
@@ -34,7 +34,7 @@ N_FUZZ_READINGS = 25  # 400 * 25 = 10_000 program/input pairs
 
 def test_controller_matches_oracles_exactly():
     for name, oracle_cls in ORACLES.items():
-        controller = program_factory(builtin_program(name))()
+        controller = CompiledProgram(builtin_program(name))()
         oracle = oracle_cls()
         rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
         for step in range(N_ORACLE_STEPS):
@@ -52,7 +52,7 @@ def test_totality_fuzz():
     rng = random.Random(20240815)
     for i in range(N_FUZZ_PROGRAMS):
         program = rand_program(rng)
-        controller = program_factory(program)()
+        controller = CompiledProgram(program)()
         interpreter = InterpreterController(program)
         for step in range(N_FUZZ_READINGS):
             rd = rand_reading(rng, tick=step)
@@ -61,7 +61,7 @@ def test_totality_fuzz():
             assert 0.0 <= cmd.light <= 1.0, (i, step)
             assert 0.0 <= cmd.broadcast <= 1.0, (i, step)
             assert isinstance(cmd.listen, bool), (i, step)
-            memory = controller.step.memory.values()
+            memory = controller.memory.values()
             assert all(math.isfinite(v) for v in memory), (i, step)
 
 

@@ -148,9 +148,9 @@ def test_zero_genome_controller():
 def test_genome_file_roundtrip(tmp_path):
     path = tmp_path / "g.json"
     genes = np.linspace(-1, 1, 51)
-    save_genome(path, Genome(genes=genes, fitness=33.25), DEFAULT_NETWORK)
-    spec, genome = load_genome(path)
-    assert spec == DEFAULT_NETWORK
+    save_genome(path, Genome(genes=genes, fitness=33.25))
+    genome = load_genome(path)
+    assert genome.spec == DEFAULT_NETWORK
     assert genome.fitness == 33.25
     assert np.array_equal(genome.genes, genes)
 
@@ -433,7 +433,7 @@ def test_a_mutation_past_the_float_range_leaves_every_gene_finite(tmp_path):
     assert np.isfinite([(s.best_fitness, s.mean_fitness) for s in result.history]).all()
     path = tmp_path / "wide.json"
     save_genome(path, result.best)
-    _, genome = load_genome(path)
+    genome = load_genome(path)
     assert np.array_equal(genome.genes, result.best.genes)
     assert genome.fitness == result.best.fitness
 
