@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -421,9 +423,14 @@ def cmd_fitness_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse's default formatter probes the terminal each time it is made,
+    # once per add_argument: this one reads the width argparse would, once
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="lumenloop",
         description="Streetlight controller simulation and synthesis harness.",
+        formatter_class=formatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -441,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"run manifest path (default {default_manifest})",
         )
 
-    p = sub.add_parser("simulate", help="run one controller on one scenario")
+    p = sub.add_parser("simulate", help="run one controller on one scenario",
+                       formatter_class=formatter)
     p.add_argument("--scenario", default="scenario1",
                    help="builtin name or scenario JSON path")
     p.add_argument("--controller", default="always_on",
@@ -450,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "simulate-manifest.json")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("evolve", help="evolve a network controller")
+    p = sub.add_parser("evolve", help="evolve a network controller", formatter_class=formatter)
     p.add_argument("--scenario", default="scenario1")
     p.add_argument("--generations", type=int, default=200)
     p.add_argument("--population", type=int, default=50)
@@ -466,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "evolve-manifest.json")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("gpt-loop", help="run the model-refinement loop")
+    p = sub.add_parser("gpt-loop", help="run the model-refinement loop",
+                       formatter_class=formatter)
     p.add_argument("--scenario", default="scenario1")
     p.add_argument("--replay", default=None,
                    help="JSONL of scripted responses instead of live HTTP")
@@ -486,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, "gpt-loop-manifest.json")
     p.set_defaults(func=cmd_gpt_loop)
 
-    p = sub.add_parser("compare", help="score controllers across scenarios")
+    p = sub.add_parser("compare", help="score controllers across scenarios",
+                       formatter_class=formatter)
     p.add_argument("--scenario", action="append", default=None,
                    help="repeatable; default: both builtins")
     p.add_argument("--controller", action="append", default=None,
@@ -497,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fitness-check",
         help="recompute the reference fitness rows under default weights",
+        formatter_class=formatter,
     )
     p.add_argument("--table", default=None,
                    help="CSV: label,energy,people,trip,expected_fitness "

@@ -44,6 +44,19 @@ Python's floats do. A subtree whose leaves are all known at compile time
 (numbers, and memory slots the program has set to a constant) is folded
 to its value there, by the same operations.
 
+A program with no ``mem.*`` slot that reads neither ``tick`` nor
+``ticks_since_motion``, or reads ``ticks_since_motion`` only as a bare
+operand compared with a constant (folded, if it is an expression), has a
+``stateless`` step (``engine.BatchStep``): its outputs depend only on the
+tick's sensors and its last outputs, as an actuator a tick leaves
+unassigned keeps its last value. Such a program counts ticks since motion
+only up to one past the largest of those constants, floored, from 0 to
+255, which changes no comparison, and its step confirms through
+``repeats`` that the counters repeat before ``run_batch`` settles its
+lane. A settled lane's kept outputs may be ``==`` but not bit-equal to
+those the program would give, as the clamp keeps -0.0; no metric sees
+the sign of a zero.
+
 Programs may come from a model, so no text of theirs reaches the source.
 It holds only names the generator makes (``s_<sensor>`` for the sensors
 of ``SENSOR_NAMES``, ``v<i>`` for the state passed in, ``k<i>`` for
@@ -57,6 +70,7 @@ by NFKC normalisation).
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -105,6 +119,7 @@ _COMPARE = {
     "!=": "not_equal",
 }
 _LOGIC = {"and": "logical_and", "or": "logical_or"}
+_COUNTER = Ref("ticks_since_motion")
 
 
 def _walk(nodes):
@@ -142,6 +157,10 @@ class _Generator:
         self.lines: list[str] = []
         self.constants: dict[str, object] = {}
         self.temporaries = 0
+        # the sensors the generated code reads, once per read, and each
+        # constant a bare ticks_since_motion is compared with
+        self.reads: list[str] = []
+        self.counter_bounds: list = []
         # computed once per call, as numpy bools even on one pole
         self.moving = self.call("equal", "s_motion", 1.0) if reads_motion else None
 
@@ -176,8 +195,10 @@ class _Generator:
         if isinstance(node, Number):
             return node.value
         if isinstance(node, Ref):
-            # unknown identifiers read as 0
-            return f"s_{node.name}" if node.name in SENSOR_NAMES else 0.0
+            if node.name not in SENSOR_NAMES:
+                return 0.0  # unknown identifiers read as 0
+            self.reads.append(node.name)
+            return f"s_{node.name}"
         if isinstance(node, MemRef):
             return self.slot["mem." + node.name]
         if isinstance(node, Neg):
@@ -192,6 +213,9 @@ class _Generator:
             return self.moving
         if isinstance(node, Comparison):
             left, right = self.expr(node.left), self.expr(node.right)
+            for operand, other in ((node.left, right), (node.right, left)):
+                if operand == _COUNTER and not isinstance(other, str):
+                    self.counter_bounds.append(other)
             return self.call(_COMPARE[node.op], left, right)
         if isinstance(node, BoolOp):
             left, right = self.cond(node.left), self.cond(node.right)
@@ -253,8 +277,6 @@ class CompiledProgram:
         memory.update(n.target for n in nodes
                       if isinstance(n, Assignment) and n.target.startswith("mem."))
         self._state = [*sorted(memory), *ACTUATOR_NAMES]
-        self._counts_motion = any(isinstance(n, Ref) and n.name == "ticks_since_motion"
-                                  for n in nodes)
 
         generator = _Generator(self._state, any(isinstance(n, MotionCond) for n in nodes))
         state = "".join(f"{local}, " for local in generator.slot.values())  # as passed in
@@ -277,12 +299,30 @@ class CompiledProgram:
         exec(compile(self.source, "<rule program>", "exec"), namespace)
         self._run = namespace["run"]
 
+        reads = generator.reads
+        bounded = reads.count("ticks_since_motion") == len(generator.counter_bounds)
+        self._cap = (None if "ticks_since_motion" not in reads
+                     else _counter_cap(generator.counter_bounds) if bounded
+                     else TICKS_SINCE_MOTION_CAP)
+        self.stateless = not memory and "tick" not in reads and bounded
+
     def batch_step(self) -> DslController:
         """A fresh step: every pole starts with no memory, lamp off,
         listening and silent."""
-        return DslController(self._run, self._state, self._counts_motion)
+        return DslController(self._run, self._state, self._cap, self.stateless)
 
     __call__ = batch_step
+
+
+def _counter_cap(bounds: list) -> int:
+    """Where ticks_since_motion may saturate in a program that only
+    compares it with the constants ``bounds``: one past the largest finite
+    one, floored, from 0 up to TICKS_SINCE_MOTION_CAP. A count at the cap
+    is greater than every bound, as is each count it stands for, so every
+    comparison answers as it would uncapped; an infinite or NaN constant
+    (only a hand-built AST holds one) answers alike for every count."""
+    finite = [float(bound) for bound in bounds if math.isfinite(bound)]
+    return min(TICKS_SINCE_MOTION_CAP, max(0, math.floor(max(finite, default=-1.0)) + 1))
 
 
 class DslController:
@@ -290,18 +330,22 @@ class DslController:
     light, listen and broadcast), the ticks-since-motion counters and the
     tick. Each value starts as a scalar and becomes an array once a tick
     writes it per pole. Called with a lane's arrays it is a ``run_batch``
-    step; ``run`` alone is one tick on given sensors, and ``act`` is that
-    tick on one pole's reading, as an ``engine.Controller``."""
+    step, ``stateless`` when its program is (module docstring); ``run``
+    alone is one tick on given sensors, and ``act`` is that tick on one
+    pole's reading, as an ``engine.Controller``."""
 
-    __slots__ = ("_run", "_names", "_counts_motion", "_since", "_tick", "_values")
+    __slots__ = ("_run", "_names", "_cap", "_since", "_tick", "_values", "stateless")
 
-    def __init__(self, run: Callable, names: list[str], counts_motion: bool):
+    def __init__(self, run: Callable, names: list[str], cap: int | None, stateless: bool):
         self._run = run
         self._names = names  # of the values: memory slots, then the actuators
-        self._counts_motion = counts_motion  # only a program that reads them
-        self._since = TICKS_SINCE_MOTION_CAP  # no motion observed yet
+        self._cap = cap  # where the counters saturate; None: the program reads none
+        # the counters two ticks back, one tick back and now, as floats,
+        # which the program reads: no motion observed yet
+        self._since = (float(cap),) * 3 if cap is not None else None
         self._tick = 0
         self._values = (0.0,) * (len(names) - 3) + (0.0, True, 0.0)
+        self.stateless = stateless
 
     @property
     def memory(self) -> dict:
@@ -311,9 +355,10 @@ class DslController:
 
     def __call__(self, ambient, motion, signal, light):
         since = None  # read only by a program that counts it
-        if self._counts_motion:
-            self._since = count_since_motion(self._since, motion)
-            since = self._since.astype(float)
+        if self._cap is not None:
+            _, one_back, now = self._since
+            since = count_since_motion(now, motion, self._cap)
+            self._since = (one_back, now, since)
         tick = float(self._tick)
         self._tick += 1
         # run_batch has numpy's warnings off for the whole run
@@ -321,6 +366,13 @@ class DslController:
             ambient, motion, signal, light, since, tick, self._values
         )
         return values[-3:]
+
+    def repeats(self) -> bool:
+        """Whether the ticks-since-motion counters, the one state a
+        stateless program keeps beside its outputs, are == to those two
+        ticks before (``engine.BatchStep``); always, for a program that
+        reads none."""
+        return self._cap is None or bool(np.all(self._since[2] == self._since[0]))
 
     def run(self, ambient, motion, signal, light, ticks_since_motion, tick):
         """Run the program once on these sensors (floats, or float arrays

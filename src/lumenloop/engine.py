@@ -52,16 +52,18 @@ While the last rebuild of who walks found no one (before the first start,
 between one group's arrival and the next start, and once everyone is
 home), the loop skips movement and trip time: no one moves.
 Under a step that declares itself ``stateless`` (see
-BatchStep), and with no ``on_tick``, it stops stepping too: once the
-ambient level and the people who have started stop changing, a tick's
-state (every lane's light, listen and broadcast outputs and every
-person's place on their route) follows from the one before by one
-function, so a state ``==`` to the one two ticks before repeats every
-two ticks to the end. At such a tick the loop adds the last two ticks'
-light sums in turn for the ticks left, and a trip tick for each of them
-to whoever is still walking, and scores the lanes as if it had stepped
-them. A lane holding NaN never compares equal, so it runs to the end, as
-does every lane beside it. The loop never writes into an array once it has
+BatchStep), and with no ``on_tick``, lanes settle: once the ambient level
+and the people who have started stop changing, a lane's state (its
+light, listen and broadcast outputs and every person's place on their
+route) follows from the one before by one function, so a state ``==`` to
+the one two ticks before repeats every two ticks to the end. A stack of
+steps, ``controller_step``'s, then calls a settled lane no more, and once
+every lane has settled the loop stops stepping: it adds the last two
+ticks' light sums in turn for the ticks left, and a trip tick for each of
+them to whoever is still walking, and scores the lanes as if it had
+stepped them. A lane holding NaN never compares equal, so it never
+settles, and a block of lanes that holds it runs to the end. The loop
+never writes into an array once it has
 passed it to the step or to ``on_tick``: a step may keep references to
 its sensors and outputs. The whole run is one ``np.errstate(all="ignore")``
 block, so every step runs with numpy's floating-point warnings off (a rule
@@ -239,21 +241,36 @@ in tick order, though a stateless step (below) may miss the last ticks.
 Neither side writes into an array once it has handed it over: the loop
 passes the step's light back to it as the next tick's sensor.
 
-A step may declare ``stateless = True``, as ``network_batch_step`` does:
-then a tick's outputs depend only on that tick's sensors, and sensors
-that are ``==`` give outputs that are ``==``. ``run_batch`` may then stop
-calling it once every lane repeats the tick two before it, and finish the
-run from the last two ticks; the metrics are the same either way. A step
-that keeps memory or counts ticks, as a rule program does, must not
-declare it.
+A step may declare ``stateless = True``: then a tick's outputs depend
+only on that tick's sensors and on the step's own last outputs, and
+inputs that are ``==`` give outputs that are ``==``. ``network_batch_step``
+does, and so does a rule program's ``DslController`` when its program
+keeps no memory and reads no tick (``dsl.compiler``). A stateless step
+that keeps other state the loop cannot see, as such a program's
+ticks_since_motion counters, offers ``repeats()``: whether that state is
+``==`` to the one two ticks before. ``run_batch`` settles a lane on the
+first tick from ``check_from`` on whose light, listen and broadcast rows
+and people's places are ``==`` to those two ticks before, and whose step
+confirms it through ``repeats``; every later tick of the lane repeats the
+one two before it. A step with ``settle`` (``controller_step``'s stack)
+is told which lanes have settled and gives their last two outputs in
+turn without calling them; any other step settles every lane on one tick
+or none. Once every lane has settled, the loop stops and finishes the
+run from the last two ticks. The metrics are the same either way, though
+a kept output may be ``==`` but not bit-equal to the one it stands for: a
+rule program's clamp keeps -0.0, and no metric sees the sign of a zero
+(``light_sum`` starts at +0.0, a move compares ambient + light, and the
+language turns a division by zero into 0). A step that keeps memory or
+counts ticks, as ``iteration3`` does, must not declare it.
 """
 
 
-def count_since_motion(since, motion: np.ndarray) -> np.ndarray:
+def count_since_motion(since, motion: np.ndarray, cap: int = TICKS_SINCE_MOTION_CAP) -> np.ndarray:
     """Each pole's ticks_since_motion after a tick with ``motion`` (0.0/1.0):
     0 where motion is seen, else one more than ``since``, saturating at
-    TICKS_SINCE_MOTION_CAP. A run starts from the cap (no motion seen yet)."""
-    return np.where(motion == 1.0, 0, np.minimum(since + 1, TICKS_SINCE_MOTION_CAP))
+    ``cap``, in ``since``'s type. A run starts from the cap (no motion seen
+    yet)."""
+    return np.where(motion == 1.0, 0, np.minimum(since + 1, cap))
 
 
 def _lane_readings(tick: int, sensors: tuple, since: np.ndarray) -> list[SensorReading]:
@@ -296,6 +313,45 @@ class _PerPoleStep:
         )
 
 
+class _Stack:
+    """``controller_step``'s step for several lanes: each lane's own step,
+    called on its rows, with its outputs written into its row of fresh
+    arrays. A lane that ``run_batch`` has settled is not called again: its
+    row is a copy of its outputs two ticks before, so it gives its last two
+    outputs in turn."""
+
+    def __init__(self, lanes: list):
+        self.lanes = lanes
+        self.stateless = all(getattr(lane, "stateless", False) for lane in lanes)
+        self.called = list(range(len(lanes)))  # the lanes not settled
+        # the lanes that may still settle: those whose step is stateless
+        self.settling = [i for i in self.called if getattr(lanes[i], "stateless", False)]
+        self.outputs = (None, None)  # its outputs two ticks back and one tick back
+
+    def __call__(self, ambient, motion, signal, light):
+        if len(self.called) < len(self.lanes):
+            # a settled lane's row: its outputs two ticks back
+            outputs = tuple(array.copy() for array in self.outputs[0])
+        else:
+            outputs = (np.empty(light.shape), np.empty(light.shape, dtype=bool),
+                       np.empty(light.shape))
+        lit, listening, sent = outputs
+        for i in self.called:
+            lit[i], listening[i], sent[i] = self.lanes[i](
+                ambient, motion[i, None], signal[i, None], light[i, None])
+        self.outputs = (self.outputs[1], outputs)
+        return outputs
+
+    def settle(self, repeating: np.ndarray) -> bool:
+        """Settle each lane that may settle, whose rows repeat the tick two
+        before (``repeating[i]``, from ``run_batch``) and whose step
+        confirms it (BatchStep); return whether every lane has settled."""
+        for i in [i for i in self.settling if repeating[i] and _confirms(self.lanes[i])]:
+            self.settling.remove(i)
+            self.called.remove(i)
+        return not self.called
+
+
 def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) -> BatchStep:
     """``run_batch`` step in which every pole of lane i runs ``factories[i]``.
 
@@ -303,28 +359,19 @@ def controller_step(scenario: ScenarioSpec, factories: list[ControllerFactory]) 
     runs its lane through that step; any other gets one ``factories[i]()``
     per pole, called through ``act``, and an exception from ``act`` becomes
     a ControllerError naming the tick and the pole. The step keeps
-    per-pole state, so it serves one ``run_batch``. It is ``stateless``
-    (see BatchStep) when every lane's step is.
+    per-pole state, so it serves one ``run_batch``. One lane is its own
+    step; several are stacked, and their stack lets ``run_batch`` settle
+    them one by one (BatchStep): a settled lane is not called, and its
+    outputs, kept from the two ticks before, may be ``==`` but not
+    bit-equal to those it would give. It is ``stateless`` when every
+    lane's step is.
     """
     lanes = [
         factory.batch_step() if hasattr(factory, "batch_step")
         else _PerPoleStep(scenario, factory)
         for factory in factories
     ]
-    if len(lanes) == 1:
-        return lanes[0]
-
-    def step(ambient, motion, signal, light):
-        outputs = (np.empty(light.shape), np.empty(light.shape, dtype=bool),
-                   np.empty(light.shape))
-        # (1, poles) views of each lane's row, in and out
-        rows = (array[:, None] for array in (motion, signal, light, *outputs))
-        for lane, *sensors, lit, listening, sent in zip(lanes, *rows):
-            lit[...], listening[...], sent[...] = lane(ambient, *sensors)
-        return outputs
-
-    step.stateless = all(getattr(lane, "stateless", False) for lane in lanes)
-    return step
+    return lanes[0] if len(lanes) == 1 else _Stack(lanes)
 
 
 def _lane_array(out, shape: tuple[int, int]) -> np.ndarray:
@@ -340,6 +387,23 @@ def _repeats(state: tuple, before: tuple) -> bool:
     return all(now is then or (now == then).all() for now, then in zip(state, before))
 
 
+def _lanes_repeat(state: tuple, before: tuple) -> np.ndarray:
+    """Per lane, whether its row of every array of ``state`` is == to its
+    row in ``before``: a (lanes,) bool array."""
+    same = (state[0] == before[0]).all(axis=1)
+    for now, then in zip(state[1:], before[1:]):
+        if now is not then:
+            same &= (now == then).all(axis=1)
+    return same
+
+
+def _confirms(step) -> bool:
+    """Whether a stateless step's own state that the loop cannot see, if it
+    keeps any, is == to the one two ticks before (BatchStep)."""
+    repeats = getattr(step, "repeats", None)
+    return repeats is None or repeats()
+
+
 def run_batch(
     scenario: ScenarioSpec,
     step: BatchStep,
@@ -351,8 +415,9 @@ def run_batch(
     score each.
 
     Every pole of every lane is stepped by one call of ``step`` per tick,
-    up to the tick from which a stateless step's lanes all repeat
-    themselves (module docstring); see there too for the parity contract.
+    up to the tick from which a stateless step's lanes have all settled
+    (module docstring and BatchStep, where a kept output may be ``==`` but
+    not bit-equal); see there too for the parity contract.
     After each tick it calls ``on_tick(tick, sensors, commands, people)``,
     if given, and then steps every tick:
     ``sensors`` is (ambient, motion, signal, light) as passed to the step,
@@ -399,14 +464,18 @@ def run_batch(
     move_at = -np.inf if threshold <= 0 else threshold if threshold <= 1 else np.nan
 
     # Under a stateless step, from the last ambient change and the tick
-    # after the last start tick on, every tick maps the state (each lane's
-    # outputs and places on the routes) by one function of the state
+    # after the last start tick on, every tick maps a lane's state (its
+    # outputs and places on the routes) by one function of its state
     # before. A tick past that whose state is == to the one two ticks
-    # before it, in every lane, starts a cycle of at most two ticks that
-    # lasts to the end: the loop stops there and adds up the ticks it
-    # skips (see BatchStep).
+    # before it starts a cycle of at most two ticks that lasts to the end:
+    # the lane settles there, and once every lane has, the loop stops and
+    # adds up the ticks it skips (see BatchStep). A stack's lanes are
+    # checked one by one while some lane may still settle.
+    settle = getattr(step, "settle", None)
+    checking = on_tick is None and (
+        bool(step.settling) if settle else getattr(step, "stateless", False))
     keep_from = check_from = len(plan.ambient)  # never: check nothing, keep nothing
-    if on_tick is None and getattr(step, "stateless", False):
+    if checking:
         levels = plan.ambient
         last_change = max((t for t in range(1, len(levels)) if levels[t] != levels[t - 1]),
                           default=0)
@@ -469,16 +538,22 @@ def run_batch(
                 people = (here - lane_base, moves, started & ~away)
                 on_tick(tick, sensors, (light, listen, broadcast), people)
 
-            if tick >= keep_from:
+            if checking and tick >= keep_from:
                 state = (light, listen, broadcast, on_path)
-                if tick >= check_from and _repeats(state, two_back):
-                    # every later tick repeats the tick two before it: the
-                    # next adds the light of the tick before this one
-                    remaining = len(plan.ambient) - 1 - tick
-                    for later in range(remaining):
-                        light_sum += last_sum if later % 2 == 0 else tick_sum
-                    trip_ticks += remaining * (started & away)  # no one moves any more
-                    break
+                if tick >= check_from:
+                    if settle is None:  # every lane at once, or none
+                        done = _repeats(state, two_back) and _confirms(step)
+                    else:
+                        done = settle(_lanes_repeat(state, two_back))
+                        checking = bool(step.settling)
+                    if done:
+                        # every later tick repeats the tick two before it:
+                        # the next adds the light of the tick before this one
+                        remaining = len(plan.ambient) - 1 - tick
+                        for later in range(remaining):
+                            light_sum += last_sum if later % 2 == 0 else tick_sum
+                        trip_ticks += remaining * (started & away)  # no one moves any more
+                        break
                 two_back, one_back, last_sum = one_back, state, tick_sum
 
     finished = started & ~away

@@ -6,6 +6,7 @@ branches represented as None to match what the parser produces.
 """
 
 import random
+from dataclasses import replace
 
 from lumenloop.dsl.nodes import (
     Assignment,
@@ -80,6 +81,39 @@ def rand_statement(rng: random.Random, depth: int):
 
 def rand_program(rng: random.Random) -> Program:
     return Program(tuple(rand_statement(rng, 3) for _ in range(rng.randrange(1, 5))))
+
+
+def rand_stateless_program(rng: random.Random) -> Program:
+    """A random program whose step is stateless (``engine.BatchStep``): one
+    of ``rand_program``'s with every memory slot and ``tick`` read as
+    another sensor, every memory write made to ``broadcast``, and
+    ``ticks_since_motion`` kept only where it is compared with a number."""
+    return Program(tuple(_stateless(node) for node in rand_program(rng).statements))
+
+
+def _stateless(node):
+    if isinstance(node, Assignment):
+        target = "broadcast" if node.target.startswith("mem.") else node.target
+        return Assignment(target, _stateless(node.value))
+    if isinstance(node, If):
+        return If(_stateless(node.condition), tuple(map(_stateless, node.then_body)),
+                  node.else_body and tuple(map(_stateless, node.else_body)))
+    if isinstance(node, Comparison):
+        counter = Ref("ticks_since_motion")
+        if node.left == counter and isinstance(node.right, Number):
+            return node
+        if node.right == counter and isinstance(node.left, Number):
+            return node
+        return replace(node, left=_stateless(node.left), right=_stateless(node.right))
+    if isinstance(node, (BinOp, BoolOp)):
+        return replace(node, left=_stateless(node.left), right=_stateless(node.right))
+    if isinstance(node, (Neg, Not)):
+        return replace(node, operand=_stateless(node.operand))
+    if isinstance(node, MemRef):
+        return Ref("signal")
+    if isinstance(node, Ref) and node.name in ("tick", "ticks_since_motion"):
+        return Ref("ambient" if node.name == "tick" else "light")
+    return node
 
 
 def rand_reading(rng: random.Random, tick: int = 0) -> SensorReading:

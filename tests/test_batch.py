@@ -30,12 +30,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import scalar_engine
-from genprog import rand_program
+from genprog import rand_program, rand_stateless_program
 from interpreter import InterpreterController, interpreter_factory
 from network_controller import NetworkController
 from lumenloop import engine
 from lumenloop.controllers import resolve_controller
-from lumenloop.dsl.baselines import builtin_program
+from lumenloop.dsl.baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
 from lumenloop.dsl.compiler import CompiledProgram, DslController
 from lumenloop.dsl.nodes import Assignment, BinOp, Number, Program, Ref
 from lumenloop.dsl.parser import parse_source
@@ -999,18 +999,48 @@ def test_a_run_with_on_tick_steps_every_tick():
     assert ticks == list(range(SCENARIO1.max_ticks))
 
 
-def test_rule_program_steps_are_not_stateless():
-    # a rule program keeps memory and reads the tick: its outputs depend on
-    # more than one tick's sensors, so it must step every tick
+# programs whose outputs follow from one tick's sensors and their last
+# outputs: no memory slot, no tick, and ticks_since_motion only as a bare
+# operand compared with a constant, which may be folded
+STATELESS_SOURCES = {
+    **{name: BUILTIN_PROGRAM_SOURCES[name]
+       for name in ("always_on", "always_off", "iteration1", "iteration2")},
+    "counter-compared-with-folded-constants": (
+        "if ticks_since_motion > 2 * 4 or 0.5 == ticks_since_motion then light = 1 end"
+    ),
+    "tick-read-only-in-a-dead-branch": "if 1 > 2 then light = tick end",
+}
+# programs whose outputs settle as always_off's do, in a step that is not
+# stateless: each keeps state the loop cannot see
+NOT_STATELESS_SOURCES = {
+    "memory-slot": "mem.a = 1 light = 0.5",
+    "reads-tick": "if tick < 0 then light = 1 else light = 0.5 end",
+    "counter-in-arithmetic": "light = ticks_since_motion * 0",
+    "counter-compared-with-a-sensor": "if ticks_since_motion > signal then light = 1 end",
+    "negated-counter": "if -ticks_since_motion < -8 then light = 1 end",
+    "counter-compared-with-itself": (
+        "light = 0.5 if ticks_since_motion < ticks_since_motion then light = 1 end"
+    ),
+}
+
+
+def test_which_rule_program_steps_are_stateless():
+    for name, source in STATELESS_SOURCES.items():
+        assert CompiledProgram(parse_source(source)).batch_step().stateless is True, name
+    # memory, the tick, or the counter other than against a constant: the
+    # outputs depend on more than one tick's sensors and the last outputs
     rng = random.Random(0)
-    programs = [builtin_program("iteration3"), *(rand_program(rng) for _ in range(5))]
+    programs = [builtin_program("iteration3"), *(rand_program(rng) for _ in range(5)),
+                *map(parse_source, NOT_STATELESS_SOURCES.values())]
     for program in programs:
-        assert not getattr(CompiledProgram(program).batch_step(), "stateless", False)
+        assert CompiledProgram(program).batch_step().stateless is False
     genome_factory = Genome(FIXED_POINT, spec=DEFAULT_NETWORK)
     mixed = controller_step(SCENARIO1, [genome_factory, CompiledProgram(programs[0])])
     assert mixed.stateless is False
     per_pole = controller_step(SCENARIO1, [genome_factory, lambda: ConstantLight(0.5)])
     assert per_pole.stateless is False
+    iteration2 = CompiledProgram(builtin_program("iteration2"))
+    assert controller_step(SCENARIO1, [genome_factory, iteration2]).stateless is True
 
 
 def test_a_compare_of_genomes_stops_early_and_equals_the_per_lane_oracle():
@@ -1044,6 +1074,158 @@ def test_a_state_repeats_only_when_its_listen_flags_do():
     declared, calls = counting(light_4_cycle, stateless=True)
     assert run_batch(SCENARIO1, declared, 2) == run_batch(SCENARIO1, full, 2)
     assert len(calls) == SCENARIO1.max_ticks
+
+
+# -- settling the lanes of a stack one by one -----------------------------------
+
+
+class Recording:
+    """A factory of one step, ``factory``'s, that declares what it declares
+    and records each call's tick as ``clock`` reads it: the calls so far of
+    a step the stack calls before this one (None without a clock)."""
+
+    def __init__(self, factory, clock=None):
+        self.step, self.clock, self.ticks = factory.batch_step(), clock, []
+        self.stateless = getattr(self.step, "stateless", False)
+
+    def batch_step(self):
+        return self
+
+    def repeats(self):
+        return getattr(self.step, "repeats", lambda: True)()
+
+    def __call__(self, *sensors):
+        self.ticks.append(None if self.clock is None else len(self.clock.ticks) - 1)
+        return self.step(*sensors)
+
+
+class Undeclared:
+    """A factory whose steps are ``factory``'s but declare nothing, so
+    ``run_batch`` calls them on every tick."""
+
+    def __init__(self, factory):
+        self.factory = factory
+
+    def batch_step(self):
+        step = self.factory.batch_step()
+        return lambda *sensors: step(*sensors)
+
+
+def undeclared_run(scenario, factories):
+    """The metrics of ``factories`` stacked on ``scenario``, every lane
+    called on every tick."""
+    step = controller_step(scenario, [Undeclared(f) for f in factories])
+    return run_batch(scenario, step, len(factories))
+
+
+FIXED_PROGRAMS = {
+    # flips the sign of a zero light and a zero signal on every tick: it
+    # outputs -0.0, which a kept output may stand for by an == +0.0
+    "negative-zeros": parse_source(
+        "light = -light broadcast = -signal if motion then light = 1 end"),
+    # a pole with neighbours hears them every other tick, and its light
+    # goes 0.25, 0.75 in turn: a 2-cycle, not a fixed point
+    "listens-every-other-tick": parse_source(
+        "broadcast = 1 if signal > 0.5 then listen = 0 light = 0.25 "
+        "else listen = 1 light = 0.75 end"),
+}
+LANE_KINDS = ("builtin", "stateless", "random", "genome", *FIXED_PROGRAMS)
+
+
+def lane_factory(kind, seed):
+    rng = random.Random(seed)
+    if kind == "builtin":
+        return CompiledProgram(builtin_program(sorted(BUILTIN_PROGRAM_SOURCES)[seed % 5]))
+    if kind == "stateless":
+        return CompiledProgram(rand_stateless_program(rng))
+    if kind == "random":
+        return CompiledProgram(rand_program(rng))
+    if kind == "genome":  # sigma 0.3, where network lanes settle
+        genes = np.random.default_rng(seed).normal(0.0, 0.3, DEFAULT_NETWORK.genome_length)
+        return Genome(genes, spec=DEFAULT_NETWORK)
+    return CompiledProgram(FIXED_PROGRAMS[kind])
+
+
+# the share of generated stacks in which some lane must settle, so that the
+# test below cannot pass by never settling (48 of its 83 cases settle one)
+SETTLES_AT_LEAST = 0.4
+
+
+def test_settling_lanes_keeps_every_metric():
+    settled = []
+
+    @fixed(80)
+    @given(scenario=st.one_of(small_scenarios(), st.sampled_from([SCENARIO1, SCENARIO2])),
+           lanes=st.lists(st.tuples(st.sampled_from(LANE_KINDS), st.integers(0, 2**32 - 1)),
+                          min_size=1, max_size=5))
+    @example(scenario=SCENARIO2, lanes=[("negative-zeros", 0), ("genome", 1), ("builtin", 2),
+                                        ("builtin", 3), ("builtin", 4)])
+    @example(scenario=SCENARIO1, lanes=[("builtin", 2)])  # iteration1 alone
+    # iteration3 keeps the run going while the 2-cycle lane is kept
+    @example(scenario=SCENARIO1, lanes=[("listens-every-other-tick", 0), ("builtin", 4)])
+    def case(scenario, lanes):
+        factories = [lane_factory(*lane) for lane in lanes]
+        recorded = [Recording(factory) for factory in factories]
+        got = run_batch(scenario, controller_step(scenario, factories), len(lanes))
+        counted = run_batch(scenario, controller_step(scenario, recorded), len(lanes))
+        # repr, as it tells -0.0 from 0.0 and a NaN metric is not == to itself
+        assert repr(got) == repr(counted) == repr(undeclared_run(scenario, factories))
+        settled.append(any(len(r.ticks) < scenario.max_ticks for r in recorded))
+
+    case()
+    assert sum(settled) >= SETTLES_AT_LEAST * len(settled), (sum(settled), len(settled))
+
+
+# each lane's calls in a default compare: a lane settles on the tick after
+# its last call, the first tick whose state is == to the one two ticks
+# before (always_off, always_on and iteration2 from ticks 12, 15 and 17 on
+# scenario1, 27, 30 and 32 on scenario2); iteration1 waits until its
+# counters, capped at 9, repeat too, and iteration3's light keeps halving
+DEFAULT_COMPARE_CALLS = {
+    "scenario1": [13, 16, 25, 18, 60],
+    "scenario2": [28, 31, 40, 33, 100],
+}
+
+
+@pytest.mark.parametrize("scenario", [SCENARIO1, SCENARIO2], ids=["scenario1", "scenario2"])
+def test_a_settled_lane_is_never_called_again(scenario):
+    # the clock, a step that is not stateless, is called first on every tick
+    clock = Recording(CompiledProgram(parse_source("mem.t = 0")))
+    names = ["always_off", "always_on", "iteration1", "iteration2", "iteration3"]
+    factories = [resolve_controller(name).factory for name in names]
+    lanes = [Recording(factory, clock) for factory in factories]
+    got = run_batch(scenario, controller_step(scenario, [clock, *lanes]), 1 + len(lanes))
+    assert got[1:] == run_batch(scenario, controller_step(scenario, factories), len(lanes))
+    assert repr(got[1:]) == repr(undeclared_run(scenario, factories))
+    calls = DEFAULT_COMPARE_CALLS[scenario.name]
+    assert [lane.ticks for lane in lanes] == [list(range(n)) for n in calls]
+
+
+# light 0.5 for 20 ticks after a pole last saw motion, then 1: its outputs
+# repeat long before its counters do
+LIGHTS_UP_WHEN_QUIET = parse_source(
+    "if ticks_since_motion > 20 then light = 1 else light = 0.5 end")
+
+
+@pytest.mark.parametrize("alone", [True, False], ids=["alone", "stacked"])
+def test_a_lane_settles_only_once_its_counters_repeat(alone):
+    factory = CompiledProgram(LIGHTS_UP_WHEN_QUIET)
+    lanes = [Recording(factory)] if alone else [Recording(factory), Recording(factory)]
+    got = run_batch(SCENARIO2, controller_step(SCENARIO2, lanes), len(lanes))
+    assert repr(got) == repr(undeclared_run(SCENARIO2, [factory] * len(lanes)))
+    # the last motion is seen on tick 28, and the outputs repeat from tick
+    # 30 on; the counters reach their cap of 21 on tick 49, where the lamps
+    # that saw motion go from 0.5 to 1, and repeat from tick 51 on
+    assert [len(lane.ticks) for lane in lanes] == [52] * len(lanes)
+
+
+@pytest.mark.parametrize("source", NOT_STATELESS_SOURCES.values(), ids=NOT_STATELESS_SOURCES)
+def test_a_lane_never_settles_when_its_program_is_not_stateless(source):
+    factories = [CompiledProgram(parse_source(source)), resolve_controller("always_off").factory]
+    lanes = [Recording(factory) for factory in factories]
+    got = run_batch(SCENARIO1, controller_step(SCENARIO1, lanes), 2)
+    assert repr(got) == repr(undeclared_run(SCENARIO1, factories))
+    assert [len(lane.ticks) for lane in lanes] == [60, 13]
 
 
 # -- quiet ticks: no one moved or started on the tick before -------------------

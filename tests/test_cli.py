@@ -5,22 +5,28 @@ import csv
 import io
 import json
 import math
+import random
+import shutil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genprog import rand_program, rand_stateless_program
 from lumenloop.cli import (
     CSV_HEADER,
+    DEFAULT_COMPARE_CONTROLLERS,
     EXIT_BUDGET_EXHAUSTED,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PROVIDER_FAILURE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from lumenloop.controllers import ResolvedController
+from lumenloop.dsl.formatter import format_program
 from lumenloop.engine import ActuatorCommand
 from lumenloop.fitness import DEFAULT_WEIGHTS, MAX_WEIGHT, FitnessWeights
 from lumenloop.loop import DEFAULT_MODEL, load_replay_script
@@ -552,6 +558,27 @@ def test_compare_rows_follow_any_weights(weights, scenario):
         assert rows_printed(["simulate", "--controller", label, *flags]) == [row]
 
 
+@settings(max_examples=30)
+@given(picks=st.lists(st.one_of(
+    st.sampled_from(DEFAULT_COMPARE_CONTROLLERS),
+    st.tuples(st.sampled_from([rand_program, rand_stateless_program]), st.integers(0, 2**32 - 1)),
+), min_size=2, max_size=5), scenario=st.sampled_from(sorted(BUILTIN_SCENARIOS)))
+def test_each_compare_row_is_its_simulate_row(picks, scenario):
+    # the lanes of one compare settle one by one, and a lane's row does not
+    # depend on when the lanes beside it settle, or whether they do
+    controllers = []
+    for k, pick in enumerate(picks):
+        if isinstance(pick, tuple):
+            generate, seed = pick
+            Path(f"generated{k}.rules").write_text(format_program(generate(random.Random(seed))))
+            pick = f"generated{k}.rules"
+        controllers.append(pick)
+    flags = ["--scenario", scenario]
+    rows = rows_printed(["compare", *flags, *(f"--controller={c}" for c in controllers)])
+    assert rows == [row for c in controllers
+                    for row in rows_printed(["simulate", *flags, "--controller", c])]
+
+
 def test_compare_explicit_selection(capsys):
     assert main([
         "compare", "--scenario", "scenario2", "--controller", "iteration3",
@@ -830,6 +857,17 @@ def test_fitness_check_rejects_malformed_tables(capsys, tmp_path, content):
 
 
 # -- misc --------------------------------------------------------------------
+
+
+def test_the_parser_probes_the_terminal_once(monkeypatch):
+    probes = []
+    probe = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: probes.append(a) or probe(*a))
+    parser = build_parser()
+    assert len(probes) == 1
+    parser.parse_args(["compare"])
+    parser.format_help()
+    assert len(probes) == 1
 
 
 def test_version_flag(capsys):
