@@ -7,7 +7,7 @@ but excluded from equality so parse(format(ast)) == ast holds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 SENSOR_NAMES = ("ambient", "motion", "signal", "light", "ticks_since_motion", "tick")
 ACTUATOR_NAMES = ("light", "listen", "broadcast")
@@ -27,8 +27,7 @@ BINARY_LEVEL = {
 }
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int = 0
     column: int = 0
 

@@ -1,7 +1,8 @@
 """A corpus of valid controller programs exercising the grammar corners.
 
 Used for round-trip (parse -> format -> parse structural identity) and
-validator smoke tests. All five built-in programs are included.
+validator smoke tests. All five built-in programs are included. Below it,
+sources that do not parse, for the parser's error tests.
 """
 
 from lumenloop.dsl.baselines import BUILTIN_PROGRAM_SOURCES
@@ -75,3 +76,23 @@ CRAFTED = [
 ]
 
 CORPUS = CRAFTED + list(BUILTIN_PROGRAM_SOURCES.values())
+
+# Sources that do not parse, each with a fragment of its ParseError.
+PARSE_ERRORS = [
+    ("light =", "expected"),
+    ("if motion light = 1 end", "then"),
+    ("if motion then light = 1", "end"),
+    ("mem. = 1", "memory variable"),
+    ("foo.bar = 1", "mem"),
+    ("1.5 = light", "statement"),
+    ("light = )", "expected"),
+    ("light = (1 + 2", ")"),
+    ("if then light = 1 end", "expected"),
+    ("if", "line 1, column 3: expected a condition, found end of input"),
+    # "(" opens a comparison or a condition; the error that got further wins
+    ("if (a + 1) < then end", "line 1, column 14: expected an expression, found 'then'"),
+    ("if (a < 1 and) then end", "line 1, column 14: expected an expression, found ')'"),
+    ("if ((a) < ) then end", "line 1, column 11: expected an expression, found ')'"),
+    # a tie goes to the condition's error
+    ("if (1 then end", "line 1, column 7: expected a comparator, found 'then'"),
+]

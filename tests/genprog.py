@@ -6,7 +6,7 @@ branches represented as None to match what the parser produces.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 from lumenloop.dsl.nodes import (
     Assignment,
@@ -114,6 +114,32 @@ def _stateless(node):
     if isinstance(node, Ref) and node.name in ("tick", "ticks_since_motion"):
         return Ref("ambient" if node.name == "tick" else "light")
     return node
+
+
+# Names the validator rejects, or whose formatted text does not lex or parse.
+UNKNOWN_NAMES = ("bogus", "lights", "mem", "if")
+BAD_MEM_NAMES = ("1a", "a b", "x.y", "", "a#", "end", "x$", "x²")
+BAD_TARGETS = ("ambient", "motion", "signal", "tick", "ticks_since_motion", "bogus", "mem.2")
+
+
+def corrupted(node, rng):
+    """``node`` with some reads and targets swapped for bad names."""
+    if isinstance(node, Ref) and rng.random() < 0.1:
+        return Ref(rng.choice(UNKNOWN_NAMES))
+    if isinstance(node, MemRef) and rng.random() < 0.1:
+        return MemRef(rng.choice(BAD_MEM_NAMES))
+    if isinstance(node, Assignment) and rng.random() < 0.1:
+        node = replace(node, target=rng.choice(BAD_TARGETS))
+    changes = {}
+    for f in fields(node):
+        if f.name == "pos":  # a tuple, but of numbers
+            continue
+        value = getattr(node, f.name)
+        if isinstance(value, tuple):
+            changes[f.name] = tuple(corrupted(v, rng) for v in value)
+        elif is_dataclass(value):
+            changes[f.name] = corrupted(value, rng)
+    return replace(node, **changes)
 
 
 def rand_reading(rng: random.Random, tick: int = 0) -> SensorReading:

@@ -13,15 +13,13 @@ gives.
 import math
 import random
 import zlib
-from dataclasses import fields, is_dataclass, replace
 
-from genprog import rand_program, rand_reading
+from genprog import corrupted, rand_program, rand_reading
 from interpreter import InterpreterController
 from oracles import ORACLES
 from lumenloop.dsl.baselines import builtin_program
 from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.formatter import format_program
-from lumenloop.dsl.nodes import Assignment, MemRef, Ref
 from lumenloop.dsl.parser import parse_source
 from lumenloop.dsl.validator import validate, validate_strict
 from lumenloop.errors import LexError, ParseError, ValidationError
@@ -71,30 +69,6 @@ def test_random_ast_roundtrip():
         program = rand_program(rng)
         text = format_program(program)
         assert parse_source(text) == program, (i, text)
-
-
-# Names the validator rejects, or whose formatted text does not lex or parse.
-UNKNOWN_NAMES = ("bogus", "lights", "mem", "if")
-BAD_MEM_NAMES = ("1a", "a b", "x.y", "", "a#", "end", "x$", "x²")
-BAD_TARGETS = ("ambient", "motion", "signal", "tick", "ticks_since_motion", "bogus", "mem.2")
-
-
-def corrupted(node, rng):
-    """``node`` with some reads and targets swapped for bad names."""
-    if isinstance(node, Ref) and rng.random() < 0.1:
-        return Ref(rng.choice(UNKNOWN_NAMES))
-    if isinstance(node, MemRef) and rng.random() < 0.1:
-        return MemRef(rng.choice(BAD_MEM_NAMES))
-    if isinstance(node, Assignment) and rng.random() < 0.1:
-        node = replace(node, target=rng.choice(BAD_TARGETS))
-    changes = {}
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, tuple):
-            changes[f.name] = tuple(corrupted(v, rng) for v in value)
-        elif is_dataclass(value) and f.name != "pos":
-            changes[f.name] = corrupted(value, rng)
-    return replace(node, **changes)
 
 
 def raised(call, *args):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dslcases import CORPUS
+from dslcases import CORPUS, PARSE_ERRORS
 from lumenloop.dsl.baselines import BUILTIN_PROGRAM_SOURCES, builtin_program
 from lumenloop.dsl.compiler import CompiledProgram
 from lumenloop.dsl.formatter import format_expr, format_program
@@ -157,24 +157,7 @@ def test_statement_positions():
     assert (second.pos.line, second.pos.column) == (2, 3)
 
 
-@pytest.mark.parametrize("source, fragment", [
-    ("light =", "expected"),
-    ("if motion light = 1 end", "then"),
-    ("if motion then light = 1", "end"),
-    ("mem. = 1", "memory variable"),
-    ("foo.bar = 1", "mem"),
-    ("1.5 = light", "statement"),
-    ("light = )", "expected"),
-    ("light = (1 + 2", ")"),
-    ("if then light = 1 end", "expected"),
-    ("if", "line 1, column 3: expected a condition, found end of input"),
-    # "(" opens a comparison or a condition; the error that got further wins
-    ("if (a + 1) < then end", "line 1, column 14: expected an expression, found 'then'"),
-    ("if (a < 1 and) then end", "line 1, column 14: expected an expression, found ')'"),
-    ("if ((a) < ) then end", "line 1, column 11: expected an expression, found ')'"),
-    # a tie goes to the condition's error
-    ("if (1 then end", "line 1, column 7: expected a comparator, found 'then'"),
-])
+@pytest.mark.parametrize("source, fragment", PARSE_ERRORS)
 def test_parse_errors(source, fragment):
     with pytest.raises(ParseError) as err:
         parse_source(source)
@@ -248,7 +231,8 @@ def test_format_indentation_depth():
     )
 
 
-@pytest.mark.parametrize("walk", [CompiledProgram, format_program], ids=["compiler", "formatter"])
+@pytest.mark.parametrize("walk", [CompiledProgram, format_program, validate],
+                         ids=["compiler", "formatter", "validator"])
 @pytest.mark.parametrize("program, kind", [
     (Program((Assignment("light", "stray"),)), "an expression"),
     (Program((If("stray", (), None),)), "a condition"),
